@@ -55,7 +55,6 @@ from .factorizer import (
     interlaces,
     is_trivial,
     mu,
-    nu,
     split_once,
 )
 from .polycheck import (

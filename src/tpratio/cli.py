@@ -23,12 +23,13 @@ from .conelab import InCone, cone_membership, ratio_to_vector, verify_certificat
 from .errors import (
     ConditionMViolation,
     DuplicateIndex,
+    InvalidInput,
     RankMismatch,
     RatioSyntaxError,
     St0Violation,
     TpratioError,
 )
-from .factorizer import basic_ratios_all, factor_to_basics
+from .factorizer import basic_ratio_count, basic_ratios_all, factor_to_basics
 from .polycheck import is_subtraction_free, ratio_difference_poly
 from .tpcore import (
     DEFAULT_T_LADDER,
@@ -163,16 +164,20 @@ def _check_duplicates(elems, pos):
 # helpers
 
 
-def _fr(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(
-        value.numerator
-    )
+def _rational(text, what: str) -> Fraction:
+    """The one parser for rationals given on the command line or in files."""
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidInput(f"{what}: {text!r} is not a rational number") from None
 
 
 def _load_matrix(path: str) -> TPMatrix:
     with open(path) as fh:
         rows = json.load(fh)
-    return TPMatrix.from_strings(rows)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InvalidInput(f"{path}: expected a JSON list of rows")
+    return TPMatrix.of([[_rational(x, f"{path} entry") for x in row] for row in rows])
 
 
 def _ratio_argument(args) -> RatioExpr:
@@ -306,12 +311,12 @@ def _cmd_eval(args) -> int:
             "n": ratio.rank,
             "matrix": source,
             "matrix_entries": matrix.to_strings(),
-            "value": _fr(value),
+            "value": str(value),
             "value_float": float(value),
             "lines": [
                 f"ratio: {ratio.canonical()}",
                 f"matrix: {source}",
-                f"value: {_fr(value)} (~{float(value):.6g})",
+                f"value: {value} (~{float(value):.6g})",
             ],
         },
     )
@@ -324,17 +329,17 @@ def _cmd_cone(args) -> int:
     checked = verify_certificate(vector, verdict, ratio.rank)
     if isinstance(verdict, InCone):
         lines = [f"ratio: {ratio.canonical()}", "in cone; coefficients:"]
-        lines += [f"  {_fr(c)} * {b}" for b, c in verdict.coefficients]
+        lines += [f"  {c} * {b}" for b, c in verdict.coefficients]
         payload = {
             "verdict": "in-cone",
-            "coefficients": [[str(b), _fr(c)] for b, c in verdict.coefficients],
+            "coefficients": [[str(b), str(c)] for b, c in verdict.coefficients],
         }
     else:
         lines = [f"ratio: {ratio.canonical()}", "outside cone; separating functional:"]
-        lines += [f"  y[{s}] = {_fr(c)}" for s, c in verdict.certificate]
+        lines += [f"  y[{s}] = {c}" for s, c in verdict.certificate]
         payload = {
             "verdict": "outside-cone",
-            "certificate": [[str(s), _fr(c)] for s, c in verdict.certificate],
+            "certificate": [[str(s), str(c)] for s, c in verdict.certificate],
         }
     lines.append(f"certificate re-check: {'ok' if checked else 'FAILED'}")
     return _report(
@@ -382,11 +387,11 @@ def _cmd_subfree(args) -> int:
 def _cmd_falsify(args) -> int:
     ratio = _ratio_argument(args)
     ladder = (
-        tuple(Fraction(t) for t in args.t_ladder.split(","))
+        tuple(_rational(t, "--t-ladder") for t in args.t_ladder.split(","))
         if args.t_ladder
         else DEFAULT_T_LADDER
     )
-    threshold = Fraction(args.threshold) if args.threshold else DEFAULT_THRESHOLD
+    threshold = _rational(args.threshold, "--threshold") if args.threshold else DEFAULT_THRESHOLD
     outcome = falsify(
         ratio,
         t_ladder=ladder,
@@ -400,10 +405,10 @@ def _cmd_falsify(args) -> int:
             f"ratio: {ratio.canonical()}",
             f"numerical witness via {outcome.family} "
             + " ".join(f"{k}={v}" for k, v in outcome.detail),
-            f"threshold: {_fr(outcome.threshold)}",
+            f"threshold: {outcome.threshold}",
         ]
         lines += [
-            f"  t={_fr(t)}: value {_fr(v)} (~{float(v):.6g})" for t, v in outcome.trace
+            f"  t={t}: value {v} (~{float(v):.6g})" for t, v in outcome.trace
         ]
         return _report(
             args,
@@ -414,8 +419,8 @@ def _cmd_falsify(args) -> int:
                 "verdict": "unbounded-evidence",
                 "family": outcome.family,
                 "detail": dict(outcome.detail),
-                "threshold": _fr(outcome.threshold),
-                "trace": [[_fr(t), _fr(v)] for t, v in outcome.trace],
+                "threshold": str(outcome.threshold),
+                "trace": [[str(t), str(v)] for t, v in outcome.trace],
                 "lines": lines,
             },
         )
@@ -436,19 +441,16 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_basics(args) -> int:
-    basics = basic_ratios_all(args.n)
-    if args.count:
-        lines = [str(len(basics))]
-    else:
-        lines = [str(b) for b in basics]
+    count = basic_ratio_count(args.n)
+    basics = None if args.count else [str(b) for b in basic_ratios_all(args.n)]
     return _report(
         args,
         {
             "command": "basics",
             "n": args.n,
-            "count": len(basics),
-            "basics": None if args.count else [str(b) for b in basics],
-            "lines": lines,
+            "count": count,
+            "basics": basics,
+            "lines": [str(count)] if basics is None else basics,
         },
     )
 
@@ -553,10 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TpratioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (TpratioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

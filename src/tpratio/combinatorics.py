@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import SizeMismatch
+from .errors import InvalidInput, SizeMismatch
 
 
 @dataclass(frozen=True, order=True)
@@ -36,13 +36,13 @@ class IndexSet:
         n = self.rank
         elems = self.elements
         if n < 1:
-            raise ValueError(f"rank must be positive, got {n}")
+            raise InvalidInput(f"rank must be positive, got {n}")
         if len(elems) != n:
-            raise ValueError(f"rank {n} set needs {n} elements, got {elems!r}")
+            raise InvalidInput(f"rank {n} set needs {n} elements, got {elems!r}")
         if any(not 1 <= e <= 2 * n for e in elems):
-            raise ValueError(f"elements outside [1, {2 * n}]: {elems!r}")
+            raise InvalidInput(f"elements outside [1, {2 * n}]: {elems!r}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ValueError(f"elements must be strictly increasing: {elems!r}")
+            raise InvalidInput(f"elements must be strictly increasing: {elems!r}")
 
     @classmethod
     def of(cls, rank: int, elements: Iterable[int]) -> "IndexSet":
@@ -96,9 +96,9 @@ class MinorSpec:
             )
         for label, seq in (("rows", self.rows), ("cols", self.cols)):
             if any(not 1 <= e <= n for e in seq):
-                raise ValueError(f"{label} outside [1, {n}]: {seq!r}")
+                raise InvalidInput(f"{label} outside [1, {n}]: {seq!r}")
             if any(a >= b for a, b in zip(seq, seq[1:])):
-                raise ValueError(f"{label} must be strictly increasing: {seq!r}")
+                raise InvalidInput(f"{label} must be strictly increasing: {seq!r}")
 
     @classmethod
     def of(cls, rank: int, rows: Iterable[int], cols: Iterable[int]) -> "MinorSpec":
@@ -174,9 +174,9 @@ class RatioExpr:
     def __post_init__(self):
         for s in (*self.numerator, *self.denominator):
             if s.rank != self.rank:
-                raise ValueError(f"mixed ranks: expected {self.rank}, got {s.rank}")
+                raise InvalidInput(f"mixed ranks: expected {self.rank}, got {s.rank}")
         if len(self.numerator) != len(self.denominator):
-            raise ValueError("numerator and denominator lengths differ; use RatioExpr.of")
+            raise InvalidInput("numerator and denominator lengths differ; use RatioExpr.of")
 
     @classmethod
     def of(
@@ -247,9 +247,9 @@ class ExponentVector:
     def __post_init__(self):
         keys = [k for k, _ in self.entries]
         if keys != sorted(keys):
-            raise ValueError("entries must be sorted by index set")
+            raise InvalidInput("entries must be sorted by index set")
         if any(v == 0 for _, v in self.entries):
-            raise ValueError("zero entries must be omitted")
+            raise InvalidInput("zero entries must be omitted")
 
     @classmethod
     def zero(cls, rank: int) -> "ExponentVector":
@@ -271,16 +271,13 @@ class ExponentVector:
     def as_dict(self) -> dict[IndexSet, int]:
         return dict(self.entries)
 
-    def get(self, key: IndexSet) -> int:
-        return self.as_dict().get(key, 0)
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
 
     def __add__(self, other: "ExponentVector") -> "ExponentVector":
         if self.rank != other.rank:
-            raise ValueError("cannot add vectors of different ranks")
+            raise InvalidInput("cannot add vectors of different ranks")
         counts = dict(self.entries)
         for k, v in other.entries:
             counts[k] = counts.get(k, 0) + v
@@ -304,9 +301,9 @@ class Arc:
     def __post_init__(self):
         n2 = 2 * self.rank
         if not 1 <= self.start <= n2:
-            raise ValueError(f"start outside [1, {n2}]: {self.start}")
+            raise InvalidInput(f"start outside [1, {n2}]: {self.start}")
         if not 1 <= self.length <= n2 - 1:
-            raise ValueError(f"length outside [1, {n2 - 1}]: {self.length}")
+            raise InvalidInput(f"length outside [1, {n2 - 1}]: {self.length}")
 
     @cached_property
     def members(self) -> tuple[int, ...]:

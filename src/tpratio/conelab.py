@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import ExponentVector, IndexSet, RatioExpr, all_index_sets
+from .budgets import MAX_RANK
 from .errors import BudgetExceeded
 from .factorizer import BasicRatio, basic_ratios_all
-
-_MAX_RANK = 4
 
 
 def ratio_to_vector(ratio: RatioExpr) -> ExponentVector:
@@ -64,9 +63,9 @@ def cone_membership(
     infeasibility yields the Farkas functional from the optimal dual.
     Deterministic: fixed generator order plus Bland's pivoting rule.
     """
-    if rank > _MAX_RANK and not allow_large:
+    if rank > MAX_RANK and not allow_large:
         raise BudgetExceeded(
-            f"cone membership beyond rank {_MAX_RANK} requires allow_large=True"
+            f"cone membership beyond rank {MAX_RANK} requires allow_large=True"
         )
     coords, basics, columns = _generator_columns(rank)
     wanted = vector.as_dict()

@@ -7,6 +7,10 @@ class TpratioError(Exception):
     """Base class for all library-specific errors."""
 
 
+class InvalidInput(TpratioError, ValueError):
+    """A value outside the documented domain of a constructor or function."""
+
+
 class ArityError(TpratioError):
     """Ratio does not have the required number of index sets per side."""
 

@@ -28,6 +28,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+from .budgets import MAX_LISTED_BASICS
 from .combinatorics import (
     ExponentVector,
     IndexSet,
@@ -38,7 +39,9 @@ from .combinatorics import (
 )
 from .errors import (
     ArityError,
+    BudgetExceeded,
     ConditionMViolation,
+    InvalidInput,
     InvariantViolation,
     PreconditionError,
     SizeMismatch,
@@ -114,14 +117,14 @@ class ElementaryRatio:
         n = self.rank
         anchors = (self.i1, self.i2, self.j1, self.j2)
         if len(set(anchors)) != 4:
-            raise ValueError(f"anchors must be distinct: {anchors}")
+            raise InvalidInput(f"anchors must be distinct: {anchors}")
         if len(self.core) != n - 2:
-            raise ValueError(f"core must have {n - 2} elements, got {self.core!r}")
+            raise InvalidInput(f"core must have {n - 2} elements, got {self.core!r}")
         if set(self.core) & set(anchors):
-            raise ValueError("core must avoid the anchors")
+            raise InvalidInput("core must avoid the anchors")
         offs = [(a - self.i1) % (2 * n) for a in anchors]
         if not (offs[0] < offs[1] < offs[2] < offs[3]):
-            raise ValueError(f"anchors not in cyclic order: {anchors}")
+            raise InvalidInput(f"anchors not in cyclic order: {anchors}")
 
     @property
     def anchors(self) -> tuple[int, int, int, int]:
@@ -158,14 +161,14 @@ class BasicRatio:
     def __post_init__(self):
         n = self.rank
         if not self.i < self.j:
-            raise ValueError("use BasicRatio.of, which canonicalizes the pair order")
+            raise InvalidInput("use BasicRatio.of, which canonicalizes the pair order")
         touched = {self.i, _succ(n, self.i), self.j, _succ(n, self.j)}
         if len(touched) != 4:
-            raise ValueError(f"adjacent pairs overlap: i={self.i}, j={self.j}")
+            raise InvalidInput(f"adjacent pairs overlap: i={self.i}, j={self.j}")
         if len(self.core) != n - 2:
-            raise ValueError(f"core must have {n - 2} elements, got {self.core!r}")
+            raise InvalidInput(f"core must have {n - 2} elements, got {self.core!r}")
         if set(self.core) & touched:
-            raise ValueError("core must avoid i, i+1, j, j+1")
+            raise InvalidInput("core must avoid i, i+1, j, j+1")
 
     @classmethod
     def of(cls, rank: int, i: int, j: int, core: tuple[int, ...] | frozenset[int]) -> "BasicRatio":
@@ -280,11 +283,6 @@ def decompose(ratio: RatioExpr) -> Decomposition:
     if len(g1) != len(d1) or len(g2) != len(d2):
         raise InvariantViolation("paired blocks differ in size")
     return dec
-
-
-def nu(dec: Decomposition) -> int:
-    """Number of unshared index pairs; the recursion measure for splitting."""
-    return dec.nu
 
 
 def is_trivial(ratio: RatioExpr) -> bool:
@@ -696,14 +694,23 @@ def _factor(ratio: RatioExpr, basics, trace):
     _factor(outcome.right, basics, trace)
 
 
-def basic_ratios_all(rank: int) -> list[BasicRatio]:
-    """All canonical basic ratios, deduplicated under the i/j swap.
-
-    The count is ``n(2n-3) * C(2n-4, n-2)``: pairs of disjoint adjacent
-    label pairs on the 2n-gon times the choices for the core.
-    """
+def basic_ratio_count(rank: int) -> int:
+    """Number of basic ratios, ``n(2n-3) * C(2n-4, n-2)``: pairs of disjoint
+    adjacent label pairs on the 2n-gon times the choices for the core."""
     if rank < 2:
         raise PreconditionError("basic ratios need rank >= 2")
+    return rank * (2 * rank - 3) * comb(2 * rank - 4, rank - 2)
+
+
+def basic_ratios_all(rank: int) -> list[BasicRatio]:
+    """All canonical basic ratios, deduplicated under the i/j swap, within
+    the `MAX_LISTED_BASICS` budget."""
+    count = basic_ratio_count(rank)
+    if count > MAX_LISTED_BASICS:
+        raise BudgetExceeded(
+            f"rank {rank} has {count} basic ratios; listing is budgeted to "
+            f"{MAX_LISTED_BASICS}"
+        )
     n2 = 2 * rank
     out = []
     for i in range(1, n2 + 1):
@@ -714,5 +721,5 @@ def basic_ratios_all(rank: int) -> list[BasicRatio]:
             rest = [e for e in range(1, n2 + 1) if e not in touched]
             for core in itertools.combinations(rest, rank - 2):
                 out.append(BasicRatio(rank, i, j, core))
-    assert len(out) == rank * (n2 - 3) * comb(n2 - 4, rank - 2)
+    assert len(out) == count
     return out

@@ -20,11 +20,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import IndexSet, RatioExpr, plucker_to_minor
-from .errors import BudgetExceeded
+from .budgets import MAX_RANK
+from .errors import BudgetExceeded, InvalidInput
 from .tpcore.matrices import NetworkParams
 from .tpcore.network import chip_entries, chips, all_ones_params, variable_names
 
-_MAX_RANK = 4
 TERM_LIMIT = 10**7
 
 Exponents = tuple[int, ...]
@@ -131,12 +131,6 @@ class Polynomial:
             total += term
         return total
 
-    def monomials(self) -> list[tuple[Monomial, int]]:
-        return sorted(
-            ((Monomial(k), v) for k, v in self.terms.items()),
-            key=lambda kv: kv[0].grlex_key(),
-        )
-
     def __repr__(self) -> str:
         return f"Polynomial({len(self.terms)} terms over {self.nvars} vars)"
 
@@ -148,8 +142,8 @@ def _nvars(rank: int) -> int:
 @lru_cache(maxsize=None)
 def symbolic_network_matrix(rank: int) -> tuple[tuple[Polynomial, ...], ...]:
     """The network matrix with each weight replaced by its own variable."""
-    if rank > _MAX_RANK:
-        raise BudgetExceeded(f"symbolic networks are budgeted to rank {_MAX_RANK}")
+    if rank > MAX_RANK:
+        raise BudgetExceeded(f"symbolic networks are budgeted to rank {MAX_RANK}")
     nv = _nvars(rank)
     k = rank * (rank - 1) // 2
     # Variable layout mirrors `variable_names`: lower, diagonal, upper.
@@ -232,9 +226,9 @@ def ratio_difference_poly(ratio: RatioExpr, rank: int | None = None) -> Polynomi
     """``q - p`` where the ratio is ``p/q`` in the network weights."""
     n = rank if rank is not None else ratio.rank
     if n != ratio.rank:
-        raise ValueError(f"rank {n} does not match the ratio's rank {ratio.rank}")
-    if n > _MAX_RANK:
-        raise BudgetExceeded(f"symbolic ratios are budgeted to rank {_MAX_RANK}")
+        raise InvalidInput(f"rank {n} does not match the ratio's rank {ratio.rank}")
+    if n > MAX_RANK:
+        raise BudgetExceeded(f"symbolic ratios are budgeted to rank {MAX_RANK}")
     nv = _nvars(n)
     p = Polynomial.constant(nv, 1)
     for s in ratio.numerator:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..combinatorics import IndexSet, RatioExpr
-from ..errors import SizeMismatch, ZeroDenominator
+from ..errors import InvalidInput, SizeMismatch, ZeroDenominator
 from .matrices import Grid, TPMatrix, det, inverse, mat_mul, require_tp
 
 
@@ -49,7 +49,7 @@ class GrassmannRep:
     def __post_init__(self):
         n = self.rank
         if len(self.rows) != 2 * n or any(len(r) != n for r in self.rows):
-            raise ValueError(f"representative is not {2 * n} x {n}")
+            raise InvalidInput(f"representative is not {2 * n} x {n}")
 
     def bracket(self, alpha: IndexSet) -> Fraction:
         if alpha.rank != self.rank:

@@ -15,11 +15,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
+from ..budgets import MAX_RANK
 from ..combinatorics import MinorSpec
 from ..errors import BudgetExceeded, SizeMismatch
 from .network import NetworkParams, chip_entries, chips
-
-_MAX_RANK = 4
 
 
 def _transitions(chip, rank: int):
@@ -34,8 +33,8 @@ def lgv_minors(params: NetworkParams, spec: MinorSpec) -> Fraction:
     """Sum of weights of vertex-disjoint path families from ``spec.rows``
     to ``spec.cols``; equals the corresponding minor of the network matrix."""
     n = params.rank
-    if n > _MAX_RANK:
-        raise BudgetExceeded(f"path-family enumeration is budgeted to rank {_MAX_RANK}")
+    if n > MAX_RANK:
+        raise BudgetExceeded(f"path-family enumeration is budgeted to rank {MAX_RANK}")
     if spec.rank != n:
         raise SizeMismatch(f"minor rank {spec.rank} vs network rank {n}")
     if spec.size == 0:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..combinatorics import MinorSpec, all_minor_specs
-from ..errors import NotTotallyPositive, SizeMismatch
+from ..errors import InvalidInput, NotTotallyPositive, SizeMismatch
 from .network import NetworkParams, chip_entries, chips
 
 Row = tuple[Fraction, ...]
@@ -96,7 +96,7 @@ class TPMatrix:
         if len(self.entries) != self.rank or any(
             len(r) != self.rank for r in self.entries
         ):
-            raise ValueError(f"entries are not {self.rank} x {self.rank}")
+            raise InvalidInput(f"entries are not {self.rank} x {self.rank}")
 
     @classmethod
     def of(cls, rows: Sequence[Sequence], provenance: NetworkParams | None = None):
@@ -164,7 +164,7 @@ def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:
     from [-magnitude, magnitude] by `random.Random(seed)`, in the order
     lower (staircase order), diagonal, upper."""
     if magnitude < 1:
-        raise ValueError("magnitude must be at least 1")
+        raise InvalidInput("magnitude must be at least 1")
     rng = random.Random(seed)
     k = rank * (rank - 1) // 2
     draw = lambda count: tuple(

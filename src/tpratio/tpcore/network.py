@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import NonPositiveWeight
+from ..errors import InvalidInput, NonPositiveWeight
 
 
 def staircase_word(rank: int) -> tuple[int, ...]:
@@ -49,7 +49,7 @@ class NetworkParams:
         n = self.rank
         k = n * (n - 1) // 2
         if len(self.lower) != k or len(self.upper) != k or len(self.diag) != n:
-            raise ValueError(
+            raise InvalidInput(
                 f"need {k} lower, {n} diagonal, {k} upper weights for rank {n}"
             )
         for w in (*self.lower, *self.diag, *self.upper):

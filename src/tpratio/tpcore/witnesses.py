@@ -9,10 +9,13 @@ defining property is the degree law
     deg_t bracket(alpha) = min(k, |alpha ∩ {1..s}|),
 
 which converts a failed majorization prefix into a numerator/denominator
-degree gap.  The falsifier locates such a gap, rotates it to the leading
-position, evaluates the original ratio on the (un-rotated) family along a
-ladder of ``t`` values, and reports the exact value trace.  Everything is
-labeled a numerical witness: growth past a threshold, never a proof.
+degree gap.  The falsifier locates such a gap, rotates the ratio so the
+gap arc leads, and evaluates it on the family along a ladder of ``t``
+values; at rank 4 it also tries every rotation and mirror image of the
+ratio on the known 4 x 4 counterexample family.  Boundedness is invariant
+under these symmetries, so they act on the ratio, never on the matrices.
+Everything is labeled a numerical witness: growth past a threshold, never
+a proof.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ from ..combinatorics import (
     RatioExpr,
     arcs_up_to_half,
     conjugate,
+    cyclic_shift_ratio,
     m_vector,
+    reversal_ratio,
 )
 from ..errors import PreconditionError
-from .grassmann import eval_ratio, reverse_matrix, shift_matrix
+from .grassmann import eval_ratio, shift_matrix
 from .matrices import TPMatrix, mat_mul, network_matrix, random_tp
 from .network import all_ones_params
 
@@ -51,8 +56,7 @@ def witness_family(n: int, s: int, k: int, t: Fraction) -> TPMatrix:
     t = Fraction(t)
     if t <= 0:
         raise PreconditionError("the scale parameter must be positive")
-    g = network_matrix(all_ones_params(s)).entries
-    h = network_matrix(all_ones_params(s)).entries
+    g = h = network_matrix(all_ones_params(s)).entries
     scaled = tuple(
         tuple(row[c] * (t if c < k else 1) for c in range(s)) for row in g
     )
@@ -143,40 +147,24 @@ def _gap_arc(ratio: RatioExpr):
 
 
 def witness_matrix(ratio: RatioExpr, arc, k: int, t: Fraction) -> TPMatrix:
-    """The degree-gap family member for the *original* ratio.
-
-    The gap arc is rotated to the leading position {1..s}; rotating the
-    family matrix back (repeated `shift_matrix`) then feeds the original
-    ratio, so reported values belong to the ratio as given.
-    """
-    n = ratio.rank
-    shift = (1 - arc.start) % (2 * n)
-    unshift = (2 * n - shift) % (2 * n)
-    m = witness_family(n, arc.length, k, t)
-    for _ in range(unshift):
+    """The degree-gap family member, rotated by `shift_matrix` so that the
+    ratio as given takes the values `falsify` finds for its rotation on
+    `witness_family`.  `falsify` never builds it; the tests use it as the
+    matrix-side reference for those values."""
+    m = witness_family(ratio.rank, arc.length, k, t)
+    for _ in range(arc.start - 1):
         m = shift_matrix(m)
     return m
 
 
-def _symmetry_variants(rank: int):
-    """All rotation/mirror combinations; boundedness is invariant under each,
-    so the fixture family can be tried against every orientation of the
-    input ratio."""
-    for rotation in range(2 * rank):
-        for mirrored in (False, True):
-            yield rotation, mirrored
-
-
-def _transform(matrix: TPMatrix, rotation: int, mirrored: bool) -> TPMatrix:
-    """Matrix realizing the value of the ratio rotated ``rotation`` steps
-    (and mirrored first if asked): evaluating the original ratio on the
-    result equals evaluating the transformed ratio on the input."""
-    out = matrix
-    if mirrored:
-        out = reverse_matrix(out)
-    for _ in range((2 * matrix.rank - rotation) % (2 * matrix.rank)):
-        out = shift_matrix(out)
-    return out
+def _oriented(ratio: RatioExpr, rotation: int, mirrored: bool) -> RatioExpr:
+    """The ratio rotated ``rotation`` steps, then mirrored if asked.  Its
+    value on ``M`` is the given ratio's on `reverse_matrix` (if mirrored)
+    then ``(2n - rotation) mod 2n`` times `shift_matrix` of ``M``: those
+    scale every bracket by one common factor, which cancels."""
+    for _ in range(rotation % (2 * ratio.rank)):
+        ratio = cyclic_shift_ratio(ratio)
+    return reversal_ratio(ratio) if mirrored else ratio
 
 
 def _climb_ladder(family, detail, value_at, t_ladder, threshold, extensions):
@@ -221,10 +209,11 @@ def falsify(
     if found is not None:
         arc, k = found
         detail = (("s", arc.length), ("k", k), ("start", arc.start))
+        leading = _oriented(ratio, 1 - arc.start, False)
         evidence = _climb_ladder(
             "degree-gap",
             detail,
-            lambda t: eval_ratio(witness_matrix(ratio, arc, k, t), ratio),
+            lambda t: eval_ratio(witness_family(ratio.rank, arc.length, k, t), leading),
             t_ladder,
             threshold,
             ladder_extensions,
@@ -236,19 +225,19 @@ def falsify(
         attempts.append("majorization screen holds: no degree gap")
 
     if ratio.rank == 4:
-        for rotation, mirrored in _symmetry_variants(ratio.rank):
-            evidence = _climb_ladder(
-                "counterexample-family",
-                (("rotation", rotation), ("mirrored", int(mirrored))),
-                lambda t: eval_ratio(
-                    _transform(counterexample_matrix(t), rotation, mirrored), ratio
-                ),
-                t_ladder,
-                threshold,
-                ladder_extensions,
-            )
-            if evidence is not None and evidence.increasing:
-                return evidence
+        for rotation in range(2 * ratio.rank):
+            for mirrored in (False, True):
+                variant = _oriented(ratio, rotation, mirrored)
+                evidence = _climb_ladder(
+                    "counterexample-family",
+                    (("rotation", rotation), ("mirrored", int(mirrored))),
+                    lambda t: eval_ratio(counterexample_matrix(t), variant),
+                    t_ladder,
+                    threshold,
+                    ladder_extensions,
+                )
+                if evidence is not None and evidence.increasing:
+                    return evidence
         attempts.append("counterexample family (all symmetries) did not climb past threshold")
 
     best: tuple[Fraction, Fraction] | None = None

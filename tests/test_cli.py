@@ -196,3 +196,41 @@ class TestCommands:
     def test_rank_flag_mismatch_exit_one(self, capsys):
         code, _, err = run(capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--n", "3")
         assert code == 1
+
+
+class TestBadInput:
+    """Bad input gives one `error:` line on stderr and exit code 1, never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "[0,3][2,4]/[1,4][2,3]"),  # zero label
+            ("check", "[1,3][2,2]/[1,4][2,3]"),  # duplicate label
+            ("check", "(3|1)/(1|1)", "--n", "2"),  # row outside [1, n]
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--t-ladder", "10,abc"),
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--t-ladder", "10,1/0"),
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--threshold", "x"),
+            ("eval", "[1,4][2,3]/[1,3][2,4]", "--magnitude", "0"),
+            ("basics", "--n", "12"),  # 46,558,512 generators: over the listing budget
+        ],
+    )
+    def test_error_line_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "rows", [[["1", "x"], ["1", "2"]], [["1", "1"], ["1"]], [["1", "1", "1"]], {"a": 1}]
+    )
+    def test_bad_matrix_file(self, capsys, tmp_path, rows):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(rows))
+        code, out, err = run(capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", str(path))
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_basics_count_closed_form(self, capsys):
+        code, out, _ = run(capsys, "basics", "--n", "12", "--count")
+        assert code == 0 and out.strip() == "46558512"

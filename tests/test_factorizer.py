@@ -29,7 +29,6 @@ from tpratio.factorizer import (
     interlaces,
     is_trivial,
     mu,
-    nu,
     split_once,
 )
 from tpratio.tpcore import eval_ratio, random_tp
@@ -52,13 +51,13 @@ class TestDecompose:
         d = decompose(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
         assert d.core == ()
         assert (d.gamma1, d.gamma2, d.delta1, d.delta2) == ((1,), (4,), (2,), (3,))
-        assert nu(d) == 2
+        assert d.nu == 2
 
     def test_n3_example(self):
         d = decompose(ratio(3, [(1, 4, 6), (2, 3, 5)], [(1, 3, 5), (2, 4, 6)]))
         assert d.core == ()
         assert (d.gamma1, d.gamma2, d.delta1, d.delta2) == ((1,), (4, 6), (2,), (3, 5))
-        assert nu(d) == 3
+        assert d.nu == 3
         assert d.ratio().numerator == (iset(3, 1, 4, 6), iset(3, 2, 3, 5))
 
     def test_st0_violation(self):
@@ -74,7 +73,7 @@ class TestDecompose:
     def test_trivial_ratio_nu_counts_unshared_indices(self):
         # the numerator sets are disjoint, so nothing is shared by all four
         d = decompose(ratio(2, [(1, 2), (3, 4)], [(1, 2), (3, 4)]))
-        assert nu(d) == 2
+        assert d.nu == 2
         assert is_trivial(ratio(2, [(1, 2), (3, 4)], [(1, 2), (3, 4)]))
 
 

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from tpratio.combinatorics import (
+    Arc,
     IndexSet,
     MinorSpec,
     RatioExpr,
@@ -43,7 +45,9 @@ from tpratio.tpcore import (
     shift_matrix,
     verify_tp,
     witness_family,
+    witness_matrix,
 )
+from tpratio.tpcore.matrices import require_tp
 from tpratio.tpcore.network import all_ones_params, staircase_word
 
 import util
@@ -300,6 +304,91 @@ class TestFalsify:
         out = falsify(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]), random_trials=5)
         assert isinstance(out, Inconclusive)
         assert any("no degree gap" in a for a in out.attempts)
+
+
+def _orbit(r):
+    """The 2n rotations of ``r``, then their 2n mirror images."""
+    rotations = [r]
+    for _ in range(2 * r.rank - 1):
+        rotations.append(cyclic_shift_ratio(rotations[-1]))
+    return rotations + [reversal_ratio(m) for m in rotations]
+
+
+def _matrix_side(m, rotation, mirrored):
+    """The matrix-side orientation: `reverse_matrix` if mirrored, then
+    ``(2n - rotation) mod 2n`` times `shift_matrix`."""
+    n2 = 2 * m.rank
+    if mirrored:
+        m = reverse_matrix(m)
+    for _ in range((n2 - rotation) % n2):
+        m = shift_matrix(m)
+    return m
+
+
+class TestFalsifyOrientation:
+    """`falsify` applies the symmetries to the ratio; its values must be the
+    ones the matrix-side transforms give."""
+
+    def test_counterexample_orbit_matches_matrix_side(self):
+        mirror_first_differs = 0
+        for member in _orbit(UNBOUNDED_3OVER3):
+            out = falsify(member, random_trials=0)
+            assert isinstance(out, Evidence)
+            assert out.family == "counterexample-family"
+            detail = dict(out.detail)
+            rotation, mirrored = detail["rotation"], bool(detail["mirrored"])
+            for t, value in out.trace:
+                m = counterexample_matrix(t)
+                assert eval_ratio(_matrix_side(m, rotation, mirrored), member) == value
+                if mirrored:
+                    # the other order: rotate the matrix first, then mirror it
+                    shifted = _matrix_side(m, rotation, False)
+                    mirror_first_differs += (
+                        eval_ratio(reverse_matrix(shifted), member) != value
+                    )
+        assert mirror_first_differs > 0
+
+    def test_degree_gap_matches_witness_matrix(self):
+        rng = random.Random(5)
+        checked = {3: 0, 4: 0}
+        starts = set()
+        for _ in range(200):
+            r = util.random_st0_ratio(rng.choice([3, 4]), rng)
+            if r is None or check_condition_m(r).holds or checked[r.rank] == 4:
+                continue
+            out = falsify(r, random_trials=0)
+            if not isinstance(out, Evidence) or out.family != "degree-gap":
+                continue
+            detail = dict(out.detail)
+            arc = Arc(r.rank, detail["start"], detail["s"])
+            for t, value in out.trace:
+                assert eval_ratio(witness_matrix(r, arc, detail["k"], t), r) == value
+            checked[r.rank] += 1
+            starts.add(arc.start)
+        assert checked == {3: 4, 4: 4}
+        assert len(starts) > 1
+
+    def test_falsify_transforms_no_matrix(self, monkeypatch):
+        inconclusive = ratio(
+            4, [(1, 2, 3, 4), (1, 4, 6, 7)], [(1, 2, 4, 7), (1, 3, 4, 6)]
+        )
+        member = _orbit(UNBOUNDED_3OVER3)[11]
+        expected = [falsify(r) for r in (member, inconclusive)]
+        assert isinstance(expected[0], Evidence)
+        assert isinstance(expected[1], Inconclusive)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("falsify transformed or re-checked a matrix")
+
+        for attr, original in (
+            ("require_tp", require_tp),
+            ("shift_matrix", shift_matrix),
+            ("reverse_matrix", reverse_matrix),
+        ):
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "tpratio" and getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, forbidden)
+        assert [falsify(r) for r in (member, inconclusive)] == expected
 
 
 class TestSerialization:
