@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .budgets import MAX_LISTED_BASICS
+from .budgets import MAX_COUNTED_RANK, MAX_LISTED_BASICS
 from .combinatorics import (
     ExponentVector,
     IndexSet,
@@ -699,6 +699,8 @@ def basic_ratio_count(rank: int) -> int:
     adjacent label pairs on the 2n-gon times the choices for the core."""
     if rank < 2:
         raise PreconditionError("basic ratios need rank >= 2")
+    if rank > MAX_COUNTED_RANK:
+        raise BudgetExceeded(f"counting basic ratios is budgeted to rank {MAX_COUNTED_RANK}")
     return rank * (2 * rank - 3) * comb(2 * rank - 4, rank - 2)
 
 

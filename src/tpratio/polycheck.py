@@ -9,8 +9,13 @@ positive weights then give ``p <= q``.
 Polynomials are dicts from dense exponent tuples to nonzero integer
 coefficients.  The monomial order is graded lexicographic over the fixed
 variable order above; it only matters for reporting deterministic
-witnesses.  Brackets are computed as symbolic minors through the index-set
-bridge, with sub-minors memoized by (row set, column set).
+witnesses.  The symbolic network matrix is
+`tpratio.tpcore.network.network_product` taken over polynomials, with
+variable ``i`` standing for weight ``i`` of the flat order (`flat_weights`,
+`variable_names`), so ``symbolic_minor(...).evaluate(flat_weights(p))`` is
+the exact minor of ``network_matrix(p)``.  Brackets are computed as
+symbolic minors through the index-set bridge, with sub-minors memoized by
+(row set, column set).
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from functools import lru_cache
 from .combinatorics import IndexSet, RatioExpr, plucker_to_minor
 from .budgets import MAX_RANK
 from .errors import BudgetExceeded, InvalidInput
-from .tpcore.matrices import NetworkParams
-from .tpcore.network import chip_entries, chips, all_ones_params, variable_names
+from .tpcore.network import network_product, variable_names
 
 TERM_LIMIT = 10**7
 
@@ -141,79 +145,33 @@ def _nvars(rank: int) -> int:
 
 @lru_cache(maxsize=None)
 def symbolic_network_matrix(rank: int) -> tuple[tuple[Polynomial, ...], ...]:
-    """The network matrix with each weight replaced by its own variable."""
+    """The network matrix with each weight replaced by its own variable, in
+    the flat order of `variable_names`."""
     if rank > MAX_RANK:
         raise BudgetExceeded(f"symbolic networks are budgeted to rank {MAX_RANK}")
     nv = _nvars(rank)
-    k = rank * (rank - 1) // 2
-    # Variable layout mirrors `variable_names`: lower, diagonal, upper.
-    lower = [Polynomial.variable(nv, s) for s in range(k)]
-    diag = [Polynomial.variable(nv, k + s) for s in range(rank)]
-    upper = [Polynomial.variable(nv, k + rank + s) for s in range(k)]
-    placeholder = all_ones_params(rank)
-
-    grid = [
-        [Polynomial.constant(nv, 1) if i == j else Polynomial.zero(nv) for j in range(rank)]
-        for i in range(rank)
-    ]
-    for chip_index, chip in enumerate(chips(placeholder)):
-        layer = [[Polynomial.zero(nv) for _ in range(rank)] for _ in range(rank)]
-        for (r, c), _ in chip_entries(chip, rank):
-            if r == c and chip.kind != "diag":
-                layer[r - 1][c - 1] = Polynomial.constant(nv, 1)
-            elif chip.kind == "diag":
-                layer[r - 1][c - 1] = diag[r - 1]
-            else:
-                word_position = chip_index if chip.kind == "lower" else (
-                    2 * k - chip_index  # upper chips appear in reversed order
-                )
-                source = lower if chip.kind == "lower" else upper
-                layer[r - 1][c - 1] = source[word_position]
-        grid = [
-            [
-                _sum_poly(
-                    nv,
-                    (grid[i][m] * layer[m][j] for m in range(rank)),
-                )
-                for j in range(rank)
-            ]
-            for i in range(rank)
-        ]
-    return tuple(tuple(row) for row in grid)
+    weights = [Polynomial.variable(nv, i) for i in range(nv)]
+    return network_product(
+        rank, weights, Polynomial.zero(nv), Polynomial.constant(nv, 1)
+    )
 
 
-def _sum_poly(nv: int, polys) -> Polynomial:
-    total = Polynomial.zero(nv)
-    for p in polys:
-        if not p.is_zero:
-            total = total + p
-    return total
-
-
-_minor_cache: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Polynomial] = {}
-
-
+@lru_cache(maxsize=None)
 def symbolic_minor(rank: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
     """Minor of the symbolic matrix, by cofactor expansion with memoized
     sub-minors keyed by (row set, column set)."""
     nv = _nvars(rank)
     if not rows:
         return Polynomial.constant(nv, 1)
-    key = (rank, rows, cols)
-    cached = _minor_cache.get(key)
-    if cached is not None:
-        return cached
     grid = symbolic_network_matrix(rank)
     if len(rows) == 1:
-        result = grid[rows[0] - 1][cols[0] - 1]
-    else:
-        result = Polynomial.zero(nv)
-        rest = rows[1:]
-        for pos, c in enumerate(cols):
-            sub_cols = cols[:pos] + cols[pos + 1 :]
-            term = grid[rows[0] - 1][c - 1] * symbolic_minor(rank, rest, sub_cols)
-            result = result + term if pos % 2 == 0 else result - term
-    _minor_cache[key] = result
+        return grid[rows[0] - 1][cols[0] - 1]
+    result = Polynomial.zero(nv)
+    rest = rows[1:]
+    for pos, c in enumerate(cols):
+        sub_cols = cols[:pos] + cols[pos + 1 :]
+        term = grid[rows[0] - 1][c - 1] * symbolic_minor(rank, rest, sub_cols)
+        result = result + term if pos % 2 == 0 else result - term
     return result
 
 
@@ -258,8 +216,3 @@ def is_subtraction_free(poly: Polynomial) -> SubtractionFreeVerdict:
     if worst is None:
         return SubtractionFreeVerdict(True)
     return SubtractionFreeVerdict(False, worst[0], worst[1])
-
-
-def params_values(params: NetworkParams) -> tuple[Fraction, ...]:
-    """Weights flattened in the symbolic variable order."""
-    return tuple((*params.lower, *params.diag, *params.upper))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from ..budgets import MAX_RANK
 from ..combinatorics import MinorSpec
 from ..errors import BudgetExceeded, SizeMismatch
-from .network import NetworkParams, chip_entries, chips
+from .network import NetworkParams, chip_entries, chips, flat_weights
 
 
 def _transitions(chip, rank: int):
@@ -41,7 +41,7 @@ def lgv_minors(params: NetworkParams, spec: MinorSpec) -> Fraction:
         return Fraction(1)
 
     states: dict[tuple[int, ...], Fraction] = {spec.rows: Fraction(1)}
-    for chip in chips(params):
+    for chip in chips(n, flat_weights(params)):
         options = _transitions(chip, n)
         nxt: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
 

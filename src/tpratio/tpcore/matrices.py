@@ -3,6 +3,8 @@
 Everything in this module is exact: entries are `fractions.Fraction`, and
 no floating point appears anywhere.  Matrices are small (rank <= 4 in all
 driving use cases), so determinants use plain fraction-exact elimination.
+Network matrices come from `tpratio.tpcore.network.network_product`, the
+one routine that multiplies out the planar network, here over `Fraction`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 
 from ..combinatorics import MinorSpec, all_minor_specs
 from ..errors import InvalidInput, NotTotallyPositive, SizeMismatch
-from .network import NetworkParams, chip_entries, chips
+from .network import NetworkParams, flat_weights, network_product
 
 Row = tuple[Fraction, ...]
 Grid = tuple[Row, ...]
@@ -150,12 +152,7 @@ def network_matrix(params: NetworkParams) -> TPMatrix:
     """The matrix of the weighted planar network; totally positive whenever
     all weights are positive (which `NetworkParams` enforces)."""
     n = params.rank
-    grid = identity_grid(n)
-    for chip in chips(params):
-        layer = [[Fraction(0)] * n for _ in range(n)]
-        for (r, c), w in chip_entries(chip, n):
-            layer[r - 1][c - 1] = w
-        grid = mat_mul(grid, tuple(tuple(row) for row in layer))
+    grid = network_product(n, flat_weights(params), Fraction(0), Fraction(1))
     return TPMatrix(n, grid, params)
 
 

@@ -10,10 +10,14 @@ factors.  The lower factors follow the staircase wire order
 product, so the full matrix is ``E(l) * diag(d) * E(u)^T``.  Transposing the
 matrix swaps the roles of the ``l`` and ``u`` parameters.
 
-The same chip sequence drives three consumers: exact matrix construction
-(`tpratio.tpcore.matrices`), the non-intersecting path-family oracle
-(`tpratio.tpcore.lgv`), and the symbolic-weight matrices
-(`tpratio.polycheck`).
+The weights have one flat order, ``L(1..K) < D(1..n) < U(1..K)``
+(`flat_weights`, `variable_names`).  `chips` turns flat weights into the
+layer sequence, and `network_product` multiplies it out over any ring, one
+column operation per layer: `tpratio.tpcore.matrices.network_matrix` runs it
+over `Fraction` and `tpratio.polycheck.symbolic_network_matrix` over
+polynomials.  `tpratio.tpcore.lgv` reads the same layers through
+`chip_entries` and sums path families instead, an independent oracle for
+the product's minors.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from ..errors import InvalidInput, NonPositiveWeight
 
@@ -52,7 +57,7 @@ class NetworkParams:
             raise InvalidInput(
                 f"need {k} lower, {n} diagonal, {k} upper weights for rank {n}"
             )
-        for w in (*self.lower, *self.diag, *self.upper):
+        for w in flat_weights(self):
             if w <= 0:
                 raise NonPositiveWeight(f"network weight {w} is not positive")
 
@@ -76,19 +81,18 @@ class Chip:
 
     kind: str  # "lower" | "diag" | "upper"
     wire: int  # slant between wire and wire+1; 0 for the diagonal layer
-    weights: tuple[Fraction, ...]
+    weights: tuple
 
 
-def chips(params: NetworkParams) -> list[Chip]:
-    """The network as an ordered list of layers, leftmost first."""
-    word = staircase_word(params.rank)
-    out = [Chip("lower", w, (params.lower[s],)) for s, w in enumerate(word)]
-    out.append(Chip("diag", 0, params.diag))
-    out.extend(
-        Chip("upper", w, (params.upper[s],))
-        for s, w in reversed(list(enumerate(word)))
-    )
-    return out
+def chips(rank: int, weights: Sequence) -> list[Chip]:
+    """The network as an ordered list of layers, leftmost first, from weights
+    in the flat order of `flat_weights`."""
+    word = staircase_word(rank)
+    flat = iter(weights)
+    lower = [Chip("lower", w, (next(flat),)) for w in word]
+    diag = Chip("diag", 0, tuple(next(flat) for _ in range(rank)))
+    upper = [Chip("upper", w, (next(flat),)) for w in word]
+    return [*lower, diag, *reversed(upper)]
 
 
 def chip_entries(chip: Chip, rank: int):
@@ -104,6 +108,36 @@ def chip_entries(chip: Chip, rank: int):
     else:
         entries.append(((k, k + 1), chip.weights[0]))
     return entries
+
+
+def network_product(rank: int, weights: Sequence, zero, one) -> tuple[tuple, ...]:
+    """The network matrix over any ring whose elements support ``+`` and
+    ``*``, from weights in the flat order of `flat_weights`.
+
+    Each layer is an elementary bidiagonal factor, so right-multiplying the
+    running grid by it is one column operation: a lower slant on wire ``w``
+    adds weight times column ``w+1`` into column ``w``, an upper slant adds
+    weight times column ``w`` into column ``w+1``, and the diagonal layer
+    scales the columns.
+    """
+    grid = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
+    for chip in chips(rank, weights):
+        if chip.kind == "diag":
+            for row in grid:
+                row[:] = [x * d for x, d in zip(row, chip.weights)]
+            continue
+        w = chip.wire - 1  # 0-based column of the slant's wire
+        dst, src = (w, w + 1) if chip.kind == "lower" else (w + 1, w)
+        weight = chip.weights[0]
+        for row in grid:
+            row[dst] = row[dst] + row[src] * weight
+    return tuple(tuple(row) for row in grid)
+
+
+def flat_weights(params: NetworkParams) -> tuple[Fraction, ...]:
+    """The weights in the flat order of `variable_names`: lower (staircase
+    order), diagonal, upper."""
+    return (*params.lower, *params.diag, *params.upper)
 
 
 def variable_names(rank: int) -> tuple[str, ...]:

@@ -213,6 +213,8 @@ class TestBadInput:
             ("falsify", "[1,3][2,4]/[1,4][2,3]", "--threshold", "x"),
             ("eval", "[1,4][2,3]/[1,3][2,4]", "--magnitude", "0"),
             ("basics", "--n", "12"),  # 46,558,512 generators: over the listing budget
+            ("basics", "--n", "8000", "--count"),  # over 4,300 digits: over the counting budget
+            ("basics", "--n", "100000000", "--count"),  # unbudgeted, still running after 120 s
         ],
     )
     def test_error_line_exit_one(self, capsys, argv):

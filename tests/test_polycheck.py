@@ -1,22 +1,26 @@
 """Symbolic weight polynomials and the subtraction-freeness test."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpratio.combinatorics import IndexSet, RatioExpr
+from tpratio.combinatorics import IndexSet, RatioExpr, all_minor_specs
 from tpratio.errors import BudgetExceeded
 from tpratio.factorizer import basic_ratios_all
 from tpratio.polycheck import (
     Monomial,
     Polynomial,
     is_subtraction_free,
-    params_values,
     ratio_difference_poly,
     symbolic_bracket,
+    symbolic_minor,
     symbolic_network_matrix,
 )
-from tpratio.tpcore import network_matrix, random_network
+from tpratio.tpcore import NetworkParams, lgv_minors, minor, network_matrix, random_network
+from tpratio.tpcore.network import flat_weights
 from tpratio.tpcore.grassmann import grassmann_embed
 
 import util
@@ -41,12 +45,12 @@ class TestSymbolicMatrix:
         assert g[1][0] == l1 * d1
         assert g[1][1] == l1 * d1 * u1 + d2
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_substitution_coherence(self, n):
         g = symbolic_network_matrix(n)
         for seed in range(10):
             p = random_network(n, seed)
-            values = params_values(p)
+            values = flat_weights(p)
             m = network_matrix(p)
             for i in range(n):
                 for j in range(n):
@@ -55,6 +59,24 @@ class TestSymbolicMatrix:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             symbolic_network_matrix(5)
+
+
+class TestMinorEvaluators:
+    """The determinant, the path-family oracle and the symbolic polynomial
+    are three independent ways to one minor of a network matrix."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_three_evaluators_agree(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=4))
+        k = n * (n - 1) // 2
+        dyadic = st.integers(min_value=-3, max_value=3).map(lambda e: Fraction(2) ** e)
+        draw = lambda count: data.draw(st.lists(dyadic, min_size=count, max_size=count))
+        p = NetworkParams.of(n, draw(k), draw(n), draw(k))
+        spec = data.draw(st.sampled_from(all_minor_specs(n)))
+        exact = minor(network_matrix(p), spec)
+        assert lgv_minors(p, spec) == exact
+        assert symbolic_minor(n, spec.rows, spec.cols).evaluate(flat_weights(p)) == exact
 
 
 class TestRatioDifference:
@@ -78,7 +100,7 @@ class TestRatioDifference:
             rep = grassmann_embed(m)
             num = util.product_of_values(rep.bracket(s) for s in r.numerator)
             den = util.product_of_values(rep.bracket(s) for s in r.denominator)
-            assert diff.evaluate(params_values(p)) == den - num
+            assert diff.evaluate(flat_weights(p)) == den - num
 
 
 class TestSubtractionFree:
@@ -115,7 +137,7 @@ class TestSubtractionFree:
         diff = ratio_difference_poly(r)
         assert is_subtraction_free(diff).subtraction_free
         for seed in range(20):
-            assert diff.evaluate(params_values(random_network(3, seed))) >= 0
+            assert diff.evaluate(flat_weights(random_network(3, seed))) >= 0
 
 
 class TestProductRule:

@@ -84,6 +84,12 @@ class TestNetwork:
         m = network_matrix(NetworkParams.of(2, [2], [1, 3], [4]))
         assert m.entries == ((Fraction(1), Fraction(4)), (Fraction(2), Fraction(11)))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_transpose_swaps_lower_and_upper(self, n):
+        p = random_network(n, 5, magnitude=4)
+        swapped = network_matrix(NetworkParams(n, p.upper, p.diag, p.lower))
+        assert swapped.entries == tuple(zip(*network_matrix(p).entries))
+
     def test_n1(self):
         m = network_matrix(NetworkParams.of(1, [], [5], []))
         assert m.entries == ((Fraction(5),),)
