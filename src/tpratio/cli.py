@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import combinatorics as comb
+from .budgets import MAX_NUMBER_DIGITS
 from .combinatorics import IndexSet, RatioExpr
 from .conelab import InCone, cone_membership, ratio_to_vector, verify_certificate
 from .errors import (
+    BudgetExceeded,
     ConditionMViolation,
-    DuplicateIndex,
     InvalidInput,
-    RankMismatch,
     RatioSyntaxError,
     St0Violation,
     TpratioError,
@@ -43,6 +44,7 @@ from .tpcore import (
     shift_matrix,
     verify_tp,
 )
+from .tpcore.witnesses import DEFAULT_LADDER_EXTENSIONS, DEFAULT_RANDOM_TRIALS
 
 SCHEMA = "tpratio.report/1"
 
@@ -60,22 +62,22 @@ def parse_ratio(text: str, rank: int | None = None) -> RatioExpr:
     """
     num_terms, den_terms, minor_seen = _scan_terms(text)
     if minor_seen and rank is None:
-        raise RankMismatch("minor notation needs an explicit rank (--n)")
+        raise InvalidInput("minor notation needs an explicit rank (--n)")
 
     sizes = {len(t) for kind, t in num_terms + den_terms if kind == "bracket"}
     if len(sizes) > 1:
-        raise RankMismatch(f"bracket terms of different sizes: {sorted(sizes)}")
+        raise InvalidInput(f"bracket terms of different sizes: {sorted(sizes)}")
     inferred = sizes.pop() if sizes else None
     if rank is not None and inferred is not None and rank != inferred:
-        raise RankMismatch(f"--n {rank} but bracket terms have size {inferred}")
+        raise InvalidInput(f"--n {rank} but bracket terms have size {inferred}")
     n = rank if rank is not None else inferred
     if n is None:
-        raise RankMismatch("cannot infer the rank from the input")
+        raise InvalidInput("cannot infer the rank from the input")
 
     def to_set(kind, payload) -> IndexSet:
         if kind == "bracket":
             if max(payload) > 2 * n:
-                raise RankMismatch(
+                raise InvalidInput(
                     f"element {max(payload)} exceeds 2n = {2 * n} in {payload}"
                 )
             return IndexSet.of(n, payload)
@@ -133,8 +135,10 @@ def _parse_ints(text: str, pos: int, closer: str) -> tuple[list[int], int]:
     current = ""
     while pos < len(text):
         ch = text[pos]
-        if ch.isdigit():
+        if ch.isdecimal():
             current += ch
+            if len(current) > MAX_NUMBER_DIGITS:
+                raise BudgetExceeded(f"a label over {MAX_NUMBER_DIGITS} digits")
             pos += 1
         elif ch == ",":
             if not current:
@@ -157,7 +161,7 @@ def _parse_ints(text: str, pos: int, closer: str) -> tuple[list[int], int]:
 
 def _check_duplicates(elems, pos):
     if len(set(elems)) != len(elems):
-        raise DuplicateIndex(f"repeated index in {elems!r} (near offset {pos})")
+        raise InvalidInput(f"repeated index in {elems!r} (near offset {pos})")
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +169,29 @@ def _check_duplicates(elems, pos):
 
 
 def _rational(text, what: str) -> Fraction:
-    """The one parser for rationals given on the command line or in files."""
+    """The one parser for rationals given on the command line or in files:
+    `MAX_NUMBER_DIGITS` digits at most, where ``1e50`` counts as 51."""
     try:
+        if isinstance(text, str):
+            mantissa, _, exponent = text.lower().partition("e")
+            if len(mantissa) + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
+                raise BudgetExceeded(f"{what}: more than {MAX_NUMBER_DIGITS} digits")
         return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InvalidInput(f"{what}: {text!r} is not a rational number") from None
+
+
+def _float(value: Fraction) -> float:
+    """``value`` rounded to a float for display; infinite past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _load_matrix(path: str) -> TPMatrix:
     with open(path) as fh:
-        rows = json.load(fh)
+        rows = json.load(fh, parse_int=str)  # integers go through `_rational`
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInput(f"{path}: expected a JSON list of rows")
     return TPMatrix.of([[_rational(x, f"{path} entry") for x in row] for row in rows])
@@ -299,10 +316,11 @@ def _cmd_eval(args) -> int:
         matrix = random_tp(ratio.rank, args.seed, args.magnitude)
         source = f"random_tp(n={ratio.rank}, seed={args.seed}, magnitude={args.magnitude})"
     if matrix.rank != ratio.rank:
-        raise RankMismatch(
+        raise InvalidInput(
             f"matrix rank {matrix.rank} does not match ratio rank {ratio.rank}"
         )
     value = eval_ratio(matrix, ratio)
+    approx = _float(value)
     return _report(
         args,
         {
@@ -312,11 +330,11 @@ def _cmd_eval(args) -> int:
             "matrix": source,
             "matrix_entries": matrix.to_strings(),
             "value": str(value),
-            "value_float": float(value),
+            "value_float": approx if math.isfinite(approx) else None,
             "lines": [
                 f"ratio: {ratio.canonical()}",
                 f"matrix: {source}",
-                f"value: {value} (~{float(value):.6g})",
+                f"value: {value} (~{approx:.6g})",
             ],
         },
     )
@@ -325,7 +343,7 @@ def _cmd_eval(args) -> int:
 def _cmd_cone(args) -> int:
     ratio = _ratio_argument(args)
     vector = ratio_to_vector(ratio)
-    verdict = cone_membership(vector, ratio.rank, allow_large=args.allow_large)
+    verdict = cone_membership(vector, ratio.rank)
     checked = verify_certificate(vector, verdict, ratio.rank)
     if isinstance(verdict, InCone):
         lines = [f"ratio: {ratio.canonical()}", "in cone; coefficients:"]
@@ -408,7 +426,7 @@ def _cmd_falsify(args) -> int:
             f"threshold: {outcome.threshold}",
         ]
         lines += [
-            f"  t={t}: value {v} (~{float(v):.6g})" for t, v in outcome.trace
+            f"  t={t}: value {v} (~{_float(v):.6g})" for t, v in outcome.trace
         ]
         return _report(
             args,
@@ -493,16 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, ratio=True, needs_n=False):
+    def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        if ratio:
-            p.add_argument("ratio", nargs="?", help="ratio text; see --file")
-            p.add_argument("--file", help="read the ratio text from FILE")
+        p.add_argument("ratio", nargs="?", help="ratio text; see --file")
+        p.add_argument("--file", help="read the ratio text from FILE")
         p.add_argument(
-            "--n",
-            type=int,
-            required=needs_n,
-            help="rank (required for minor notation, inferred for brackets)",
+            "--n", type=int, help="rank (required for minor notation, inferred for brackets)"
         )
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.set_defaults(func=func)
@@ -516,18 +530,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for a random TP matrix")
     p.add_argument("--magnitude", type=int, default=3, help="weight spread 2^[-m, m]")
 
-    p = add("cone", _cmd_cone, "membership in the cone of basic ratios")
-    p.add_argument(
-        "--allow-large", action="store_true", help="lift the rank <= 4 budget"
-    )
-
+    add("cone", _cmd_cone, "membership in the cone of basic ratios")
     add("subfree", _cmd_subfree, "test the weight polynomial q - p for negative coefficients")
 
     p = add("falsify", _cmd_falsify, "search for numerical unboundedness evidence")
     p.add_argument("--threshold", help="evidence threshold, a rational like 1000")
     p.add_argument("--t-ladder", help="comma-separated t values, e.g. 10,100,1000")
-    p.add_argument("--budget", type=int, default=4, help="extra ladder extensions")
-    p.add_argument("--trials", type=int, default=20, help="random-search trials")
+    p.add_argument("--budget", type=int, help="extra ladder extensions")
+    p.add_argument("--trials", type=int, help="random-search trials")
+    p.set_defaults(budget=DEFAULT_LADDER_EXTENSIONS, trials=DEFAULT_RANDOM_TRIALS)
     p.add_argument("--seed", type=int, default=0, help="random-search base seed")
 
     p = sub.add_parser("basics", help="list the basic-ratio generators")

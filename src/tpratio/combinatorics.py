@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InvalidInput, SizeMismatch
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True, order=True)
@@ -91,7 +91,7 @@ class MinorSpec:
     def __post_init__(self):
         n = self.rank
         if len(self.rows) != len(self.cols):
-            raise SizeMismatch(
+            raise InvalidInput(
                 f"row set {self.rows!r} and column set {self.cols!r} differ in size"
             )
         for label, seq in (("rows", self.rows), ("cols", self.cols)):

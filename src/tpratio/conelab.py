@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .combinatorics import ExponentVector, IndexSet, RatioExpr, all_index_sets
 from .budgets import MAX_RANK
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidInput, InvariantViolation
 from .factorizer import BasicRatio, basic_ratios_all
 
 
@@ -54,19 +54,21 @@ def _generator_columns(rank: int):
     return coords, basics, columns
 
 
-def cone_membership(
-    vector: ExponentVector, rank: int, *, allow_large: bool = False
-) -> ConeVerdict:
+def _check_rank(vector: ExponentVector, rank: int) -> None:
+    if rank != vector.rank:
+        raise InvalidInput(f"rank {rank} does not match the vector's rank {vector.rank}")
+
+
+def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
     """Decide membership of ``vector`` in the basic-ratio cone.
 
     Solves the equality system ``columns @ lam = vector, lam >= 0`` exactly;
     infeasibility yields the Farkas functional from the optimal dual.
     Deterministic: fixed generator order plus Bland's pivoting rule.
     """
-    if rank > MAX_RANK and not allow_large:
-        raise BudgetExceeded(
-            f"cone membership beyond rank {MAX_RANK} requires allow_large=True"
-        )
+    _check_rank(vector, rank)
+    if rank > MAX_RANK:
+        raise BudgetExceeded(f"cone membership is budgeted to rank {MAX_RANK}")
     coords, basics, columns = _generator_columns(rank)
     wanted = vector.as_dict()
     for b, col in zip(basics, columns):  # fast path: the query is a generator
@@ -135,7 +137,7 @@ def _phase_one(a, rhs):
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
-            raise RuntimeError("phase-one objective is bounded below; no ray exists")
+            raise InvariantViolation("phase-one objective is bounded below; no ray exists")
         row = best[1]
         pivot = tableau[row][entering]
         tableau[row] = [x / pivot for x in tableau[row]]
@@ -164,6 +166,7 @@ def verify_certificate(
     vector: ExponentVector, verdict: ConeVerdict, rank: int
 ) -> bool:
     """Re-check a verdict from scratch, independent of solver internals."""
+    _check_rank(vector, rank)
     if isinstance(verdict, InCone):
         if any(coeff < 0 for _, coeff in verdict.coefficients):
             return False

@@ -8,11 +8,15 @@ class TpratioError(Exception):
 
 
 class InvalidInput(TpratioError, ValueError):
-    """A value outside the documented domain of a constructor or function."""
+    """A caller's bad argument: a value outside the documented domain."""
 
 
-class ArityError(TpratioError):
-    """Ratio does not have the required number of index sets per side."""
+class RatioSyntaxError(InvalidInput):
+    """Ratio text does not match the grammar; carries the 0-based offset."""
+
+    def __init__(self, message: str, position: int):
+        self.position = position
+        super().__init__(f"{message} (at offset {position})")
 
 
 class St0Violation(TpratioError):
@@ -41,36 +45,12 @@ class ConditionMViolation(TpratioError):
         )
 
 
-class SizeMismatch(TpratioError):
-    """Two sets that must have equal cardinality do not."""
-
-
-class RankMismatch(TpratioError):
-    """Mixed or inconsistent ranks in one expression."""
-
-
-class DuplicateIndex(TpratioError):
-    """An index set literal repeats an element."""
-
-
-class NonPositiveWeight(TpratioError):
-    """Network parameters must be strictly positive."""
-
-
 class NotTotallyPositive(TpratioError):
     """Operation requires a totally positive input matrix."""
 
 
-class ZeroDenominator(TpratioError):
-    """Ratio denominator evaluated to zero (input cannot be totally positive)."""
-
-
 class BudgetExceeded(TpratioError):
     """Requested computation exceeds the configured size budget."""
-
-
-class PreconditionError(TpratioError):
-    """Caller violated a documented precondition."""
 
 
 class InvariantViolation(TpratioError):
@@ -79,11 +59,3 @@ class InvariantViolation(TpratioError):
     Raised loudly instead of proceeding; seeing this means either the input
     sneaked past validation or there is a genuine bug.
     """
-
-
-class RatioSyntaxError(TpratioError):
-    """Ratio text does not match the grammar; carries the 0-based offset."""
-
-    def __init__(self, message: str, position: int):
-        self.position = position
-        super().__init__(f"{message} (at offset {position})")

@@ -38,13 +38,10 @@ from .combinatorics import (
     check_st0,
 )
 from .errors import (
-    ArityError,
     BudgetExceeded,
     ConditionMViolation,
     InvalidInput,
     InvariantViolation,
-    PreconditionError,
-    SizeMismatch,
     St0Violation,
 )
 
@@ -258,7 +255,7 @@ def decompose(ratio: RatioExpr) -> Decomposition:
     structure is meaningless.
     """
     if ratio.p != 2:
-        raise ArityError(f"need exactly two sets per side, got {ratio.p}")
+        raise InvalidInput(f"need exactly two sets per side, got {ratio.p}")
     verdict = check_st0(ratio)
     if not verdict.holds:
         raise St0Violation(
@@ -288,14 +285,14 @@ def decompose(ratio: RatioExpr) -> Decomposition:
 def is_trivial(ratio: RatioExpr) -> bool:
     """True when numerator and denominator agree as multisets of index sets."""
     if ratio.p != 2:
-        raise ArityError(f"need exactly two sets per side, got {ratio.p}")
+        raise InvalidInput(f"need exactly two sets per side, got {ratio.p}")
     return sorted(ratio.numerator) == sorted(ratio.denominator)
 
 
 def interlaces(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """True when the merged sort of the two equal-size sets alternates."""
     if len(a) != len(b):
-        raise SizeMismatch(f"sets differ in size: {a!r} vs {b!r}")
+        raise InvalidInput(f"sets differ in size: {a!r} vs {b!r}")
     merged = sorted([(e, 0) for e in a] + [(e, 1) for e in b])
     return all(x[1] != y[1] for x, y in zip(merged, merged[1:]))
 
@@ -312,9 +309,9 @@ def classify_elementary(ratio: RatioExpr) -> ElementaryRatio | None:
     """
     dec = decompose(ratio)
     if dec.nu != 2:
-        raise PreconditionError(f"classify_elementary needs nu == 2, got {dec.nu}")
+        raise InvalidInput(f"classify_elementary needs nu == 2, got {dec.nu}")
     if is_trivial(ratio):
-        raise PreconditionError("classify_elementary needs a non-trivial ratio")
+        raise InvalidInput("classify_elementary needs a non-trivial ratio")
     core = set(dec.core)
     p1, p2, p3, p4 = dec.omega
     num = {frozenset(set(s.elements) - core) for s in ratio.numerator}
@@ -450,13 +447,12 @@ def _swap_denominators(dec: Decomposition) -> Decomposition:
     )
 
 
-def _technical_pair(dec: Decomposition, g11, d12) -> tuple[RatioExpr, RatioExpr]:
-    """The shared two-factor pattern: a new bracket ``g11 ∪ d12 ∪ delta2/gamma2
-    ∪ core`` is inserted on both sides so the product collapses back to the
-    input by exact cancellation."""
+def _technical_pair(dec: Decomposition, pivot) -> tuple[RatioExpr, RatioExpr]:
+    """The shared two-factor pattern: new brackets ``pivot ∪ delta2 ∪ core``
+    and ``pivot ∪ gamma2 ∪ core`` are inserted on both sides so the product
+    collapses back to the input by exact cancellation."""
     n, core = dec.rank, dec.core
     g1, g2, d1, d2 = dec.gamma1, dec.gamma2, dec.delta1, dec.delta2
-    pivot = tuple(sorted(g11 + d12))
     left = RatioExpr(
         n,
         (_bracket(n, g1, g2, core), _bracket(n, pivot, d2, core)),
@@ -484,7 +480,7 @@ def _split_parity(dec: Decomposition) -> tuple[RatioExpr, RatioExpr]:
     d11 = tuple(e for e in dec.delta1 if e not in odd)
     if not (g11 and g12 and d11 and d12):
         raise InvariantViolation("parity split on interlacing blocks")
-    return _technical_pair(dec, g11, d12)
+    return _technical_pair(dec, g11 + d12)
 
 
 def _agreeable_relabel(dec: Decomposition) -> Decomposition:
@@ -561,10 +557,9 @@ def _split_interlaced(dec: Decomposition) -> tuple[tuple[RatioExpr, RatioExpr], 
         else:
             g11 = odd[1:k]
             d11 = even[:l]
-        g12 = tuple(e for e in g1 if e not in g11)
         d12 = tuple(e for e in d1 if e not in d11)
         rule = "head-pair" if l == k else "head-block"
-        return _technical_pair(dec, g11, d12), rule
+        return _technical_pair(dec, g11 + d12), rule
 
     # omega[1] in g2: the third unshared index must open delta2.
     if omega[2] not in d2:
@@ -579,24 +574,12 @@ def _split_interlaced(dec: Decomposition) -> tuple[tuple[RatioExpr, RatioExpr], 
     if l != k - 1:
         raise InvariantViolation(f"unexpected leading runs k={k}, l={l}")
     g22 = tuple(e for e in g2 if e != omega[1])
-    d22 = tuple(e for e in d2 if e != omega[2])
     if not g22:
         # g2 and d2 are singletons; chain through {omega[4]} ∪ (even tail).
         shared = (omega[4],) + even[2:]
         pair = _chain(n, core, a1, b1, a2, b2, hi=omega[2], lo=omega[1], shared=shared)
         return pair, "second-chain-tail"
-    pivot = tuple(sorted((omega[2],) + g22))
-    left = RatioExpr(
-        n,
-        (a1, _bracket(n, d1, pivot, core)),
-        (b2, _bracket(n, g1, pivot, core)),
-    )
-    right = RatioExpr(
-        n,
-        (_bracket(n, g1, pivot, core), a2),
-        (_bracket(n, d1, pivot, core), b1),
-    )
-    return (left, right), "second-pair"
+    return _technical_pair(_swap_denominators(dec), (omega[2],) + g22), "second-pair"
 
 
 def split_once(ratio: RatioExpr) -> SplitOutcome:
@@ -615,7 +598,7 @@ def split_once(ratio: RatioExpr) -> SplitOutcome:
             verdict.witness, verdict.m_numerator, verdict.m_denominator
         )
     if dec.nu < 3:
-        raise PreconditionError(f"split_once needs nu >= 3, got {dec.nu}")
+        raise InvalidInput(f"split_once needs nu >= 3, got {dec.nu}")
 
     if not interlaces(dec.gamma1, dec.delta1):
         left, right = _split_parity(dec)
@@ -646,7 +629,7 @@ def factor_to_basics(ratio: RatioExpr) -> FactorizationResult:
     """Factor a two-over-two ratio into basic ratios, or raise the witnessed
     screen violation that proves no factorization exists."""
     if ratio.p > 2:
-        raise ArityError(f"factorization handles at most two sets per side, got {ratio.p}")
+        raise InvalidInput(f"factorization handles at most two sets per side, got {ratio.p}")
     if ratio.p < 2:
         pad = base_set(ratio.rank)
         ratio = RatioExpr(
@@ -698,7 +681,7 @@ def basic_ratio_count(rank: int) -> int:
     """Number of basic ratios, ``n(2n-3) * C(2n-4, n-2)``: pairs of disjoint
     adjacent label pairs on the 2n-gon times the choices for the core."""
     if rank < 2:
-        raise PreconditionError("basic ratios need rank >= 2")
+        raise InvalidInput("basic ratios need rank >= 2")
     if rank > MAX_COUNTED_RANK:
         raise BudgetExceeded(f"counting basic ratios is budgeted to rank {MAX_COUNTED_RANK}")
     return rank * (2 * rank - 3) * comb(2 * rank - 4, rank - 2)

@@ -25,11 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import IndexSet, RatioExpr, plucker_to_minor
-from .budgets import MAX_RANK
-from .errors import BudgetExceeded, InvalidInput
+from .budgets import MAX_RANK, TERM_LIMIT
+from .errors import BudgetExceeded
 from .tpcore.network import network_product, variable_names
-
-TERM_LIMIT = 10**7
 
 Exponents = tuple[int, ...]
 
@@ -180,11 +178,9 @@ def symbolic_bracket(rank: int, alpha: IndexSet) -> Polynomial:
     return symbolic_minor(rank, spec.rows, spec.cols)
 
 
-def ratio_difference_poly(ratio: RatioExpr, rank: int | None = None) -> Polynomial:
+def ratio_difference_poly(ratio: RatioExpr) -> Polynomial:
     """``q - p`` where the ratio is ``p/q`` in the network weights."""
-    n = rank if rank is not None else ratio.rank
-    if n != ratio.rank:
-        raise InvalidInput(f"rank {n} does not match the ratio's rank {ratio.rank}")
+    n = ratio.rank
     if n > MAX_RANK:
         raise BudgetExceeded(f"symbolic ratios are budgeted to rank {MAX_RANK}")
     nv = _nvars(n)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..combinatorics import IndexSet, RatioExpr
-from ..errors import InvalidInput, SizeMismatch, ZeroDenominator
+from ..errors import InvalidInput
 from .matrices import Grid, TPMatrix, det, inverse, mat_mul, require_tp
 
 
@@ -53,7 +53,7 @@ class GrassmannRep:
 
     def bracket(self, alpha: IndexSet) -> Fraction:
         if alpha.rank != self.rank:
-            raise SizeMismatch(
+            raise InvalidInput(
                 f"index set rank {alpha.rank} vs representative rank {self.rank}"
             )
         return det([self.rows[e - 1] for e in alpha.elements])
@@ -78,7 +78,7 @@ def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
     for s in ratio.denominator:
         den *= rep.bracket(s)
     if den == 0:
-        raise ZeroDenominator(f"denominator of {ratio} vanishes on this matrix")
+        raise InvalidInput(f"denominator of {ratio} vanishes on this matrix")
     return num / den
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from ..budgets import MAX_RANK
 from ..combinatorics import MinorSpec
-from ..errors import BudgetExceeded, SizeMismatch
+from ..errors import BudgetExceeded, InvalidInput
 from .network import NetworkParams, chip_entries, chips, flat_weights
 
 
@@ -36,7 +36,7 @@ def lgv_minors(params: NetworkParams, spec: MinorSpec) -> Fraction:
     if n > MAX_RANK:
         raise BudgetExceeded(f"path-family enumeration is budgeted to rank {MAX_RANK}")
     if spec.rank != n:
-        raise SizeMismatch(f"minor rank {spec.rank} vs network rank {n}")
+        raise InvalidInput(f"minor rank {spec.rank} vs network rank {n}")
     if spec.size == 0:
         return Fraction(1)
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..combinatorics import MinorSpec, all_minor_specs
-from ..errors import InvalidInput, NotTotallyPositive, SizeMismatch
+from ..budgets import MAX_MAGNITUDE
+from ..errors import BudgetExceeded, InvalidInput, NotTotallyPositive
 from .network import NetworkParams, flat_weights, network_product
 
 Row = tuple[Fraction, ...]
@@ -86,13 +87,11 @@ def inverse(rows: Grid) -> Grid:
 
 @dataclass(frozen=True)
 class TPMatrix:
-    """A square matrix of exact rationals, optionally carrying the network
-    weights it was built from.  Total positivity is a property to verify
-    (`verify_tp`), not an assumption baked into the type."""
+    """A square matrix of exact rationals.  Total positivity is a property
+    to verify (`verify_tp`), not an assumption baked into the type."""
 
     rank: int
     entries: Grid
-    provenance: NetworkParams | None = None
 
     def __post_init__(self):
         if len(self.entries) != self.rank or any(
@@ -101,22 +100,18 @@ class TPMatrix:
             raise InvalidInput(f"entries are not {self.rank} x {self.rank}")
 
     @classmethod
-    def of(cls, rows: Sequence[Sequence], provenance: NetworkParams | None = None):
+    def of(cls, rows: Sequence[Sequence]) -> "TPMatrix":
         grid = as_grid(rows)
-        return cls(len(grid), grid, provenance)
+        return cls(len(grid), grid)
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_strings(cls, rows: Sequence[Sequence[str]]) -> "TPMatrix":
-        return cls.of([[Fraction(x) for x in row] for row in rows])
 
 
 def minor(matrix: TPMatrix, spec: MinorSpec) -> Fraction:
     """Exact minor; the empty row/column selection has value 1."""
     if spec.rank != matrix.rank:
-        raise SizeMismatch(f"minor rank {spec.rank} vs matrix rank {matrix.rank}")
+        raise InvalidInput(f"minor rank {spec.rank} vs matrix rank {matrix.rank}")
     if spec.size == 0:
         return Fraction(1)
     sub = [
@@ -153,7 +148,7 @@ def network_matrix(params: NetworkParams) -> TPMatrix:
     all weights are positive (which `NetworkParams` enforces)."""
     n = params.rank
     grid = network_product(n, flat_weights(params), Fraction(0), Fraction(1))
-    return TPMatrix(n, grid, params)
+    return TPMatrix(n, grid)
 
 
 def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:
@@ -162,6 +157,8 @@ def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:
     lower (staircase order), diagonal, upper."""
     if magnitude < 1:
         raise InvalidInput("magnitude must be at least 1")
+    if magnitude > MAX_MAGNITUDE:
+        raise BudgetExceeded(f"magnitude is budgeted to {MAX_MAGNITUDE}")
     rng = random.Random(seed)
     k = rank * (rank - 1) // 2
     draw = lambda count: tuple(

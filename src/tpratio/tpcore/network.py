@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..errors import InvalidInput, NonPositiveWeight
+from ..errors import InvalidInput
 
 
 def staircase_word(rank: int) -> tuple[int, ...]:
@@ -59,7 +59,7 @@ class NetworkParams:
             )
         for w in flat_weights(self):
             if w <= 0:
-                raise NonPositiveWeight(f"network weight {w} is not positive")
+                raise InvalidInput(f"network weight {w} is not positive")
 
     @classmethod
     def of(cls, rank, lower, diag, upper) -> "NetworkParams":

@@ -31,7 +31,8 @@ from ..combinatorics import (
     m_vector,
     reversal_ratio,
 )
-from ..errors import PreconditionError
+from ..budgets import MAX_LADDER_EXTENSIONS, MAX_RANDOM_TRIALS
+from ..errors import BudgetExceeded, InvalidInput
 from .grassmann import eval_ratio, shift_matrix
 from .matrices import TPMatrix, mat_mul, network_matrix, random_tp
 from .network import all_ones_params
@@ -43,6 +44,8 @@ DEFAULT_T_LADDER: tuple[Fraction, ...] = (
     Fraction(10000),
 )
 DEFAULT_THRESHOLD = Fraction(1000)
+DEFAULT_LADDER_EXTENSIONS = 4
+DEFAULT_RANDOM_TRIALS = 20
 
 
 def witness_family(n: int, s: int, k: int, t: Fraction) -> TPMatrix:
@@ -52,10 +55,10 @@ def witness_family(n: int, s: int, k: int, t: Fraction) -> TPMatrix:
     Requires ``1 <= k <= s <= n`` and ``t > 0``.
     """
     if not 1 <= k <= s <= n:
-        raise PreconditionError(f"need 1 <= k <= s <= n, got k={k}, s={s}, n={n}")
+        raise InvalidInput(f"need 1 <= k <= s <= n, got k={k}, s={s}, n={n}")
     t = Fraction(t)
     if t <= 0:
-        raise PreconditionError("the scale parameter must be positive")
+        raise InvalidInput("the scale parameter must be positive")
     g = h = network_matrix(all_ones_params(s)).entries
     scaled = tuple(
         tuple(row[c] * (t if c < k else 1) for c in range(s)) for row in g
@@ -84,7 +87,7 @@ def counterexample_matrix(t: Fraction) -> TPMatrix:
     from ``t ~ 12001.4``."""
     t = Fraction(t)
     if t <= 0:
-        raise PreconditionError("the scale parameter must be positive")
+        raise InvalidInput("the scale parameter must be positive")
     ti = 1 / t
     rows = [
         [1, 3 * ti, 3 * ti**2, ti],
@@ -191,8 +194,8 @@ def falsify(
     *,
     t_ladder: tuple[Fraction, ...] = DEFAULT_T_LADDER,
     threshold: Fraction = DEFAULT_THRESHOLD,
-    ladder_extensions: int = 4,
-    random_trials: int = 20,
+    ladder_extensions: int = DEFAULT_LADDER_EXTENSIONS,
+    random_trials: int = DEFAULT_RANDOM_TRIALS,
     random_seed: int = 0,
 ) -> Evidence | Inconclusive:
     """Search for numerical unboundedness evidence.
@@ -202,8 +205,18 @@ def falsify(
     tried.  Ladders that are still strictly climbing at their top rung are
     extended by factors of 10, at most ``ladder_extensions`` times.  An
     `Inconclusive` result records what was attempted; it is not a proof of
-    boundedness.
+    boundedness.  The threshold must be at least 1, the factorization's bound.
     """
+    if not t_ladder or min(t_ladder) <= 0:
+        raise InvalidInput("the t ladder needs one or more positive values")
+    if threshold < 1:
+        raise InvalidInput(f"the threshold {threshold} is below 1")
+    if min(ladder_extensions, random_trials) < 0:
+        raise InvalidInput("ladder extensions and random trials cannot be negative")
+    if ladder_extensions > MAX_LADDER_EXTENSIONS:
+        raise BudgetExceeded(f"ladder extensions are budgeted to {MAX_LADDER_EXTENSIONS}")
+    if random_trials > MAX_RANDOM_TRIALS:
+        raise BudgetExceeded(f"random trials are budgeted to {MAX_RANDOM_TRIALS}")
     attempts = []
     found = _gap_arc(ratio)
     if found is not None:

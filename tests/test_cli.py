@@ -3,12 +3,18 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpratio.budgets import (
+    MAX_LADDER_EXTENSIONS,
+    MAX_MAGNITUDE,
+    MAX_NUMBER_DIGITS,
+    MAX_RANDOM_TRIALS,
+)
 from tpratio.cli import main, parse_ratio
 from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
-from tpratio.errors import DuplicateIndex, RankMismatch, RatioSyntaxError
+from tpratio.errors import InvalidInput, RatioSyntaxError
 from tpratio.tpcore import random_tp
 
 
@@ -42,17 +48,17 @@ class TestParse:
             parse_ratio("[1,2][3,4]")
 
     def test_duplicate_index(self):
-        with pytest.raises(DuplicateIndex):
+        with pytest.raises(InvalidInput, match="repeated index"):
             parse_ratio("[1,1]/[1,2]")
 
     def test_rank_mismatches(self):
-        with pytest.raises(RankMismatch):
+        with pytest.raises(InvalidInput, match="bracket terms of different sizes"):
             parse_ratio("[1,2][1,2,3]/[1,2][1,2,3]")
-        with pytest.raises(RankMismatch):
+        with pytest.raises(InvalidInput, match="--n 3 but bracket terms have size 2"):
             parse_ratio("[1,2]/[1,2]", 3)
-        with pytest.raises(RankMismatch):
+        with pytest.raises(InvalidInput, match="minor notation needs an explicit rank"):
             parse_ratio("(1|1)/(1|1)")  # minor mode needs --n
-        with pytest.raises(RankMismatch):
+        with pytest.raises(InvalidInput, match="element 5 exceeds 2n = 4"):
             parse_ratio("[1,5]/[1,5]")  # element above 2n
 
     def test_padding_uneven_sides(self):
@@ -71,6 +77,23 @@ class TestParse:
         den = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=3))
         r = RatioExpr.of(n, num, den)
         assert parse_ratio(str(r)) == r
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rejects_only_with_invalid_input(self, data):
+        labels = st.lists(st.integers(min_value=0, max_value=12), max_size=4)
+        joined = labels.map(lambda xs: ",".join(map(str, xs)))
+        term = st.one_of(
+            joined.map(lambda body: f"[{body}]"),
+            st.tuples(joined, joined).map(lambda rc: f"({rc[0]}|{rc[1]})"),
+        )
+        side = st.lists(term, max_size=3).map("".join)
+        text = data.draw(side) + "/" + data.draw(side)
+        rank = data.draw(st.none() | st.integers(min_value=-2, max_value=6))
+        try:
+            parse_ratio(text, rank)
+        except InvalidInput:
+            pass
 
 
 def run(capsys, *argv):
@@ -215,6 +238,19 @@ class TestBadInput:
             ("basics", "--n", "12"),  # 46,558,512 generators: over the listing budget
             ("basics", "--n", "8000", "--count"),  # over 4,300 digits: over the counting budget
             ("basics", "--n", "100000000", "--count"),  # unbudgeted, still running after 120 s
+            # a threshold of 5,000 digits and 100,000 extensions ran for more than 20 s
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--threshold", "1e5000", "--budget", "100000"),
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--budget", str(MAX_LADDER_EXTENSIONS + 1)),
+            ("falsify", "[1,2][3,4]/[1,3][2,4]", "--trials", "100000000"),  # ran for more than 20 s
+            ("eval", "[1,3][2,4]/[1,4][2,3]", "--magnitude", "100000"),  # over 4,300 digits
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--t-ladder", "1e5000"),  # over 4,300 digits
+            ("check", "[1," + "1" * 5000 + "]/[1,2]"),  # over 4,300 digits
+            ("check", "[1,\u00b2]/[1,2]"),  # a digit that int() refuses
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--trials", "-5"),
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--budget", "-3"),
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--t-ladder", "10,0"),
+            ("falsify", "[1,4][2,3]/[1,3][2,4]", "--threshold", "0"),  # gave evidence for a bounded ratio
+            ("cone", "[1,2,3,4,5]/[1,2,3,4,6]"),  # rank 5: over the rank budget
         ],
     )
     def test_error_line_exit_one(self, capsys, argv):
@@ -224,7 +260,15 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "rows", [[["1", "x"], ["1", "2"]], [["1", "1"], ["1"]], [["1", "1", "1"]], {"a": 1}]
+        "rows",
+        [
+            [["1", "x"], ["1", "2"]],
+            [["1", "1"], ["1"]],
+            [["1", "1", "1"]],
+            {"a": 1},
+            [[float("inf"), 1], [1, 1]],
+            [["1e5000", "1"], ["1", "1"]],
+        ],
     )
     def test_bad_matrix_file(self, capsys, tmp_path, rows):
         path = tmp_path / "matrix.json"
@@ -233,6 +277,48 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error: ")
 
+    def test_long_integer_in_matrix_file(self, capsys, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text("[[" + "1" * 5000 + ", 1], [1, 2]]")
+        code, out, err = run(capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", str(path))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_basics_count_closed_form(self, capsys):
         code, out, _ = run(capsys, "basics", "--n", "12", "--count")
         assert code == 0 and out.strip() == "46558512"
+
+
+class TestLargestReports:
+    """Every work argument at its budget: the reports still print in full."""
+
+    TOP = ("--t-ladder", f"1e{MAX_NUMBER_DIGITS - 1}", "--threshold", "9" * MAX_NUMBER_DIGITS)
+    CAPS = ("--budget", str(MAX_LADDER_EXTENSIONS), "--trials", str(MAX_RANDOM_TRIALS))
+
+    @pytest.mark.parametrize(
+        "ratio, code",
+        [
+            ("[1,3][2,4]/[1,4][2,3]", 0),
+            ("[1,4][2,3]/[1,3][2,4]", 2),
+            ("[1,2,3,8][2,3,4,5][4,6,7,8]/[1,4,6,8][2,3,4,8][2,3,5,7]", 0),
+        ],
+    )
+    def test_falsify_at_budget(self, capsys, ratio, code):
+        got, out, err = run(capsys, "falsify", ratio, *self.TOP, *self.CAPS)
+        assert (got, err) == (code, "")
+        if code == 0:
+            assert f"t={10 ** (MAX_NUMBER_DIGITS - 1)}: value " in out
+
+    def test_eval_at_magnitude_budget(self, capsys):
+        ratio = "[1,2,3,8][2,3,4,5][4,6,7,8]/[1,4,6,8][2,3,4,8][2,3,5,7]"
+        code, out, err = run(capsys, "eval", ratio, "--magnitude", str(MAX_MAGNITUDE), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["matrix"].endswith(f"magnitude={MAX_MAGNITUDE})")
+
+    def test_values_past_the_float_range(self, capsys):
+        ratio = "[1,3]" * 80 + "[2,4]" * 80 + "/" + "[1,4]" * 80 + "[2,3]" * 80
+        code, out, err = run(capsys, "falsify", ratio, "--trials", "0")
+        assert (code, err) == (0, "")
+        assert out.rstrip().endswith("(~inf)")  # the value at t = 10^4 passes 10^320
+        code, out, _ = run(capsys, "eval", ratio, "--seed", "1", "--magnitude", "64", "--json")
+        assert code == 0 and json.loads(out)["value_float"] is None  # about 10^2700

@@ -13,7 +13,7 @@ from tpratio.conelab import (
     ratio_to_vector,
     verify_certificate,
 )
-from tpratio.errors import BudgetExceeded
+from tpratio.errors import BudgetExceeded, InvalidInput
 from tpratio.factorizer import (
     BasicRatio,
     ElementaryRatio,
@@ -95,6 +95,18 @@ class TestMembership:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             cone_membership(ExponentVector.zero(5), 5)
+
+    @pytest.mark.parametrize("rank", [2, 4])
+    @pytest.mark.parametrize("swap", [False, True])  # an InCone and an Outside verdict
+    def test_rank_mismatch(self, rank, swap):
+        num, den = [(1, 4, 6), (2, 3, 5)], [(1, 3, 5), (2, 4, 6)]
+        vec = ratio_to_vector(ratio(3, den, num) if swap else ratio(3, num, den))
+        verdict = cone_membership(vec, 3)
+        assert isinstance(verdict, Outside if swap else InCone)
+        with pytest.raises(InvalidInput, match=f"rank {rank} does not match"):
+            cone_membership(vec, rank)
+        with pytest.raises(InvalidInput, match=f"rank {rank} does not match"):
+            verify_certificate(vec, verdict, rank)
 
 
 class TestVerification:

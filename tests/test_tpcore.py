@@ -20,12 +20,7 @@ from tpratio.combinatorics import (
     minor_to_plucker,
     reversal_ratio,
 )
-from tpratio.errors import (
-    BudgetExceeded,
-    NonPositiveWeight,
-    NotTotallyPositive,
-    PreconditionError,
-)
+from tpratio.errors import BudgetExceeded, InvalidInput, NotTotallyPositive
 from tpratio.tpcore import (
     Evidence,
     Inconclusive,
@@ -95,7 +90,7 @@ class TestNetwork:
         assert m.entries == ((Fraction(5),),)
 
     def test_positive_weights_required(self):
-        with pytest.raises(NonPositiveWeight):
+        with pytest.raises(InvalidInput, match="network weight 0 is not positive"):
             NetworkParams.of(2, [0], [1, 1], [1])
 
 
@@ -214,11 +209,11 @@ class TestShiftReverse:
 
 class TestWitnessFamily:
     def test_parameter_validation(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidInput, match="got k=3, s=2, n=3"):
             witness_family(3, 2, 3, Fraction(2))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidInput, match="got k=1, s=4, n=3"):
             witness_family(3, 4, 1, Fraction(2))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidInput, match="the scale parameter must be positive"):
             witness_family(3, 2, 1, Fraction(0))
 
     def test_members_are_tp(self):
@@ -400,5 +395,5 @@ class TestFalsifyOrientation:
 class TestSerialization:
     def test_matrix_string_round_trip(self):
         m = random_tp(3, 12)
-        again = TPMatrix.from_strings(m.to_strings())
+        again = TPMatrix.of(m.to_strings())
         assert again.entries == m.entries
