@@ -221,6 +221,85 @@ class TestCommands:
         assert code == 1
 
 
+README_EXAMPLES = [
+    (
+        ("check", "[1,3][2,4]/[1,4][2,3]"),
+        "ratio: [1,3][2,4]/[1,4][2,3]\n"
+        "ST0: holds\n"
+        "(M): fails, witness L={2,3} with m(num)=[1, 1], m(den)=[2, 0]\n",
+    ),
+    (
+        ("factor", "[1,4,6][2,3,5]/[1,3,5][2,4,6]"),
+        "ratio: [1,4,6][2,3,5]/[1,3,5][2,4,6]\n"
+        "basics (2):\n"
+        "  basic(i=1, j=3, core={5})\n"
+        "  basic(i=1, j=5, core={4})\n"
+        "trace: 5 steps\n"
+        "  head-chain: [1,4,6][2,3,5]/[1,3,5][2,4,6] nu=3\n"
+        "  elementary: [1,4,6][2,4,5]/[2,4,6][1,4,5] nu=2\n"
+        "  basic: [1,4,6][2,4,5]/[1,4,5][2,4,6] mu=0 delta=4\n"
+        "  elementary: [1,4,5][2,3,5]/[2,4,5][1,3,5] nu=2\n"
+        "  basic: [1,4,5][2,3,5]/[1,3,5][2,4,5] mu=0 delta=4\n",
+    ),
+    (
+        ("eval", "[1,4][2,3]/[1,3][2,4]", "--seed", "3"),
+        "ratio: [1,4][2,3]/[1,3][2,4]\n"
+        "matrix: random_tp(n=2, seed=3, magnitude=3)\n"
+        "value: 1/17 (~0.0588235)\n",
+    ),
+    (
+        ("eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", "{matrix}"),
+        "ratio: [1,4][2,3]/[1,3][2,4]\n"
+        "matrix: {matrix}\n"
+        "value: 1/17 (~0.0588235)\n",
+    ),
+    (
+        ("cone", "[1,4,6][2,3,5]/[1,3,5][2,4,6]"),
+        "ratio: [1,4,6][2,3,5]/[1,3,5][2,4,6]\n"
+        "in cone; coefficients:\n"
+        "  1 * basic(i=1, j=3, core={6})\n"
+        "  1 * basic(i=1, j=5, core={3})\n"
+        "certificate re-check: ok\n",
+    ),
+    (
+        ("subfree", "[1,2,3,8][2,3,4,5][4,6,7,8]/[1,4,6,8][2,3,4,8][2,3,5,7]"),
+        "ratio: [1,2,3,8][2,3,4,5][4,6,7,8]/[1,4,6,8][2,3,4,8][2,3,5,7]\n"
+        "difference polynomial: 614 terms\n"
+        "subtraction free: no; witness L1*L2*L4^2*D1^2*D2^2*D3^3*U1*U2*U4^2 "
+        "with coefficient -1\n",
+    ),
+    (
+        ("falsify", "[1,3][2,4]/[1,4][2,3]", "--threshold", "1000", "--t-ladder", "10,100,1000"),
+        "ratio: [1,3][2,4]/[1,4][2,3]\n"
+        "numerical witness via degree-gap s=2 k=1 start=2\n"
+        "threshold: 1000\n"
+        "  t=10: value 92 (~92)\n"
+        "  t=100: value 6293/10 (~629.3)\n"
+        "  t=1000: value 602903/100 (~6029.03)\n",
+    ),
+    (("basics", "--n", "3", "--count"), "18\n"),
+    (("shift", "[1,4][2,3]/[1,3][2,4]"), "ratio: [1,2][3,4]/[2,4][1,3]\n"),
+    (
+        ("reverse", "--matrix", "{matrix}"),
+        "matrix rows:\n  17/32 1/8\n  1/8 1/2\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    README_EXAMPLES,
+    ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(README_EXAMPLES)],
+)
+def test_readme_example_text(capsys, tmp_path, argv, expected):
+    """The exact text of each README command example.  The README shows two
+    of them with ``--json``; the text of the same query is pinned here."""
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(random_tp(2, 3).to_strings()))
+    code, out, err = run(capsys, *(a.replace("{matrix}", str(path)) for a in argv))
+    assert (code, out, err) == (0, expected.replace("{matrix}", str(path)), "")
+
+
 class TestBadInput:
     """Bad input gives one `error:` line on stderr and exit code 1, never a
     traceback."""
