@@ -7,6 +7,16 @@ MAX_RANK = 4
 path-family oracle.  At rank 5 the simplex tableau grows from 70 x 190 to
 252 x 952, and a rank-5 solve was still running after 120 s."""
 
+MAX_RATIO_RANK = 8
+"""Largest rank of a ratio `parse_ratio` reads, checked before any index set
+is built.  The slowest legal queries at rank 8 are `falsify` runs with
+every other cap at its maximum: 1,000 random trials, 32 ladder extensions
+and a 100-digit threshold.  On a screen-passing and on a screen-failing
+two-over-two ratio they took 4.5-5.7 s as fresh processes (2-CPU machine,
+CPython 3.11); at rank 9 they took 7.4-7.5 s.  One random trial costs
+4.6 ms at rank 8 and 7.6 ms at rank 9.  Unbudgeted, `check` at rank 100,000
+was still running after 10 s."""
+
 MAX_LISTED_BASICS = 100_000
 """Most basic ratios `basic_ratios_all` will list: rank 8 has 96,096 and
 lists in about half a second; rank 9 has 463,320 and takes 2 s and over
@@ -38,5 +48,6 @@ values have up to 255 digits at rank 4 and 773 at rank 8 (seeds 0-2)."""
 MAX_NUMBER_DIGITS = 100
 """Most digits of a number the command line reads (a ratio label or a
 rational; an exponent counts as the digits it stands for).  A ladder rung
-then stays below 10^132, and a `falsify` report prints within CPython's
-4,300-digit limit unless the degree gap passes about 30."""
+then stays below 10^132.  A value past CPython's 4,300-digit int-to-str
+limit, which a `falsify` report reaches once the degree gap passes about 30,
+is refused with `BudgetExceeded` when the report renders it."""

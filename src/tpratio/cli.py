@@ -3,11 +3,17 @@
 Ratios are written in bracket notation, ``[1,4][2,3]/[1,3][2,4]``, or minor
 notation, ``(1|1)(2|2)/(1|2)(2|1)`` (rows|columns; requires ``--n``).  Minor
 terms are converted to brackets on input, so one pipeline serves both.
-Every subcommand takes ``--json``; rationals are serialized as "num/den"
-strings so nothing is ever rounded.
+
+Every report has one envelope, written by `main` alone.  A subcommand
+returns its verdict fields and its text lines; `main` adds ``schema``,
+``command`` and, when a ratio was given, ``input`` (its canonical form) and
+``n``, and prints either the text, led by a ``ratio:`` line, or, with
+``--json``, one `tpratio.report/2` object.  Exact values become text only
+through `_exact`, as "num/den" strings, so nothing is ever rounded.
 
 Exit codes: 0 for any decided verdict (including "unbounded" and screen
-failures), 2 for an inconclusive falsification, 1 for bad input.
+failures), 2 for an inconclusive falsification, 1 for bad input, usage
+errors and exceeded budgets, reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import combinatorics as comb
-from .budgets import MAX_NUMBER_DIGITS
+from .budgets import MAX_NUMBER_DIGITS, MAX_RATIO_RANK
 from .combinatorics import IndexSet, RatioExpr
 from .conelab import InCone, cone_membership, ratio_to_vector, verify_certificate
 from .errors import (
@@ -42,11 +48,10 @@ from .tpcore import (
     random_tp,
     reverse_matrix,
     shift_matrix,
-    verify_tp,
 )
 from .tpcore.witnesses import DEFAULT_LADDER_EXTENSIONS, DEFAULT_RANDOM_TRIALS
 
-SCHEMA = "tpratio.report/1"
+SCHEMA = "tpratio.report/2"
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +78,8 @@ def parse_ratio(text: str, rank: int | None = None) -> RatioExpr:
     n = rank if rank is not None else inferred
     if n is None:
         raise InvalidInput("cannot infer the rank from the input")
+    if n > MAX_RATIO_RANK:
+        raise BudgetExceeded(f"rank {n}: ratios are budgeted to rank {MAX_RATIO_RANK}")
 
     def to_set(kind, payload) -> IndexSet:
         if kind == "bracket":
@@ -181,12 +188,27 @@ def _rational(text, what: str) -> Fraction:
         raise InvalidInput(f"{what}: {text!r} is not a rational number") from None
 
 
+def _exact(value: Fraction) -> str:
+    """The one rendering of an exact value, as "num/den" or an integer."""
+    try:
+        return str(value)
+    except ValueError:  # CPython's limit on int-to-str conversion
+        raise BudgetExceeded(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's int-to-str limit"
+        ) from None
+
+
 def _float(value: Fraction) -> float:
     """``value`` rounded to a float for display; infinite past the float range."""
     try:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _entries(matrix: TPMatrix) -> list[list[str]]:
+    return [[_exact(x) for x in row] for row in matrix.entries]
 
 
 def _load_matrix(path: str) -> TPMatrix:
@@ -197,50 +219,35 @@ def _load_matrix(path: str) -> TPMatrix:
     return TPMatrix.of([[_rational(x, f"{path} entry") for x in row] for row in rows])
 
 
-def _ratio_argument(args) -> RatioExpr:
+def _ratio_argument(args) -> RatioExpr | None:
     if args.file:
         with open(args.file) as fh:
             text = fh.read().strip()
-    else:
-        if not args.ratio:
-            raise RatioSyntaxError("no ratio given (argument or --file)", 0)
+    elif args.ratio:
         text = args.ratio
+    elif args.ratio_required:
+        raise RatioSyntaxError("no ratio given (argument or --file)", 0)
+    else:
+        return None
     return parse_ratio(text, args.n)
 
 
-def _report(args, payload: dict, exit_code: int = 0) -> int:
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
-    else:
-        for line in payload.get("lines", []):
-            print(line)
-    return exit_code
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its verdict fields and its text lines
 
 
-def _cmd_check(args) -> int:
-    ratio = _ratio_argument(args)
+def _cmd_check(args, ratio):
     st0 = comb.check_st0(ratio)
     cm = comb.check_condition_m(ratio)
-    lines = [f"ratio: {ratio.canonical()}"]
-    verdict: dict = {
-        "command": "check",
-        "input": str(ratio.canonical()),
-        "n": ratio.rank,
-        "st0": {"holds": st0.holds},
-        "condition_m": {"holds": cm.holds},
-    }
+    fields: dict = {"st0": {"holds": st0.holds}, "condition_m": {"holds": cm.holds}}
     if st0.holds:
-        lines.append("ST0: holds")
+        lines = ["ST0: holds"]
     else:
-        lines.append(
+        lines = [
             f"ST0: fails at index {st0.witness} "
             f"({st0.numerator_count} vs {st0.denominator_count})"
-        )
-        verdict["st0"].update(
+        ]
+        fields["st0"].update(
             witness=st0.witness,
             numerator_count=st0.numerator_count,
             denominator_count=st0.denominator_count,
@@ -252,32 +259,20 @@ def _cmd_check(args) -> int:
             f"(M): fails, witness L={cm.witness} "
             f"with m(num)={list(cm.m_numerator)}, m(den)={list(cm.m_denominator)}"
         )
-        verdict["condition_m"].update(
+        fields["condition_m"].update(
             witness=list(cm.witness.members),
             m_numerator=list(cm.m_numerator),
             m_denominator=list(cm.m_denominator),
         )
-    verdict["lines"] = lines
-    return _report(args, verdict)
+    return fields, lines
 
 
-def _cmd_factor(args) -> int:
-    ratio = _ratio_argument(args)
+def _cmd_factor(args, ratio):
     try:
         result = factor_to_basics(ratio)
     except (St0Violation, ConditionMViolation) as exc:
-        return _report(
-            args,
-            {
-                "command": "factor",
-                "input": str(ratio.canonical()),
-                "n": ratio.rank,
-                "verdict": "not-factorable",
-                "reason": str(exc),
-                "lines": [f"ratio: {ratio.canonical()}", f"not factorable: {exc}"],
-            },
-        )
-    lines = [f"ratio: {ratio.canonical()}", f"basics ({len(result.basics)}):"]
+        return {"verdict": "not-factorable", "reason": str(exc)}, [f"not factorable: {exc}"]
+    lines = [f"basics ({len(result.basics)}):"]
     lines += [f"  {b}" for b in result.basics]
     lines.append(f"trace: {len(result.trace)} steps")
     for step in result.trace:
@@ -285,30 +280,23 @@ def _cmd_factor(args) -> int:
             f"  {step.rule}: {step.ratio} "
             + " ".join(f"{k}={v}" for k, v in step.measures)
         )
-    return _report(
-        args,
-        {
-            "command": "factor",
-            "input": str(ratio.canonical()),
-            "n": ratio.rank,
-            "verdict": "factored",
-            "basics": [str(b) for b in result.basics],
-            "trace": [
-                {
-                    "rule": step.rule,
-                    "ratio": str(step.ratio),
-                    "measures": dict(step.measures),
-                    "factors": [str(f) for f in step.factors],
-                }
-                for step in result.trace
-            ],
-            "lines": lines,
-        },
-    )
+    fields = {
+        "verdict": "factored",
+        "basics": [str(b) for b in result.basics],
+        "trace": [
+            {
+                "rule": step.rule,
+                "ratio": str(step.ratio),
+                "measures": dict(step.measures),
+                "factors": [str(f) for f in step.factors],
+            }
+            for step in result.trace
+        ],
+    }
+    return fields, lines
 
 
-def _cmd_eval(args) -> int:
-    ratio = _ratio_argument(args)
+def _cmd_eval(args, ratio):
     if args.matrix:
         matrix = _load_matrix(args.matrix)
         source = args.matrix
@@ -321,73 +309,37 @@ def _cmd_eval(args) -> int:
         )
     value = eval_ratio(matrix, ratio)
     approx = _float(value)
-    return _report(
-        args,
-        {
-            "command": "eval",
-            "input": str(ratio.canonical()),
-            "n": ratio.rank,
-            "matrix": source,
-            "matrix_entries": matrix.to_strings(),
-            "value": str(value),
-            "value_float": approx if math.isfinite(approx) else None,
-            "lines": [
-                f"ratio: {ratio.canonical()}",
-                f"matrix: {source}",
-                f"value: {value} (~{approx:.6g})",
-            ],
-        },
-    )
+    fields = {
+        "matrix": source,
+        "matrix_entries": _entries(matrix),
+        "value": _exact(value),
+        "value_float": approx if math.isfinite(approx) else None,
+    }
+    return fields, [f"matrix: {source}", f"value: {fields['value']} (~{approx:.6g})"]
 
 
-def _cmd_cone(args) -> int:
-    ratio = _ratio_argument(args)
+def _cmd_cone(args, ratio):
     vector = ratio_to_vector(ratio)
     verdict = cone_membership(vector, ratio.rank)
     checked = verify_certificate(vector, verdict, ratio.rank)
+    fields: dict = {"certificate_verified": checked}
     if isinstance(verdict, InCone):
-        lines = [f"ratio: {ratio.canonical()}", "in cone; coefficients:"]
-        lines += [f"  {c} * {b}" for b, c in verdict.coefficients]
-        payload = {
-            "verdict": "in-cone",
-            "coefficients": [[str(b), str(c)] for b, c in verdict.coefficients],
-        }
+        pairs = [[str(b), _exact(c)] for b, c in verdict.coefficients]
+        fields.update(verdict="in-cone", coefficients=pairs)
+        lines = ["in cone; coefficients:", *(f"  {c} * {b}" for b, c in pairs)]
     else:
-        lines = [f"ratio: {ratio.canonical()}", "outside cone; separating functional:"]
-        lines += [f"  y[{s}] = {c}" for s, c in verdict.certificate]
-        payload = {
-            "verdict": "outside-cone",
-            "certificate": [[str(s), str(c)] for s, c in verdict.certificate],
-        }
+        pairs = [[str(s), _exact(c)] for s, c in verdict.certificate]
+        fields.update(verdict="outside-cone", certificate=pairs)
+        lines = ["outside cone; separating functional:", *(f"  y[{s}] = {c}" for s, c in pairs)]
     lines.append(f"certificate re-check: {'ok' if checked else 'FAILED'}")
-    return _report(
-        args,
-        {
-            "command": "cone",
-            "input": str(ratio.canonical()),
-            "n": ratio.rank,
-            "certificate_verified": checked,
-            "lines": lines,
-            **payload,
-        },
-    )
+    return fields, lines
 
 
-def _cmd_subfree(args) -> int:
-    ratio = _ratio_argument(args)
+def _cmd_subfree(args, ratio):
     poly = ratio_difference_poly(ratio)
     verdict = is_subtraction_free(poly)
-    lines = [
-        f"ratio: {ratio.canonical()}",
-        f"difference polynomial: {len(poly.terms)} terms",
-    ]
-    payload = {
-        "command": "subfree",
-        "input": str(ratio.canonical()),
-        "n": ratio.rank,
-        "terms": len(poly.terms),
-        "subtraction_free": verdict.subtraction_free,
-    }
+    fields: dict = {"terms": len(poly.terms), "subtraction_free": verdict.subtraction_free}
+    lines = [f"difference polynomial: {len(poly.terms)} terms"]
     if verdict.subtraction_free:
         lines.append("subtraction free: yes")
     else:
@@ -396,14 +348,11 @@ def _cmd_subfree(args) -> int:
             f"subtraction free: no; witness {witness} "
             f"with coefficient {verdict.witness_coefficient}"
         )
-        payload["witness"] = witness
-        payload["witness_coefficient"] = verdict.witness_coefficient
-    payload["lines"] = lines
-    return _report(args, payload)
+        fields.update(witness=witness, witness_coefficient=verdict.witness_coefficient)
+    return fields, lines
 
 
-def _cmd_falsify(args) -> int:
-    ratio = _ratio_argument(args)
+def _cmd_falsify(args, ratio):
     ladder = (
         tuple(_rational(t, "--t-ladder") for t in args.t_ladder.split(","))
         if args.t_ladder
@@ -418,91 +367,61 @@ def _cmd_falsify(args) -> int:
         random_trials=args.trials,
         random_seed=args.seed,
     )
-    if isinstance(outcome, Evidence):
-        lines = [
-            f"ratio: {ratio.canonical()}",
-            f"numerical witness via {outcome.family} "
-            + " ".join(f"{k}={v}" for k, v in outcome.detail),
-            f"threshold: {outcome.threshold}",
-        ]
-        lines += [
-            f"  t={t}: value {v} (~{_float(v):.6g})" for t, v in outcome.trace
-        ]
-        return _report(
-            args,
-            {
-                "command": "falsify",
-                "input": str(ratio.canonical()),
-                "n": ratio.rank,
-                "verdict": "unbounded-evidence",
-                "family": outcome.family,
-                "detail": dict(outcome.detail),
-                "threshold": str(outcome.threshold),
-                "trace": [[str(t), str(v)] for t, v in outcome.trace],
-                "lines": lines,
-            },
-        )
-    lines = [f"ratio: {ratio.canonical()}", "inconclusive:"]
-    lines += [f"  {a}" for a in outcome.attempts]
-    return _report(
-        args,
-        {
-            "command": "falsify",
-            "input": str(ratio.canonical()),
-            "n": ratio.rank,
-            "verdict": "inconclusive",
-            "attempts": list(outcome.attempts),
-            "lines": lines,
-        },
-        exit_code=2,
-    )
+    if not isinstance(outcome, Evidence):
+        fields = {"verdict": "inconclusive", "attempts": list(outcome.attempts)}
+        return fields, ["inconclusive:", *(f"  {a}" for a in outcome.attempts)]
+    trace = [(_exact(t), _exact(v), _float(v)) for t, v in outcome.trace]
+    fields = {
+        "verdict": "unbounded-evidence",
+        "family": outcome.family,
+        "detail": dict(outcome.detail),
+        "threshold": _exact(outcome.threshold),
+        "trace": [[t, v] for t, v, _ in trace],
+    }
+    lines = [
+        f"numerical witness via {outcome.family} "
+        + " ".join(f"{k}={v}" for k, v in outcome.detail),
+        f"threshold: {fields['threshold']}",
+    ]
+    lines += [f"  t={t}: value {v} (~{approx:.6g})" for t, v, approx in trace]
+    return fields, lines
 
 
-def _cmd_basics(args) -> int:
+def _cmd_basics(args, ratio):
     count = basic_ratio_count(args.n)
     basics = None if args.count else [str(b) for b in basic_ratios_all(args.n)]
-    return _report(
-        args,
-        {
-            "command": "basics",
-            "n": args.n,
-            "count": count,
-            "basics": basics,
-            "lines": [str(count)] if basics is None else basics,
-        },
-    )
+    fields = {"n": args.n, "count": count, "basics": basics}
+    return fields, [str(count)] if basics is None else basics
 
 
-def _transform_command(name, ratio_op, matrix_op):
-    def run(args) -> int:
-        payload: dict = {"command": name, "lines": []}
-        if args.ratio or args.file:
-            ratio = _ratio_argument(args)
-            moved = ratio_op(ratio)
-            payload.update(input=str(ratio.canonical()), n=ratio.rank, ratio=str(moved))
-            payload["lines"].append(f"ratio: {moved}")
-        if args.matrix:
-            matrix = _load_matrix(args.matrix)
-            moved_matrix = matrix_op(matrix)
-            payload["matrix"] = moved_matrix.to_strings()
-            payload["matrix_tp"] = verify_tp(moved_matrix)
-            payload["lines"] += [
-                "matrix rows:",
-                *("  " + " ".join(row) for row in moved_matrix.to_strings()),
-            ]
-        if not payload["lines"]:
-            raise RatioSyntaxError("nothing to transform: give a ratio or --matrix", 0)
-        return _report(args, payload)
-
-    return run
+def _cmd_transform(args, ratio):
+    fields: dict = {}
+    lines = []
+    if ratio is not None:
+        fields["ratio"] = str(args.ratio_op(ratio))
+        lines.append(f"ratio: {fields['ratio']}")
+    if args.matrix:
+        fields["matrix"] = _entries(args.matrix_op(_load_matrix(args.matrix)))
+        lines += ["matrix rows:", *("  " + " ".join(row) for row in fields["matrix"])]
+    if not lines:
+        raise RatioSyntaxError("nothing to transform: give a ratio or --matrix", 0)
+    return fields, lines
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into `InvalidInput`, so it gets the one ``error:``
+    line and exit code 1 of every bad input; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tpratio",
         description=(
             "Decide, certify, and falsify boundedness of ratios of products "
@@ -519,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--n", type=int, help="rank (required for minor notation, inferred for brackets)"
         )
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, ratio_required=True)
         return p
 
     add("check", _cmd_check, "run the counting and majorization screens")
@@ -545,30 +464,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", action="store_true", help="print only the count")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_basics)
+    p.set_defaults(func=_cmd_basics, ratio=None, file=None, ratio_required=False)
 
     for name, rop, mop in (
         ("shift", comb.cyclic_shift_ratio, shift_matrix),
         ("reverse", comb.reversal_ratio, reverse_matrix),
     ):
-        p = add(
-            name,
-            _transform_command(name, rop, mop),
-            f"apply the {name} operator to a ratio and/or matrix",
-        )
+        p = add(name, _cmd_transform, f"apply the {name} operator to a ratio and/or matrix")
         p.add_argument("--matrix", help="JSON matrix file to transform as well")
+        # the ratio is optional, and the text shows the moved ratio instead
+        p.set_defaults(ratio_op=rop, matrix_op=mop, ratio_required=False)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        ratio = _ratio_argument(args)
+        fields, lines = args.func(args, ratio)
+        report = {"schema": SCHEMA, "command": args.command}
+        if ratio is not None:
+            report.update(input=str(ratio.canonical()), n=ratio.rank)
+        if args.ratio_required:
+            lines.insert(0, f"ratio: {ratio.canonical()}")
+        print(json.dumps({**report, **fields}, indent=2) if args.json else "\n".join(lines))
     except (TpratioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2 if fields.get("verdict") == "inconclusive" else 0
 
 
 if __name__ == "__main__":

@@ -11,11 +11,12 @@ from tpratio.budgets import (
     MAX_MAGNITUDE,
     MAX_NUMBER_DIGITS,
     MAX_RANDOM_TRIALS,
+    MAX_RATIO_RANK,
 )
 from tpratio.cli import main, parse_ratio
 from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
 from tpratio.errors import InvalidInput, RatioSyntaxError
-from tpratio.tpcore import random_tp
+from tpratio.tpcore import TPMatrix, random_tp, verify_tp
 
 
 def iset(n, *elems):
@@ -111,7 +112,7 @@ class TestCommands:
     def test_check_json_schema(self, capsys):
         code, out, _ = run(capsys, "check", "[1,3][2,4]/[1,4][2,3]", "--json")
         report = json.loads(out)
-        assert report["schema"] == "tpratio.report/1"
+        assert report["schema"] == "tpratio.report/2"
         assert report["input"] == "[1,3][2,4]/[1,4][2,3]"
         assert report["st0"]["holds"] is True
         assert report["condition_m"]["witness"] == [2, 3]
@@ -202,8 +203,13 @@ class TestCommands:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(random_tp(2, 1).to_strings()))
         code, out, _ = run(capsys, "reverse", "--matrix", str(path), "--json")
-        report = json.loads(out)
-        assert report["matrix_tp"] is True
+        assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
+
+    def test_shift_matrix(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(random_tp(3, 2).to_strings()))
+        code, out, _ = run(capsys, "shift", "--matrix", str(path), "--json")
+        assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
 
     def test_ratio_from_file(self, capsys, tmp_path):
         path = tmp_path / "ratio.txt"
@@ -300,6 +306,36 @@ def test_readme_example_text(capsys, tmp_path, argv, expected):
     assert (code, out, err) == (0, expected.replace("{matrix}", str(path)), "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "[1,4][2,3]/[1,3][2,4]"),
+        ("factor", "[1,4][2,3]/[1,3][2,4]"),
+        ("eval", "[1,4][2,3]/[1,3][2,4]"),
+        ("cone", "[1,4][2,3]/[1,3][2,4]"),
+        ("subfree", "[1,4][2,3]/[1,3][2,4]"),
+        ("falsify", "[1,4][2,3]/[1,3][2,4]", "--trials", "2"),
+        ("shift", "[1,4][2,3]/[1,3][2,4]"),
+        ("reverse", "[1,4][2,3]/[1,3][2,4]"),
+        ("basics", "--n", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_envelope(capsys, argv):
+    """One envelope for every report; the text lines stay out of the JSON."""
+    code, out, err = run(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert report["schema"] == "tpratio.report/2"
+    assert report["command"] == argv[0]
+    assert report["n"] == 2
+    if argv[0] != "basics":
+        assert report["input"] == str(parse_ratio(argv[1]).canonical())
+    assert "lines" not in report
+
+
+WIDE_TERM = "[" + ",".join(map(str, range(1, MAX_RATIO_RANK + 2))) + "]"
+
+
 class TestBadInput:
     """Bad input gives one `error:` line on stderr and exit code 1, never a
     traceback."""
@@ -330,6 +366,22 @@ class TestBadInput:
             ("falsify", "[1,3][2,4]/[1,4][2,3]", "--t-ladder", "10,0"),
             ("falsify", "[1,4][2,3]/[1,3][2,4]", "--threshold", "0"),  # gave evidence for a bounded ratio
             ("cone", "[1,2,3,4,5]/[1,2,3,4,6]"),  # rank 5: over the rank budget
+            # usage errors printed a usage block and exited 2, the code for Inconclusive
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--trials", "x"),
+            ("check", "[1,3][2,4]/[1,4][2,3]", "--n", "x"),
+            (),
+            # over the ratio rank budget; at rank 100,000 `check` ran for more than 10 s
+            ("check", "(|)/(1|1)", "--n", str(MAX_RATIO_RANK + 1)),
+            ("check", f"{WIDE_TERM}/{WIDE_TERM}"),
+            # values past CPython's 4,300-digit int-to-str limit printed a traceback
+            (
+                "falsify",
+                "[1,3]" * 24 + "[2,4]" * 24 + "/" + "[1,4]" * 24 + "[2,3]" * 24,
+                "--t-ladder",
+                "1e99",
+                "--trials",
+                "0",
+            ),
         ],
     )
     def test_error_line_exit_one(self, capsys, argv):
@@ -337,6 +389,13 @@ class TestBadInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("--help",), ("falsify", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tpratio")
 
     @pytest.mark.parametrize(
         "rows",
