@@ -5,11 +5,14 @@ or parameter lifts a budget."""
 MAX_RANK = 4
 """Largest rank for the exact cone simplex, the symbolic polynomials and the
 path-family oracle.  At rank 5 the simplex tableau grows from 70 x 190 to
-252 x 952, and a rank-5 solve was still running after 120 s."""
+252 x 952; the sparse simplex took 0.9, 1.0 and 13.5 s on three seeded
+rank-5 two-over-two ST0 queries (2-CPU machine, CPython 3.11), against at
+most 0.7 s on each of 232 rank-4 queries."""
 
 MAX_RATIO_RANK = 8
 """Largest rank of a ratio `parse_ratio` reads, checked before any index set
-is built.  The slowest legal queries at rank 8 are `falsify` runs with
+is built, and of a matrix file the command line reads, checked before any
+entry is parsed.  The slowest legal queries at rank 8 are `falsify` runs with
 every other cap at its maximum: 1,000 random trials, 32 ladder extensions
 and a 100-digit threshold.  On a screen-passing and on a screen-failing
 two-over-two ratio they took 4.5-5.7 s as fresh processes (2-CPU machine,

@@ -216,6 +216,8 @@ def _load_matrix(path: str) -> TPMatrix:
         rows = json.load(fh, parse_int=str)  # integers go through `_rational`
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInput(f"{path}: expected a JSON list of rows")
+    if len(rows) > MAX_RATIO_RANK or any(len(r) > MAX_RATIO_RANK for r in rows):
+        raise BudgetExceeded(f"{path}: matrices are budgeted to rank {MAX_RATIO_RANK}")
     return TPMatrix.of([[_rational(x, f"{path} entry") for x in row] for row in rows])
 
 

@@ -6,11 +6,14 @@ cone generated by the basic ratios exactly when the ratio is a product of
 nonnegative real powers of basics, hence bounded by 1.
 
 Membership is decided by an exact-rational phase-one simplex with Bland's
-rule (so it terminates and is deterministic).  Both answers come with an
-independently checkable certificate: nonnegative coefficients that
-reproduce the query exactly, or a separating functional that is
-nonpositive on every generator yet positive on the query
-(`verify_certificate` re-checks either one from scratch).
+rule (so it terminates and is deterministic).  Its tableau is sparse: each
+row holds only its nonzero entries, read straight off the generators'
+sparse columns and the query, since every generator touches just four of
+the ``C(2n, n)`` coordinates.  Both answers come with an independently
+checkable certificate: nonnegative coefficients that reproduce the query
+exactly, or a separating functional that is nonpositive on every
+generator yet positive on the query (`verify_certificate` re-checks
+either one from scratch).
 """
 
 from __future__ import annotations
@@ -47,13 +50,6 @@ class Outside:
 ConeVerdict = InCone | Outside
 
 
-def _generator_columns(rank: int):
-    coords = all_index_sets(rank)
-    basics = basic_ratios_all(rank)
-    columns = [b.vector().as_dict() for b in basics]
-    return coords, basics, columns
-
-
 def _check_rank(vector: ExponentVector, rank: int) -> None:
     if rank != vector.rank:
         raise InvalidInput(f"rank {rank} does not match the vector's rank {vector.rank}")
@@ -69,97 +65,94 @@ def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
     _check_rank(vector, rank)
     if rank > MAX_RANK:
         raise BudgetExceeded(f"cone membership is budgeted to rank {MAX_RANK}")
-    coords, basics, columns = _generator_columns(rank)
-    wanted = vector.as_dict()
-    for b, col in zip(basics, columns):  # fast path: the query is a generator
-        if col == wanted:
-            return InCone(((b, Fraction(1)),))
-
+    coords, basics = all_index_sets(rank), basic_ratios_all(rank)
     index_of = {c: i for i, c in enumerate(coords)}
-    n_rows, n_cols = len(coords), len(basics)
-    a = [[Fraction(0)] * n_cols for _ in range(n_rows)]
-    for j, col in enumerate(columns):
-        for key, val in col.items():
-            a[index_of[key]][j] = Fraction(val)
-    rhs = [Fraction(0)] * n_rows
-    for key, val in wanted.items():
-        rhs[index_of[key]] = Fraction(val)
+    rows: list[dict[int, Fraction]] = [{} for _ in coords]
+    for j, b in enumerate(basics):
+        for key, val in b.vector().as_dict().items():
+            rows[index_of[key]][j] = Fraction(val)
+    wanted = vector.as_dict()
+    rhs = [Fraction(wanted.get(c, 0)) for c in coords]
 
-    feasible, payload = _phase_one(a, rhs)
+    feasible, payload = _phase_one(rows, rhs, len(basics))
     if feasible:
-        coeffs = tuple(
-            (basics[j], value)
-            for j, value in sorted(payload.items())
-            if value != 0
-        )
-        return InCone(coeffs)
-    certificate = tuple((coords[i], y) for i, y in enumerate(payload) if y != 0)
-    return Outside(certificate)
+        return InCone(tuple((basics[j], value) for j, value in sorted(payload.items())))
+    return Outside(tuple((coords[i], y) for i, y in enumerate(payload) if y != 0))
 
 
-def _phase_one(a, rhs):
-    """Minimize total artificial mass of ``a @ lam + artificials = rhs``.
+def _phase_one(rows, rhs, n_cols):
+    """Minimize total artificial mass of ``a @ lam + artificials = rhs``,
+    where ``rows[i]`` maps column ``j`` to the nonzero ``a[i][j]``.
 
-    Returns ``(True, {column: value})`` when the system is feasible, else
-    ``(False, y)`` where ``y @ a <= 0`` columnwise and ``y @ rhs > 0``.
+    Returns ``(True, {column: nonzero value})`` when the system is feasible,
+    else ``(False, y)`` where ``y @ a <= 0`` columnwise and ``y @ rhs > 0``.
 
-    Full-tableau implementation: columns are the real variables, then one
-    artificial per row, then the right-hand side; one extra objective row
-    carries the reduced costs and (negated) objective value.
+    Sparse tableau: each row, like the objective row of reduced costs and
+    (negated) objective value, maps a column index to its nonzero entry.
+    Columns ``0..n_cols-1`` are the real variables, then one artificial per
+    row, then the right-hand side.
     """
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    total = n_cols + n_rows
-    signs = [Fraction(-1) if rhs[i] < 0 else Fraction(1) for i in range(n_rows)]
+    n_rows = len(rows)
+    last = n_cols + n_rows  # the right-hand side's column
+    signs = [-1 if b < 0 else 1 for b in rhs]
     tableau = []
-    for i in range(n_rows):
-        row = [signs[i] * a[i][j] for j in range(n_cols)]
-        row += [Fraction(1) if k == i else Fraction(0) for k in range(n_rows)]
-        row.append(signs[i] * rhs[i])
-        tableau.append(row)
+    for i, (row, b, sign) in enumerate(zip(rows, rhs, signs)):
+        flipped = {j: sign * v for j, v in row.items()}
+        flipped[n_cols + i] = Fraction(1)
+        if b:
+            flipped[last] = sign * b
+        tableau.append(flipped)
     # Objective row for min(sum of artificials), written with basic columns
     # zeroed out: costs minus the sum of the constraint rows.
-    objective = [Fraction(0)] * (total + 1)
-    for j in range(n_cols):
-        objective[j] = -sum(tableau[i][j] for i in range(n_rows))
-    objective[total] = -sum(tableau[i][total] for i in range(n_rows))
-    basis = list(range(n_cols, total))
+    objective = {n_cols + i: Fraction(1) for i in range(n_rows)}
+    for i, row in enumerate(tableau):
+        _eliminate(objective, row, n_cols + i)
+    basis = list(range(n_cols, last))
 
     while True:
-        entering = next((j for j in range(total) if objective[j] < 0), None)
+        entering = min((j for j, v in objective.items() if v < 0 and j < last), default=None)
         if entering is None:
             break
         best = None
-        for i in range(n_rows):
-            coeff = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            coeff = row.get(entering, 0)
             if coeff > 0:
-                key = (tableau[i][total] / coeff, basis[i])
+                key = (row.get(last, 0) / coeff, basis[i])
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
             raise InvariantViolation("phase-one objective is bounded below; no ray exists")
-        row = best[1]
-        pivot = tableau[row][entering]
-        tableau[row] = [x / pivot for x in tableau[row]]
-        for i in range(n_rows):
-            if i != row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[row])]
-        if objective[entering] != 0:
-            f = objective[entering]
-            objective = [x - f * y for x, y in zip(objective, tableau[row])]
-        basis[row] = entering
+        p = best[1]
+        pivot = tableau[p][entering]
+        tableau[p] = pivot_row = {j: v / pivot for j, v in tableau[p].items()}
+        for i, row in enumerate(tableau):
+            if i != p and entering in row:
+                _eliminate(row, pivot_row, entering)
+        if entering in objective:
+            _eliminate(objective, pivot_row, entering)
+        basis[p] = entering
 
-    mass = -objective[total]
-    if mass == 0:
-        solution = {
-            var: tableau[i][total] for i, var in enumerate(basis) if var < n_cols
+    if last not in objective:  # no artificial mass left
+        return True, {
+            var: row[last] for var, row in zip(basis, tableau) if var < n_cols and last in row
         }
-        return True, solution
     # Dual: y_i = cost(artificial i) - reduced_cost(artificial i), undoing
     # the row sign flips.
-    y = [signs[i] * (Fraction(1) - objective[n_cols + i]) for i in range(n_rows)]
-    return False, y
+    return False, [
+        sign * (Fraction(1) - objective.get(n_cols + i, 0)) for i, sign in enumerate(signs)
+    ]
+
+
+def _eliminate(row: dict[int, Fraction], pivot_row: dict[int, Fraction], entering: int):
+    """Subtract the multiple of ``pivot_row`` that clears ``row[entering]``,
+    deleting every entry that cancels to zero so the rows stay sparse."""
+    f = row[entering]
+    for j, v in pivot_row.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def verify_certificate(

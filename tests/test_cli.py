@@ -415,6 +415,17 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["reverse", "shift"])
+    @pytest.mark.parametrize(
+        "rows, cols", [(MAX_RATIO_RANK + 1,) * 2, (30, 30), (2, MAX_RATIO_RANK + 1)]
+    )
+    def test_matrix_file_over_rank_budget(self, capsys, tmp_path, command, rows, cols):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps([["1"] * cols] * rows))
+        code, out, err = run(capsys, command, "--matrix", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: matrices are budgeted to rank {MAX_RATIO_RANK}\n"
+
     def test_long_integer_in_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "matrix.json"
         path.write_text("[[" + "1" * 5000 + ", 1], [1, 2]]")
@@ -452,6 +463,14 @@ class TestLargestReports:
         code, out, err = run(capsys, "eval", ratio, "--magnitude", str(MAX_MAGNITUDE), "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["matrix"].endswith(f"magnitude={MAX_MAGNITUDE})")
+
+    @pytest.mark.parametrize("command", ["reverse", "shift"])
+    def test_matrix_file_at_rank_budget(self, capsys, tmp_path, command):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(random_tp(MAX_RATIO_RANK, 0).to_strings()))
+        code, out, err = run(capsys, command, "--matrix", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
 
     def test_values_past_the_float_range(self, capsys):
         ratio = "[1,3]" * 80 + "[2,4]" * 80 + "/" + "[1,4]" * 80 + "[2,3]" * 80

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tpratio.combinatorics import ExponentVector, IndexSet, RatioExpr
+from tpratio.combinatorics import ExponentVector, IndexSet, RatioExpr, all_index_sets
 from tpratio.conelab import (
     InCone,
     Outside,
@@ -56,10 +58,14 @@ class TestRatioToVector:
 
 class TestMembership:
     def test_generator_gets_unit_coefficient(self):
-        for b in basic_ratios_all(2):
-            verdict = cone_membership(b.vector(), 2)
-            assert verdict == InCone(((b, Fraction(1)),))
-            assert verify_certificate(b.vector(), verdict, 2)
+        # the simplex itself lands on the generator: every one at ranks 2-3,
+        # a seeded 20 of the 120 at rank 4
+        rank4 = random.Random(0).sample(basic_ratios_all(4), 20)
+        for rank, basics in ((2, basic_ratios_all(2)), (3, basic_ratios_all(3)), (4, rank4)):
+            for b in basics:
+                verdict = cone_membership(b.vector(), rank)
+                assert verdict == InCone(((b, Fraction(1)),)), b
+                assert verify_certificate(b.vector(), verdict, rank)
 
     def test_elementary_in_cone(self):
         e = ElementaryRatio(3, 1, 2, 4, 6, (3,))
@@ -76,6 +82,17 @@ class TestMembership:
         basics, _ = elementary_to_basics(e)
         alternative = InCone(tuple((b, Fraction(1)) for b in sorted(basics)))
         assert verify_certificate(vec, alternative, 3)
+
+    def test_bland_rule_picks_the_combination(self):
+        # the cone holds more than one combination for this vector; entering
+        # on the smallest index with a negative reduced cost picks this one
+        vec = ratio_to_vector(ratio(3, [(1, 2, 5), (3, 4, 6)], [(1, 3, 5), (2, 4, 6)]))
+        assert cone_membership(vec, 3) == InCone(
+            (
+                (BasicRatio.of(3, 2, 4, (1,)), Fraction(1)),
+                (BasicRatio.of(3, 2, 6, (4,)), Fraction(1)),
+            )
+        )
 
     def test_negated_basic_outside(self):
         vec = -BasicRatio.of(2, 1, 3, ()).vector()
@@ -107,6 +124,22 @@ class TestMembership:
             cone_membership(vec, rank)
         with pytest.raises(InvalidInput, match=f"rank {rank} does not match"):
             verify_certificate(vec, verdict, rank)
+
+
+@st.composite
+def exponent_vectors(draw):
+    """0-6 index sets at rank 2 or 3, entries in -3..3: mostly outside the
+    generators' span, with negative right-hand sides."""
+    rank = draw(st.sampled_from([2, 3]))
+    keys = st.sampled_from(all_index_sets(rank))
+    counts = draw(st.dictionaries(keys, st.integers(-3, 3), max_size=6))
+    return ExponentVector.from_counts(rank, counts)
+
+
+@settings(deadline=None)
+@given(exponent_vectors())
+def test_any_vector_gets_a_verified_verdict(vec):
+    assert verify_certificate(vec, cone_membership(vec, vec.rank), vec.rank)
 
 
 class TestVerification:
