@@ -12,13 +12,13 @@ most 0.7 s on each of 232 rank-4 queries."""
 MAX_RATIO_RANK = 8
 """Largest rank of a ratio `parse_ratio` reads, checked before any index set
 is built, and of a matrix file the command line reads, checked before any
-entry is parsed.  The slowest legal queries at rank 8 are `falsify` runs with
-every other cap at its maximum: 1,000 random trials, 32 ladder extensions
-and a 100-digit threshold.  On a screen-passing and on a screen-failing
-two-over-two ratio they took 4.5-5.7 s as fresh processes (2-CPU machine,
-CPython 3.11); at rank 9 they took 7.4-7.5 s.  One random trial costs
-4.6 ms at rank 8 and 7.6 ms at rank 9.  Unbudgeted, `check` at rank 100,000
-was still running after 10 s."""
+entry is parsed.  The slowest legal query at rank 8 is `basics --n 8`,
+0.8 s as a fresh process (2-CPU machine, CPython 3.11); of the ratio
+queries, `falsify` on a screen-passing two-over-two ratio, which ends
+after its 20 random trials, takes 0.3 s, and `factor`, `eval --magnitude
+64` and `check` 0.2 s or less.  One random trial costs 5.8 ms at rank 8
+and 7.1 ms at rank 9.  Unbudgeted, `check` at rank 100,000 was still
+running after 10 s."""
 
 MAX_LISTED_BASICS = 100_000
 """Most basic ratios `basic_ratios_all` will list: rank 8 has 96,096 and
@@ -35,22 +35,13 @@ TERM_LIMIT = 10**7
 """Most terms of a symbolic polynomial; a product is refused before it
 starts when its operands' term counts multiply past four times this."""
 
-MAX_LADDER_EXTENSIONS = 32
-"""Most factor-of-10 extensions of each `falsify` ladder.  The slowest of 40
-rank-4 pool ratios took 0.5 s with 32 from a ladder and threshold of
-10^100, and 1.6 s with 64 (2-CPU machine, CPython 3.11)."""
-
-MAX_RANDOM_TRIALS = 1000
-"""Most random matrices `falsify` tries: 0.2 ms each at rank 2, 1.1 ms at
-rank 4 and 5.5 ms at rank 8."""
-
 MAX_MAGNITUDE = 64
 """Largest weight spread ``2^[-m, m]`` of `random_network`.  At 64, `eval`
 values have up to 255 digits at rank 4 and 773 at rank 8 (seeds 0-2)."""
 
 MAX_NUMBER_DIGITS = 100
 """Most digits of a number the command line reads (a ratio label or a
-rational; an exponent counts as the digits it stands for).  A ladder rung
-then stays below 10^132.  A value past CPython's 4,300-digit int-to-str
-limit, which a `falsify` report reaches once the degree gap passes about 30,
-is refused with `BudgetExceeded` when the report renders it."""
+rational; an exponent counts as the digits it stands for).  A value past
+CPython's 4,300-digit int-to-str limit, which a `falsify` report reaches
+once the degree gap passes about 550, is refused with `BudgetExceeded`
+when the report renders it."""

@@ -39,8 +39,6 @@ from .errors import (
 from .factorizer import basic_ratio_count, basic_ratios_all, factor_to_basics
 from .polycheck import is_subtraction_free, ratio_difference_poly
 from .tpcore import (
-    DEFAULT_T_LADDER,
-    DEFAULT_THRESHOLD,
     Evidence,
     TPMatrix,
     eval_ratio,
@@ -49,7 +47,6 @@ from .tpcore import (
     reverse_matrix,
     shift_matrix,
 )
-from .tpcore.witnesses import DEFAULT_LADDER_EXTENSIONS, DEFAULT_RANDOM_TRIALS
 
 SCHEMA = "tpratio.report/2"
 
@@ -176,13 +173,15 @@ def _check_duplicates(elems, pos):
 
 
 def _rational(text, what: str) -> Fraction:
-    """The one parser for rationals given on the command line or in files:
-    `MAX_NUMBER_DIGITS` digits at most, where ``1e50`` counts as 51."""
+    """The one parser for matrix entries: a string of `MAX_NUMBER_DIGITS`
+    digits at most, where ``1e50`` counts as 51.  JSON numbers arrive as
+    their source text, so ``0.1`` is exactly 1/10."""
     try:
-        if isinstance(text, str):
-            mantissa, _, exponent = text.lower().partition("e")
-            if len(mantissa) + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
-                raise BudgetExceeded(f"{what}: more than {MAX_NUMBER_DIGITS} digits")
+        if not isinstance(text, str):
+            raise TypeError
+        mantissa, _, exponent = text.lower().partition("e")
+        if len(mantissa) + abs(int(exponent or 0)) > MAX_NUMBER_DIGITS:
+            raise BudgetExceeded(f"{what}: more than {MAX_NUMBER_DIGITS} digits")
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InvalidInput(f"{what}: {text!r} is not a rational number") from None
@@ -213,7 +212,7 @@ def _entries(matrix: TPMatrix) -> list[list[str]]:
 
 def _load_matrix(path: str) -> TPMatrix:
     with open(path) as fh:
-        rows = json.load(fh, parse_int=str)  # integers go through `_rational`
+        rows = json.load(fh, parse_int=str, parse_float=str)  # numbers go through `_rational`
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInput(f"{path}: expected a JSON list of rows")
     if len(rows) > MAX_RATIO_RANK or any(len(r) > MAX_RATIO_RANK for r in rows):
@@ -355,20 +354,7 @@ def _cmd_subfree(args, ratio):
 
 
 def _cmd_falsify(args, ratio):
-    ladder = (
-        tuple(_rational(t, "--t-ladder") for t in args.t_ladder.split(","))
-        if args.t_ladder
-        else DEFAULT_T_LADDER
-    )
-    threshold = _rational(args.threshold, "--threshold") if args.threshold else DEFAULT_THRESHOLD
-    outcome = falsify(
-        ratio,
-        t_ladder=ladder,
-        threshold=threshold,
-        ladder_extensions=args.budget,
-        random_trials=args.trials,
-        random_seed=args.seed,
-    )
+    outcome = falsify(ratio)
     if not isinstance(outcome, Evidence):
         fields = {"verdict": "inconclusive", "attempts": list(outcome.attempts)}
         return fields, ["inconclusive:", *(f"  {a}" for a in outcome.attempts)]
@@ -454,13 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("cone", _cmd_cone, "membership in the cone of basic ratios")
     add("subfree", _cmd_subfree, "test the weight polynomial q - p for negative coefficients")
 
-    p = add("falsify", _cmd_falsify, "search for numerical unboundedness evidence")
-    p.add_argument("--threshold", help="evidence threshold, a rational like 1000")
-    p.add_argument("--t-ladder", help="comma-separated t values, e.g. 10,100,1000")
-    p.add_argument("--budget", type=int, help="extra ladder extensions")
-    p.add_argument("--trials", type=int, help="random-search trials")
-    p.set_defaults(budget=DEFAULT_LADDER_EXTENSIONS, trials=DEFAULT_RANDOM_TRIALS)
-    p.add_argument("--seed", type=int, default=0, help="random-search base seed")
+    add("falsify", _cmd_falsify, "search for numerical unboundedness evidence")
 
     p = sub.add_parser("basics", help="list the basic-ratio generators")
     p.add_argument("--n", type=int, required=True)
@@ -491,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.ratio_required:
             lines.insert(0, f"ratio: {ratio.canonical()}")
         print(json.dumps({**report, **fields}, indent=2) if args.json else "\n".join(lines))
-    except (TpratioError, OSError, json.JSONDecodeError) as exc:
+    except (TpratioError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if fields.get("verdict") == "inconclusive" else 0

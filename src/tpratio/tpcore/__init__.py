@@ -21,8 +21,8 @@ from .matrices import (
 )
 from .network import NetworkParams, all_ones_params, staircase_word, variable_names
 from .witnesses import (
-    DEFAULT_T_LADDER,
-    DEFAULT_THRESHOLD,
+    THRESHOLD,
+    T_LADDER,
     Evidence,
     Inconclusive,
     counterexample_matrix,
@@ -32,8 +32,8 @@ from .witnesses import (
 )
 
 __all__ = [
-    "DEFAULT_T_LADDER",
-    "DEFAULT_THRESHOLD",
+    "THRESHOLD",
+    "T_LADDER",
     "Evidence",
     "GrassmannRep",
     "Inconclusive",

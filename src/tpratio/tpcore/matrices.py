@@ -94,6 +94,8 @@ class TPMatrix:
     entries: Grid
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise InvalidInput(f"rank must be positive, got {self.rank}")
         if len(self.entries) != self.rank or any(
             len(r) != self.rank for r in self.entries
         ):

@@ -31,21 +31,20 @@ from ..combinatorics import (
     m_vector,
     reversal_ratio,
 )
-from ..budgets import MAX_LADDER_EXTENSIONS, MAX_RANDOM_TRIALS
-from ..errors import BudgetExceeded, InvalidInput
+from ..errors import InvalidInput
 from .grassmann import eval_ratio, shift_matrix
 from .matrices import TPMatrix, mat_mul, network_matrix, random_tp
 from .network import all_ones_params
 
-DEFAULT_T_LADDER: tuple[Fraction, ...] = (
+T_LADDER: tuple[Fraction, ...] = (
     Fraction(10),
     Fraction(100),
     Fraction(1000),
     Fraction(10000),
 )
-DEFAULT_THRESHOLD = Fraction(1000)
-DEFAULT_LADDER_EXTENSIONS = 4
-DEFAULT_RANDOM_TRIALS = 20
+THRESHOLD = Fraction(1000)
+LADDER_EXTENSIONS = 4
+RANDOM_TRIALS = 20
 
 
 def witness_family(n: int, s: int, k: int, t: Fraction) -> TPMatrix:
@@ -170,53 +169,33 @@ def _oriented(ratio: RatioExpr, rotation: int, mirrored: bool) -> RatioExpr:
     return reversal_ratio(ratio) if mirrored else ratio
 
 
-def _climb_ladder(family, detail, value_at, t_ladder, threshold, extensions):
-    """Evaluate along the ladder; while the trace keeps strictly increasing
-    but has not crossed the threshold, extend by factors of 10 within the
-    extension budget.  Returns the Evidence or None."""
-    trace = [(t, value_at(t)) for t in t_ladder]
-    spent = 0
-    while spent < extensions:
+def _climb_ladder(family, detail, value_at):
+    """Evaluate along `T_LADDER`; while the trace keeps strictly increasing
+    but has not crossed `THRESHOLD`, extend by factors of 10, at most
+    `LADDER_EXTENSIONS` times.  Returns the Evidence or None."""
+    trace = [(t, value_at(t)) for t in T_LADDER]
+    for _ in range(LADDER_EXTENSIONS):
         values = [v for _, v in trace]
         if any(a >= b for a, b in zip(values, values[1:])):
             break
-        if max(values) > threshold:
+        if max(values) > THRESHOLD:
             break
         t = trace[-1][0] * 10
         trace.append((t, value_at(t)))
-        spent += 1
-    evidence = Evidence(family, detail, tuple(trace), threshold)
-    return evidence if evidence.peak > threshold else None
+    evidence = Evidence(family, detail, tuple(trace), THRESHOLD)
+    return evidence if evidence.peak > THRESHOLD else None
 
 
-def falsify(
-    ratio: RatioExpr,
-    *,
-    t_ladder: tuple[Fraction, ...] = DEFAULT_T_LADDER,
-    threshold: Fraction = DEFAULT_THRESHOLD,
-    ladder_extensions: int = DEFAULT_LADDER_EXTENSIONS,
-    random_trials: int = DEFAULT_RANDOM_TRIALS,
-    random_seed: int = 0,
-) -> Evidence | Inconclusive:
+def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
     """Search for numerical unboundedness evidence.
 
     A failed majorization screen always yields a witness family; otherwise
-    the known 4 x 4 counterexample family and a seeded random search are
-    tried.  Ladders that are still strictly climbing at their top rung are
-    extended by factors of 10, at most ``ladder_extensions`` times.  An
+    the known 4 x 4 counterexample family and a random search over seeds
+    ``0 .. RANDOM_TRIALS - 1`` are tried.  Ladders that are still strictly
+    climbing at their top rung are extended by factors of 10.  An
     `Inconclusive` result records what was attempted; it is not a proof of
-    boundedness.  The threshold must be at least 1, the factorization's bound.
+    boundedness.
     """
-    if not t_ladder or min(t_ladder) <= 0:
-        raise InvalidInput("the t ladder needs one or more positive values")
-    if threshold < 1:
-        raise InvalidInput(f"the threshold {threshold} is below 1")
-    if min(ladder_extensions, random_trials) < 0:
-        raise InvalidInput("ladder extensions and random trials cannot be negative")
-    if ladder_extensions > MAX_LADDER_EXTENSIONS:
-        raise BudgetExceeded(f"ladder extensions are budgeted to {MAX_LADDER_EXTENSIONS}")
-    if random_trials > MAX_RANDOM_TRIALS:
-        raise BudgetExceeded(f"random trials are budgeted to {MAX_RANDOM_TRIALS}")
     attempts = []
     found = _gap_arc(ratio)
     if found is not None:
@@ -227,9 +206,6 @@ def falsify(
             "degree-gap",
             detail,
             lambda t: eval_ratio(witness_family(ratio.rank, arc.length, k, t), leading),
-            t_ladder,
-            threshold,
-            ladder_extensions,
         )
         if evidence is not None:
             return evidence
@@ -245,21 +221,19 @@ def falsify(
                     "counterexample-family",
                     (("rotation", rotation), ("mirrored", int(mirrored))),
                     lambda t: eval_ratio(counterexample_matrix(t), variant),
-                    t_ladder,
-                    threshold,
-                    ladder_extensions,
                 )
                 if evidence is not None and evidence.increasing:
                     return evidence
         attempts.append("counterexample family (all symmetries) did not climb past threshold")
 
-    best: tuple[Fraction, Fraction] | None = None
-    for trial in range(random_trials):
-        seed = random_seed + trial
-        value = eval_ratio(random_tp(ratio.rank, seed, magnitude=6), ratio)
-        if best is None or value > best[1]:
-            best = (Fraction(seed), value)
-    if best is not None and best[1] > threshold:
-        return Evidence("random-search", (("trials", random_trials),), (best,), threshold)
-    attempts.append(f"random search over {random_trials} seeds stayed under threshold")
+    best = max(
+        (
+            (Fraction(seed), eval_ratio(random_tp(ratio.rank, seed, magnitude=6), ratio))
+            for seed in range(RANDOM_TRIALS)
+        ),
+        key=lambda pair: pair[1],
+    )
+    if best[1] > THRESHOLD:
+        return Evidence("random-search", (("trials", RANDOM_TRIALS),), (best,), THRESHOLD)
+    attempts.append(f"random search over {RANDOM_TRIALS} seeds stayed under threshold")
     return Inconclusive(tuple(attempts))

@@ -34,7 +34,7 @@ from tpratio.errors import ConditionMViolation, St0Violation
 from tpratio.factorizer import BasicRatio, basic_ratios_all, factor_to_basics
 from tpratio.polycheck import is_subtraction_free, ratio_difference_poly
 from tpratio.tpcore import (
-    DEFAULT_T_LADDER,
+    T_LADDER,
     Evidence,
     counterexample_matrix,
     eval_ratio,
@@ -144,10 +144,10 @@ def test_criterion_03_falsification_completeness_n3(rank3_screening):
     failing = [r for r, holds in rank3_screening if not holds]
     assert len(failing) == 195
     for r in failing:
-        outcome = falsify(r, random_trials=0)
+        outcome = falsify(r)
         assert isinstance(outcome, Evidence)
         assert outcome.family == "degree-gap"
-        within_default = [v for t, v in outcome.trace if t in DEFAULT_T_LADDER]
+        within_default = [v for t, v in outcome.trace if t in T_LADDER]
         assert max(within_default) > 1000
     elapsed = time.monotonic() - started
     assert elapsed < 300

@@ -79,7 +79,7 @@ def test_sampled_survey_rank4():
         else:
             outside += 1
             assert not is_subtraction_free(ratio_difference_poly(r)).subtraction_free
-            outcome = falsify(r, random_trials=5, ladder_extensions=8)
+            outcome = falsify(r)
             if isinstance(outcome, Evidence):
                 outside_with_evidence += 1
     assert outside >= 8  # the rotation orbit stays outside the cone

@@ -289,20 +289,20 @@ class TestLgv:
 
 class TestFalsify:
     def test_failing_ratio_yields_witness(self):
-        out = falsify(ratio(2, [(1, 3), (2, 4)], [(1, 4), (2, 3)]), random_trials=0)
+        out = falsify(ratio(2, [(1, 3), (2, 4)], [(1, 4), (2, 3)]))
         assert isinstance(out, Evidence)
         assert out.family == "degree-gap"
         assert out.peak > 1000
         assert out.increasing
 
     def test_counterexample_route(self):
-        out = falsify(UNBOUNDED_3OVER3, random_trials=0)
+        out = falsify(UNBOUNDED_3OVER3)
         assert isinstance(out, Evidence)
         assert out.family == "counterexample-family"
         assert out.increasing and out.peak > 1000
 
     def test_bounded_ratio_inconclusive(self):
-        out = falsify(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]), random_trials=5)
+        out = falsify(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
         assert isinstance(out, Inconclusive)
         assert any("no degree gap" in a for a in out.attempts)
 
@@ -333,7 +333,7 @@ class TestFalsifyOrientation:
     def test_counterexample_orbit_matches_matrix_side(self):
         mirror_first_differs = 0
         for member in _orbit(UNBOUNDED_3OVER3):
-            out = falsify(member, random_trials=0)
+            out = falsify(member)
             assert isinstance(out, Evidence)
             assert out.family == "counterexample-family"
             detail = dict(out.detail)
@@ -357,7 +357,7 @@ class TestFalsifyOrientation:
             r = util.random_st0_ratio(rng.choice([3, 4]), rng)
             if r is None or check_condition_m(r).holds or checked[r.rank] == 4:
                 continue
-            out = falsify(r, random_trials=0)
+            out = falsify(r)
             if not isinstance(out, Evidence) or out.family != "degree-gap":
                 continue
             detail = dict(out.detail)
