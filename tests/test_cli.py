@@ -323,23 +323,36 @@ class TestBadInput:
     """Bad input gives one `error:` line on stderr and exit code 1, never a
     traceback."""
 
+    # The ids are list indices: a case keeps its place, so its id stays stable.
     @pytest.mark.parametrize(
         "argv",
         [
             ("check", "[0,3][2,4]/[1,4][2,3]"),  # zero label
             ("check", "[1,3][2,2]/[1,4][2,3]"),  # duplicate label
             ("check", "(3|1)/(1|1)", "--n", "2"),  # row outside [1, n]
+            # falsify has no knobs: each of its former flags is refused
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--t-ladder", "10"),
+            ("check", "[1,3][2,4]"),  # no '/'
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--threshold", "1e6"),
             ("eval", "[1,4][2,3]/[1,3][2,4]", "--magnitude", "0"),
             ("basics", "--n", "12"),  # 46,558,512 generators: over the listing budget
             ("basics", "--n", "8000", "--count"),  # over 4,300 digits: over the counting budget
             ("basics", "--n", "100000000", "--count"),  # unbudgeted, still running after 120 s
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--budget", "4"),
+            ("check", "[1,3][2,4]/[1,4][2,3]", "--n", "3"),  # terms of size 2
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--trials", "0"),
             ("eval", "[1,3][2,4]/[1,4][2,3]", "--magnitude", "100000"),  # over 4,300 digits
+            ("eval", "[1,4][2,3]/[1,3][2,4]", "--magnitude", "-1"),
             ("check", "[1," + "1" * 5000 + "]/[1,2]"),  # over 4,300 digits
             ("check", "[1,\u00b2]/[1,2]"),  # a digit that int() refuses
+            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--seed", "0"),
+            ("check",),  # no ratio and no --file
+            ("basics", "--n", "1"),
+            ("frobnicate",),  # no such command
             ("cone", "[1,2,3,4,5]/[1,2,3,4,6]"),  # rank 5: over the rank budget
+            ("check", "(1|2)/[1,2]"),  # minor notation without --n
             # usage errors printed a usage block and exited 2, the code for Inconclusive
             ("check", "[1,3][2,4]/[1,4][2,3]", "--n", "x"),
-            ("falsify", "[1,3][2,4]/[1,4][2,3]", "--trials", "0"),  # falsify has no knobs
             (),
             # over the ratio rank budget; at rank 100,000 `check` ran for more than 10 s
             ("check", "(|)/(1|1)", "--n", str(MAX_RATIO_RANK + 1)),
