@@ -210,9 +210,20 @@ def _entries(matrix: TPMatrix) -> list[list[str]]:
     return [[_exact(x) for x in row] for row in matrix.entries]
 
 
+def _read_file(path: str) -> str:
+    """The one reader for input files: UTF-8, whatever the locale."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _load_matrix(path: str) -> TPMatrix:
-    with open(path) as fh:
-        rows = json.load(fh, parse_int=str, parse_float=str)  # numbers go through `_rational`
+    try:  # numbers go through `_rational`
+        rows = json.loads(_read_file(path), parse_int=str, parse_float=str)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidInput(f"{path}: not JSON ({exc})") from None
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInput(f"{path}: expected a JSON list of rows")
     if len(rows) > MAX_RATIO_RANK or any(len(r) > MAX_RATIO_RANK for r in rows):
@@ -222,8 +233,7 @@ def _load_matrix(path: str) -> TPMatrix:
 
 def _ratio_argument(args) -> RatioExpr | None:
     if args.file:
-        with open(args.file) as fh:
-            text = fh.read().strip()
+        text = _read_file(args.file).strip()
     elif args.ratio:
         text = args.ratio
     elif args.ratio_required:
@@ -471,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.ratio_required:
             lines.insert(0, f"ratio: {ratio.canonical()}")
         print(json.dumps({**report, **fields}, indent=2) if args.json else "\n".join(lines))
-    except (TpratioError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (TpratioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if fields.get("verdict") == "inconclusive" else 0

@@ -27,7 +27,7 @@ from functools import lru_cache
 from .combinatorics import IndexSet, RatioExpr, plucker_to_minor
 from .budgets import MAX_RANK, TERM_LIMIT
 from .errors import BudgetExceeded
-from .tpcore.network import network_product, variable_names
+from .tpcore.network import chips, network_product, variable_names
 
 Exponents = tuple[int, ...]
 
@@ -148,9 +148,9 @@ def symbolic_network_matrix(rank: int) -> tuple[tuple[Polynomial, ...], ...]:
     if rank > MAX_RANK:
         raise BudgetExceeded(f"symbolic networks are budgeted to rank {MAX_RANK}")
     nv = _nvars(rank)
-    weights = [Polynomial.variable(nv, i) for i in range(nv)]
+    layers = chips(rank, [Polynomial.variable(nv, i) for i in range(nv)])
     return network_product(
-        rank, weights, Polynomial.zero(nv), Polynomial.constant(nv, 1)
+        rank, layers, Polynomial.zero(nv), Polynomial.constant(nv, 1)
     )
 
 

@@ -19,6 +19,7 @@ so ratios passing the counting screen are left invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,14 +70,12 @@ def plucker_eval(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
 
 
 def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
-    """Exact value of the product-of-brackets quotient."""
+    """Exact value of the product-of-brackets quotient; a bracket repeated
+    in the ratio is evaluated once."""
     rep = grassmann_embed(matrix)
-    num = Fraction(1)
-    for s in ratio.numerator:
-        num *= rep.bracket(s)
-    den = Fraction(1)
-    for s in ratio.denominator:
-        den *= rep.bracket(s)
+    value = {s: rep.bracket(s) for s in {*ratio.numerator, *ratio.denominator}}
+    num = math.prod((value[s] for s in ratio.numerator), start=Fraction(1))
+    den = math.prod((value[s] for s in ratio.denominator), start=Fraction(1))
     if den == 0:
         raise InvalidInput(f"denominator of {ratio} vanishes on this matrix")
     return num / den

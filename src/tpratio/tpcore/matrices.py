@@ -17,7 +17,7 @@ from typing import Sequence
 from ..combinatorics import MinorSpec, all_minor_specs
 from ..budgets import MAX_MAGNITUDE
 from ..errors import BudgetExceeded, InvalidInput, NotTotallyPositive
-from .network import NetworkParams, flat_weights, network_product
+from .network import NetworkParams, chips, flat_weights, network_product
 
 Row = tuple[Fraction, ...]
 Grid = tuple[Row, ...]
@@ -149,8 +149,8 @@ def network_matrix(params: NetworkParams) -> TPMatrix:
     """The matrix of the weighted planar network; totally positive whenever
     all weights are positive (which `NetworkParams` enforces)."""
     n = params.rank
-    grid = network_product(n, flat_weights(params), Fraction(0), Fraction(1))
-    return TPMatrix(n, grid)
+    layers = chips(n, flat_weights(params))
+    return TPMatrix(n, network_product(n, layers, Fraction(0), Fraction(1)))
 
 
 def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:

@@ -12,12 +12,13 @@ matrix swaps the roles of the ``l`` and ``u`` parameters.
 
 The weights have one flat order, ``L(1..K) < D(1..n) < U(1..K)``
 (`flat_weights`, `variable_names`).  `chips` turns flat weights into the
-layer sequence, and `network_product` multiplies it out over any ring, one
-column operation per layer: `tpratio.tpcore.matrices.network_matrix` runs it
-over `Fraction` and `tpratio.polycheck.symbolic_network_matrix` over
-polynomials.  `tpratio.tpcore.lgv` reads the same layers through
-`chip_entries` and sums path families instead, an independent oracle for
-the product's minors.
+layer sequence, and `network_product`, the one routine that multiplies
+layers, runs over any ring, one column operation per layer:
+`tpratio.tpcore.matrices.network_matrix` over `Fraction`,
+`tpratio.polycheck.symbolic_network_matrix` over polynomials, and
+`tpratio.tpcore.witnesses` on longer layer lists.  `tpratio.tpcore.lgv`
+reads the same layers through `chip_entries` and sums path families
+instead, an independent oracle for the product's minors.
 """
 
 from __future__ import annotations
@@ -110,21 +111,21 @@ def chip_entries(chip: Chip, rank: int):
     return entries
 
 
-def network_product(rank: int, weights: Sequence, zero, one) -> tuple[tuple, ...]:
-    """The network matrix over any ring whose elements support ``+`` and
-    ``*``, from weights in the flat order of `flat_weights`.
+def network_product(rank: int, layers: Sequence[Chip], zero, one) -> tuple[tuple, ...]:
+    """The product of the layers (leftmost first, e.g. `chips`) over any
+    ring whose elements support ``+`` and ``*``.
 
     Each layer is an elementary bidiagonal factor, so right-multiplying the
     running grid by it is one column operation: a lower slant on wire ``w``
     adds weight times column ``w+1`` into column ``w``, an upper slant adds
-    weight times column ``w`` into column ``w+1``, and the diagonal layer
-    scales the columns.
+    weight times column ``w`` into column ``w+1``, and a diagonal layer
+    scales its first ``len(weights)`` columns.
     """
     grid = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
-    for chip in chips(rank, weights):
+    for chip in layers:
         if chip.kind == "diag":
             for row in grid:
-                row[:] = [x * d for x, d in zip(row, chip.weights)]
+                row[: len(chip.weights)] = [x * d for x, d in zip(row, chip.weights)]
             continue
         w = chip.wire - 1  # 0-based column of the slant's wire
         dst, src = (w, w + 1) if chip.kind == "lower" else (w + 1, w)

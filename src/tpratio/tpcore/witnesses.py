@@ -3,8 +3,8 @@
 When the arc-majorization screen fails, an explicit one-parameter family of
 totally positive matrices drives the ratio to infinity.  The family
 ``witness_family(n, s, k, t)`` scales the first ``k`` of ``s`` leading
-channels by ``t`` inside a product of fixed all-ones network matrices; its
-defining property is the degree law
+channels by ``t`` between all-ones network layers; its defining property
+is the degree law
 
     deg_t bracket(alpha) = min(k, |alpha ∩ {1..s}|),
 
@@ -12,7 +12,8 @@ which converts a failed majorization prefix into a numerator/denominator
 degree gap.  The falsifier locates such a gap, rotates the ratio so the
 gap arc leads, and evaluates it on the family along a ladder of ``t``
 values; at rank 4 it also tries every rotation and mirror image of the
-ratio on the known 4 x 4 counterexample family.  Boundedness is invariant
+ratio on the known 4 x 4 counterexample family.  Both families are planar
+networks, totally positive by construction.  Boundedness is invariant
 under these symmetries, so they act on the ratio, never on the matrices.
 Everything is labeled a numerical witness: growth past a threshold, never
 a proof.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from ..combinatorics import (
     RatioExpr,
@@ -33,23 +35,19 @@ from ..combinatorics import (
 )
 from ..errors import InvalidInput
 from .grassmann import eval_ratio, shift_matrix
-from .matrices import TPMatrix, mat_mul, network_matrix, random_tp
-from .network import all_ones_params
+from .matrices import TPMatrix, network_matrix, random_tp
+from .network import Chip, NetworkParams, chips, network_product
 
-T_LADDER: tuple[Fraction, ...] = (
-    Fraction(10),
-    Fraction(100),
-    Fraction(1000),
-    Fraction(10000),
-)
+T_LADDER: tuple[Fraction, ...] = tuple(Fraction(10) ** e for e in range(1, 5))
 THRESHOLD = Fraction(1000)
 LADDER_EXTENSIONS = 4
 RANDOM_TRIALS = 20
 
 
 def witness_family(n: int, s: int, k: int, t: Fraction) -> TPMatrix:
-    """The degree-law family: block-diag(G * diag(t,..,t,1,..,1) * H, I) * C
-    with G, H fixed s x s and C a fixed n x n all-ones network matrix.
+    """The degree-law family block-diag(G * diag(t,..,t,1,..,1) * H, I) * C
+    as one network product: G = H and C are the all-ones networks on the
+    first ``s`` and on all ``n`` wires, so it is totally positive.
 
     Requires ``1 <= k <= s <= n`` and ``t > 0``.
     """
@@ -58,19 +56,9 @@ def witness_family(n: int, s: int, k: int, t: Fraction) -> TPMatrix:
     t = Fraction(t)
     if t <= 0:
         raise InvalidInput("the scale parameter must be positive")
-    g = h = network_matrix(all_ones_params(s)).entries
-    scaled = tuple(
-        tuple(row[c] * (t if c < k else 1) for c in range(s)) for row in g
-    )
-    top = mat_mul(scaled, h)
-    block: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(s):
-        for c in range(s):
-            block[r][c] = top[r][c]
-    for r in range(s, n):
-        block[r][r] = Fraction(1)
-    c_fixed = network_matrix(all_ones_params(n)).entries
-    return TPMatrix(n, mat_mul(tuple(tuple(r) for r in block), c_fixed))
+    g = h = chips(s, [Fraction(1)] * s * s)
+    layers = [*g, Chip("diag", 0, (t,) * k), *h, *chips(n, [Fraction(1)] * n * n)]
+    return TPMatrix(n, network_product(n, layers, Fraction(0), Fraction(1)))
 
 
 def counterexample_matrix(t: Fraction) -> TPMatrix:
@@ -78,8 +66,9 @@ def counterexample_matrix(t: Fraction) -> TPMatrix:
     specific majorization-passing three-over-three ratio still grows without
     bound as ``t`` grows.
 
-    Every minor is a polynomial in ``t`` with positive coefficients over a
-    monomial denominator, hence positive for all ``t > 0``.  The ratio
+    It is the network at the monomial weights below (``u = 1/t``), so by
+    the path-family (LGV) lemma each minor is `symbolic_minor` at them, a
+    Laurent polynomial in ``t`` with positive coefficients.  The ratio
     ``[1,2,3,8][2,3,4,5][4,6,7,8] / [1,4,6,8][2,3,4,8][2,3,5,7]`` equals
     ``t^7 (t^2+t+2) / ((3t^2+2t+3)(4t^2+3t+2)(t^4+t^3+9t^2+6t+3))`` here,
     which grows like ``t/12``: about 833 at ``t = 10^4``, past 1000 only
@@ -87,14 +76,10 @@ def counterexample_matrix(t: Fraction) -> TPMatrix:
     t = Fraction(t)
     if t <= 0:
         raise InvalidInput("the scale parameter must be positive")
-    ti = 1 / t
-    rows = [
-        [1, 3 * ti, 3 * ti**2, ti],
-        [2 + ti, 1 + 6 * ti + 3 * ti**2, 2 * ti + 6 * ti**2 + 3 * ti**3, 1 + 2 * ti + ti**2],
-        [t + 2, t + 4 + 6 * ti, 3 + 5 * ti + 6 * ti**2, 2 * t + 2 + 2 * ti],
-        [t, t + 3, t + 2 + 3 * ti, t**2 + t + 2],
-    ]
-    return TPMatrix.of(rows)
+    u = 1 / t
+    return network_matrix(
+        NetworkParams.of(4, (1, t, u, t, 1, 1), (1, 1, 1, 1), (u, u, u, t, u, u))
+    )
 
 
 @dataclass(frozen=True)
@@ -214,13 +199,14 @@ def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
         attempts.append("majorization screen holds: no degree gap")
 
     if ratio.rank == 4:
+        member = cache(counterexample_matrix)  # each rung's member, built once
         for rotation in range(2 * ratio.rank):
             for mirrored in (False, True):
                 variant = _oriented(ratio, rotation, mirrored)
                 evidence = _climb_ladder(
                     "counterexample-family",
                     (("rotation", rotation), ("mirrored", int(mirrored))),
-                    lambda t: eval_ratio(counterexample_matrix(t), variant),
+                    lambda t: eval_ratio(member(t), variant),
                 )
                 if evidence is not None and evidence.increasing:
                     return evidence

@@ -426,7 +426,17 @@ class TestBadInput:
         path.write_bytes(b"\xff[[1, 1], [1, 2]]")  # raised UnicodeDecodeError
         code, out, err = run(capsys, *argv, str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text", ["nope", "[" * 100_000], ids=["not-json", "nested-past-recursion-limit"]
+    )
+    def test_matrix_file_not_json(self, capsys, tmp_path, text):
+        path = tmp_path / "matrix.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not JSON") and err.count("\n") == 1
 
     def test_long_integer_in_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "matrix.json"

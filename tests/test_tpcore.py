@@ -22,11 +22,13 @@ from tpratio.combinatorics import (
 )
 from tpratio.errors import BudgetExceeded, InvalidInput, NotTotallyPositive
 from tpratio.tpcore import (
+    T_LADDER,
     Evidence,
     Inconclusive,
     NetworkParams,
     TPMatrix,
     counterexample_matrix,
+    det,
     eval_ratio,
     falsify,
     grassmann_embed,
@@ -42,7 +44,8 @@ from tpratio.tpcore import (
     witness_family,
     witness_matrix,
 )
-from tpratio.tpcore.matrices import require_tp
+from tpratio.tpcore import grassmann, witnesses
+from tpratio.tpcore.matrices import mat_mul, require_tp
 from tpratio.tpcore.network import all_ones_params, staircase_word
 
 import util
@@ -165,6 +168,19 @@ class TestGrassmann:
         assert eval_ratio(m, ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)])) == Fraction(1, 2)
         assert eval_ratio(m, ratio(2, [(1, 2), (3, 4)], [(3, 4), (1, 2)])) == 1
 
+    def test_eval_ratio_evaluates_each_bracket_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(grassmann, "det", lambda rows: calls.append(rows) or det(rows))
+        m = TPMatrix.of([[1, 1], [1, 2]])
+        r = ratio(2, [(1, 4), (2, 3), (1, 4), (1, 4)], [(1, 3), (2, 4), (1, 3), (2, 4)])
+        assert eval_ratio(m, r) == Fraction(1, 4)
+        assert len(calls) == 4  # one per distinct bracket, not one per occurrence
+        calls.clear()
+        singular = TPMatrix.of([[1, 1], [1, 1]])  # bracket [1,2] is det = 0
+        with pytest.raises(InvalidInput, match="vanishes"):
+            eval_ratio(singular, ratio(2, [(1, 3), (1, 3)], [(1, 3), (1, 2)]))
+        assert len(calls) == 2
+
 
 class TestShortPlucker:
     @pytest.mark.parametrize("n", [2, 3])
@@ -232,6 +248,27 @@ class TestWitnessFamily:
                     expected = min(k, sum(1 for e in alpha if e <= s))
                     assert util.poly_degree_from_samples(samples) == expected
 
+    @staticmethod
+    def _dense_block_formula(n, s, k, t):
+        """block-diag(G * diag(t,..,t,1,..,1) * H, I) * C from dense all-ones
+        network matrices G = H (rank s) and C (rank n)."""
+        g = network_matrix(all_ones_params(s)).entries
+        scaled = tuple(tuple(x * (t if c < k else 1) for c, x in enumerate(row)) for row in g)
+        top = mat_mul(scaled, g)
+        block = tuple(
+            tuple(top[r][c] if max(r, c) < s else Fraction(r == c) for c in range(n))
+            for r in range(n)
+        )
+        return mat_mul(block, network_matrix(all_ones_params(n)).entries)
+
+    def test_matches_dense_block_formula(self):
+        for n in range(1, 6):
+            for s in range(1, n + 1):
+                for k in range(1, s + 1):
+                    for t in (Fraction(1), Fraction(7, 3), Fraction(10) ** 4):
+                        expected = self._dense_block_formula(n, s, k, t)
+                        assert witness_family(n, s, k, t).entries == expected
+
     def test_monotone_growth_on_failing_ratio(self):
         r = ratio(2, [(1, 3), (2, 4)], [(1, 4), (2, 3)])
         values = [
@@ -245,6 +282,21 @@ class TestCounterexample:
     def test_entries_at_one(self):
         m = counterexample_matrix(Fraction(1))
         assert m.entries[0] == (Fraction(1), Fraction(3), Fraction(3), Fraction(1))
+
+    def test_matches_entry_table(self):
+        """The network at monomial weights equals the Laurent-polynomial table."""
+        rng = random.Random(3)
+        points = [Fraction(10) ** e for e in range(-8, 9)] + [Fraction(1), Fraction(7, 3)]
+        points += [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(20)]
+        for t in points:
+            u = 1 / t
+            table = [
+                [1, 3 * u, 3 * u**2, u],
+                [2 + u, 1 + 6 * u + 3 * u**2, 2 * u + 6 * u**2 + 3 * u**3, 1 + 2 * u + u**2],
+                [t + 2, t + 4 + 6 * u, 3 + 5 * u + 6 * u**2, 2 * t + 2 + 2 * u],
+                [t, t + 3, t + 2 + 3 * u, t**2 + t + 2],
+            ]
+            assert counterexample_matrix(t) == TPMatrix.of(table)
 
     def test_tp_at_1_and_10(self):
         assert verify_tp(counterexample_matrix(Fraction(1)))
@@ -300,6 +352,16 @@ class TestFalsify:
         assert isinstance(out, Evidence)
         assert out.family == "counterexample-family"
         assert out.increasing and out.peak > 1000
+
+    def test_counterexample_member_built_once_per_rung(self, monkeypatch):
+        rungs = []
+        build = witnesses.counterexample_matrix
+        counted = lambda t: rungs.append(t) or build(t)
+        monkeypatch.setattr(witnesses, "counterexample_matrix", counted)
+        out = falsify(ratio(4, [(1, 2, 3, 4), (1, 4, 6, 7)], [(1, 2, 4, 7), (1, 3, 4, 6)]))
+        assert isinstance(out, Inconclusive)
+        assert set(T_LADDER) <= set(rungs)
+        assert len(rungs) == len(set(rungs))  # shared by all 16 orientations
 
     def test_bounded_ratio_inconclusive(self):
         out = falsify(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
