@@ -5,9 +5,11 @@ or parameter lifts a budget."""
 MAX_RANK = 4
 """Largest rank for the exact cone simplex, the symbolic polynomials and the
 path-family oracle.  At rank 5 the simplex tableau grows from 70 x 190 to
-252 x 952; the sparse simplex took 0.9, 1.0 and 13.5 s on three seeded
-rank-5 two-over-two ST0 queries (2-CPU machine, CPython 3.11), against at
-most 0.7 s on each of 232 rank-4 queries."""
+252 x 952; the integer-row simplex took 0.04, 0.40 and 0.04 s on three
+seeded rank-5 two-over-two ST0 queries (1.0, 13.0 and 0.75 s with
+`Fraction` rows; 2-CPU machine, CPython 3.11), against at most 33 ms on
+each of 232 rank-4 queries.  The symbolic polynomials and the path-family
+oracle have not been re-timed at rank 5."""
 
 MAX_RATIO_RANK = 8
 """Largest rank of a ratio `parse_ratio` reads, checked before any index set
@@ -45,3 +47,12 @@ rational; an exponent counts as the digits it stands for).  A value past
 CPython's 4,300-digit int-to-str limit, which a `falsify` report reaches
 once the degree gap passes about 550, is refused with `BudgetExceeded`
 when the report renders it."""
+
+MAX_INPUT_BYTES = 2**17
+"""Most bytes the command line reads from an input file (`--file`,
+`--matrix`), counted before any is decoded: 128 KiB, the least power of
+two over the largest file the tests write (100,000 bytes).  Unbudgeted,
+`check --file /dev/zero` read until memory ran out.  At the budget, a
+rank-8 ratio file of 3,360 terms takes 0.7 s for `check` and 12-13 s for
+`falsify` as a fresh process, in 20 MiB (2-CPU machine, CPython 3.11); at
+256 KiB, 1.1 s and 44 s."""

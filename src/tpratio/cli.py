@@ -19,13 +19,14 @@ errors and exceeded budgets, reported as one ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
 from fractions import Fraction
 
 from . import combinatorics as comb
-from .budgets import MAX_NUMBER_DIGITS, MAX_RATIO_RANK
+from .budgets import MAX_INPUT_BYTES, MAX_NUMBER_DIGITS, MAX_RATIO_RANK
 from .combinatorics import IndexSet, RatioExpr
 from .conelab import InCone, cone_membership, ratio_to_vector, verify_certificate
 from .errors import (
@@ -211,10 +212,14 @@ def _entries(matrix: TPMatrix) -> list[list[str]]:
 
 
 def _read_file(path: str) -> str:
-    """The one reader for input files: UTF-8, whatever the locale."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+    """The one reader for input files: UTF-8, whatever the locale, and at
+    most `MAX_INPUT_BYTES` bytes, counted before any is decoded."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise BudgetExceeded(f"{path}: input files are budgeted to {MAX_INPUT_BYTES} bytes")
+    try:  # text-mode decoding, universal newlines included
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: not UTF-8 text ({exc})") from None
 

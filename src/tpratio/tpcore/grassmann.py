@@ -71,14 +71,18 @@ def plucker_eval(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
 
 def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
     """Exact value of the product-of-brackets quotient; a bracket repeated
-    in the ratio is evaluated once."""
+    in the ratio is evaluated once.  The brackets' integer numerators and
+    denominators are multiplied out separately, and one `Fraction` is
+    reduced at the end."""
     rep = grassmann_embed(matrix)
     value = {s: rep.bracket(s) for s in {*ratio.numerator, *ratio.denominator}}
-    num = math.prod((value[s] for s in ratio.numerator), start=Fraction(1))
-    den = math.prod((value[s] for s in ratio.denominator), start=Fraction(1))
-    if den == 0:
+    down = math.prod(value[s].numerator for s in ratio.denominator)
+    if down == 0:
         raise InvalidInput(f"denominator of {ratio} vanishes on this matrix")
-    return num / den
+    down *= math.prod(value[s].denominator for s in ratio.numerator)
+    up = math.prod(value[s].numerator for s in ratio.numerator)
+    up *= math.prod(value[s].denominator for s in ratio.denominator)
+    return Fraction(up, down)
 
 
 def _restandardize(rank: int, moved_rows: Grid) -> TPMatrix:

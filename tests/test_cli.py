@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpratio.budgets import MAX_MAGNITUDE, MAX_RATIO_RANK
+from tpratio.budgets import MAX_INPUT_BYTES, MAX_MAGNITUDE, MAX_RATIO_RANK
 from tpratio.cli import main, parse_ratio
 from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
 from tpratio.errors import InvalidInput, RatioSyntaxError
@@ -429,6 +429,18 @@ class TestBadInput:
         assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [("check", "--file"), ("eval", "[1,4][2,3]/[1,3][2,4]", "--matrix")],
+        ids=lambda argv: argv[0],
+    )
+    def test_input_file_over_size_budget(self, capsys, tmp_path, argv):
+        path = tmp_path / "input"
+        path.write_text(" " * MAX_INPUT_BYTES + "x")  # one byte over; was read whole
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: input files are budgeted to {MAX_INPUT_BYTES} bytes\n"
+
+    @pytest.mark.parametrize(
         "text", ["nope", "[" * 100_000], ids=["not-json", "nested-past-recursion-limit"]
     )
     def test_matrix_file_not_json(self, capsys, tmp_path, text):
@@ -466,6 +478,14 @@ class TestLargestReports:
         code, out, err = run(capsys, command, "--matrix", str(path), "--json")
         assert (code, err) == (0, "")
         assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
+
+    def test_input_file_at_size_budget(self, capsys, tmp_path):
+        path = tmp_path / "ratio.txt"
+        text = "[1,4][2,3]/[1,3][2,4]\r\n"
+        path.write_bytes(text.encode().ljust(MAX_INPUT_BYTES))
+        code, out, err = run(capsys, "check", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("ratio: [1,4][2,3]/[1,3][2,4]\n")
 
     def test_values_past_the_float_range(self, capsys):
         ratio = "[1,3]" * 80 + "[2,4]" * 80 + "/" + "[1,4]" * 80 + "[2,3]" * 80

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpratio.combinatorics import ExponentVector, IndexSet, RatioExpr, all_index_sets
+from tpratio import conelab
+from tpratio.combinatorics import (
+    ExponentVector,
+    IndexSet,
+    RatioExpr,
+    all_index_sets,
+    cyclic_shift_ratio,
+)
 from tpratio.conelab import (
     InCone,
     Outside,
@@ -15,7 +22,7 @@ from tpratio.conelab import (
     ratio_to_vector,
     verify_certificate,
 )
-from tpratio.errors import BudgetExceeded, InvalidInput
+from tpratio.errors import BudgetExceeded, InvalidInput, InvariantViolation
 from tpratio.factorizer import (
     BasicRatio,
     ElementaryRatio,
@@ -205,3 +212,111 @@ class TestCoherenceWithFactorizer:
         verdict = cone_membership(vec, 4)
         assert isinstance(verdict, Outside)
         assert verify_certificate(vec, verdict, 4)
+
+
+# ---------------------------------------------------------------------------
+# differential test of the integer-row solver
+
+
+def fraction_phase_one(rows, rhs, n_cols):
+    """The former solver, kept as the oracle: the same phase-one simplex
+    with every tableau entry a `Fraction`, same signature and payload as
+    `conelab._phase_one`."""
+    rows = [{j: Fraction(v) for j, v in row.items()} for row in rows]
+    rhs = [Fraction(b) for b in rhs]
+    n_rows = len(rows)
+    last = n_cols + n_rows
+    signs = [-1 if b < 0 else 1 for b in rhs]
+    tableau = []
+    for i, (row, b, sign) in enumerate(zip(rows, rhs, signs)):
+        flipped = {j: sign * v for j, v in row.items()}
+        flipped[n_cols + i] = Fraction(1)
+        if b:
+            flipped[last] = sign * b
+        tableau.append(flipped)
+    objective = {n_cols + i: Fraction(1) for i in range(n_rows)}
+    for i, row in enumerate(tableau):
+        _eliminate(objective, row, n_cols + i)
+    basis = list(range(n_cols, last))
+
+    while True:
+        entering = min((j for j, v in objective.items() if v < 0 and j < last), default=None)
+        if entering is None:
+            break
+        best = None
+        for i, row in enumerate(tableau):
+            coeff = row.get(entering, 0)
+            if coeff > 0:
+                key = (row.get(last, 0) / coeff, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            raise InvariantViolation("phase-one objective is bounded below; no ray exists")
+        p = best[1]
+        pivot = tableau[p][entering]
+        tableau[p] = pivot_row = {j: v / pivot for j, v in tableau[p].items()}
+        for i, row in enumerate(tableau):
+            if i != p and entering in row:
+                _eliminate(row, pivot_row, entering)
+        if entering in objective:
+            _eliminate(objective, pivot_row, entering)
+        basis[p] = entering
+
+    if last not in objective:
+        return True, {
+            var: row[last] for var, row in zip(basis, tableau) if var < n_cols and last in row
+        }
+    return False, [
+        sign * (Fraction(1) - objective.get(n_cols + i, 0)) for i, sign in enumerate(signs)
+    ]
+
+
+def _eliminate(row, pivot_row, entering):
+    f = row[entering]
+    for j, v in pivot_row.items():
+        x = row.get(j, 0) - f * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+UNBOUNDED = ratio(
+    4,
+    [(1, 2, 3, 8), (2, 3, 4, 5), (4, 6, 7, 8)],
+    [(1, 4, 6, 8), (2, 3, 4, 8), (2, 3, 5, 7)],
+)
+
+
+def _random_3over3(rng: random.Random) -> RatioExpr:
+    """A rank-4 three-over-three ST0 ratio: three random numerator sets and
+    a random split of their labels into three denominator sets."""
+    labels = list(range(1, 9))
+    nums = [rng.sample(labels, 4) for _ in range(3)]
+    pool = [e for s in nums for e in s]
+    while True:
+        rng.shuffle(pool)
+        dens = [pool[0:4], pool[4:8], pool[8:12]]
+        if all(len(set(d)) == 4 for d in dens):
+            return ratio(4, nums, dens)
+
+
+def _queries(family):
+    if family == "st0-rank3":
+        return [(ratio_to_vector(r), 3) for r in util.st0_ratios(3)]
+    if family == "generators":
+        return [(b.vector(), rank) for rank in (2, 3, 4) for b in basic_ratios_all(rank)]
+    if family == "unbounded-orbit":  # the two fastest of 16 for the oracle
+        members = [UNBOUNDED, cyclic_shift_ratio(cyclic_shift_ratio(UNBOUNDED))]
+        return [(ratio_to_vector(r), 4) for r in members]
+    rng = random.Random(10)
+    return [(ratio_to_vector(_random_3over3(rng)), 4) for _ in range(6)]
+
+
+@pytest.mark.parametrize("family", ["st0-rank3", "generators", "unbounded-orbit", "sampled-3x3"])
+def test_integer_rows_match_the_fraction_solver(monkeypatch, family):
+    queries = _queries(family)
+    verdicts = [repr(cone_membership(vec, rank)) for vec, rank in queries]
+    monkeypatch.setattr(conelab, "_phase_one", fraction_phase_one)
+    for (vec, rank), verdict in zip(queries, verdicts):
+        assert verdict == repr(cone_membership(vec, rank)), vec

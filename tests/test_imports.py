@@ -1,9 +1,12 @@
-"""Every module under ``src/`` uses what it imports.
+"""Every module under ``src/`` uses what it imports, and every budget is
+read somewhere.
 
 No linter ships with the project, so this reads each module's syntax tree
 with the standard library: a name bound by an import must be read at least
 once, in code or as a string annotation.  Package ``__init__`` modules
-import to re-export and are skipped.
+import to re-export and are skipped.  Every public name in
+`tpratio.budgets`, the one home for budgets, must be read by some other
+module under ``src/``, so no budget outlives the check it names.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+BUDGETS = SRC / "tpratio" / "budgets.py"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -48,3 +52,37 @@ def test_no_unused_import(path):
 
 def test_modules_found():
     assert len(MODULES) >= 10
+
+
+def _budgets_read(tree: ast.Module) -> set[str]:
+    """The budgets a module reads: imported from `budgets` and read, or
+    read as an attribute of a module bound to the name ``budgets``."""
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "budgets"
+        for alias in node.names
+    }
+    read = _read(tree)
+    return {name for bound, name in imported.items() if bound in read} | {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "budgets"
+    }
+
+
+def test_every_budget_is_read():
+    tree = ast.parse(BUDGETS.read_text(encoding="utf-8"))
+    budgets = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and not target.id.startswith("_")
+    }
+    assert budgets
+    read = set()
+    for path in MODULES:
+        if path != BUDGETS:
+            read |= _budgets_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert not budgets - read, f"budgets no module under src/ reads: {sorted(budgets - read)}"

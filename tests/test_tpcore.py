@@ -182,6 +182,28 @@ class TestGrassmann:
         assert len(calls) == 2
 
 
+    def test_eval_ratio_matches_a_running_fraction_product(self):
+        # one Fraction built from integer products equals the quotient of
+        # running Fraction products, on matrices of any sign, with repeats
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            m = TPMatrix.of(
+                [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+            )
+            sets = all_index_sets(n)
+            num = [rng.choice(sets) for _ in range(rng.randint(0, 6))]
+            den = [rng.choice(sets) for _ in range(rng.randint(0, 6))]
+            r = RatioExpr.of(n, num, den)
+            below = util.product_of_values(plucker_eval(m, s) for s in den)
+            if below == 0:
+                with pytest.raises(InvalidInput, match="vanishes"):
+                    eval_ratio(m, r)
+                continue
+            above = util.product_of_values(plucker_eval(m, s) for s in num)
+            assert repr(eval_ratio(m, r)) == repr(above / below)
+
+
 class TestShortPlucker:
     @pytest.mark.parametrize("n", [2, 3])
     def test_relation_everywhere(self, n):
