@@ -15,12 +15,13 @@ MAX_RATIO_RANK = 8
 """Largest rank of a ratio `parse_ratio` reads, checked before any index set
 is built, and of a matrix file the command line reads, checked before any
 entry is parsed.  The slowest legal query at rank 8 is `basics --n 8`,
-0.8 s as a fresh process (2-CPU machine, CPython 3.11); of the ratio
+0.7 s as a fresh process (2-CPU machine, CPython 3.11); of the ratio
 queries, `falsify` on a screen-passing two-over-two ratio, which ends
-after its 20 random trials, takes 0.3 s, and `factor`, `eval --magnitude
-64` and `check` 0.2 s or less.  One random trial costs 5.8 ms at rank 8
-and 7.1 ms at rank 9.  Unbudgeted, `check` at rank 100,000 was still
-running after 10 s."""
+after its 20 random trials, takes 0.23 s, and `factor`, `eval --magnitude
+64` and `check` 0.18 s or less.  `shift --matrix` and `reverse --matrix`
+on a rank-8 matrix take 0.20 and 0.24 s.  One random trial costs 4.0 ms
+at rank 8 and 5.7 ms at rank 9.  Unbudgeted, `check` at rank 100,000 was
+still running after 10 s."""
 
 MAX_LISTED_BASICS = 100_000
 """Most basic ratios `basic_ratios_all` will list: rank 8 has 96,096 and

@@ -213,11 +213,14 @@ def verify_certificate(
         reached = {k: v for k, v in total.items() if v != 0}
         return reached == {k: Fraction(v) for k, v in vector.as_dict().items()}
     y = dict(verdict.certificate)
-    pairing = lambda vec: sum(
-        (y.get(k, Fraction(0)) * v for k, v in vec.items()), Fraction(0)
-    )
-    if pairing(vector.as_dict()) <= 0:
+    pairing = lambda items: sum((y.get(k, Fraction(0)) * v for k, v in items), Fraction(0))
+    if pairing(vector.as_dict().items()) <= 0:
         return False
-    return all(
-        pairing(b.vector().as_dict()) <= 0 for b in basic_ratios_all(rank)
-    )
+    return all(pairing(items) <= 0 for items in _generator_vectors(rank))
+
+
+@cache
+def _generator_vectors(rank: int) -> tuple[tuple[tuple[IndexSet, int], ...], ...]:
+    """The basic ratios' sparse exponent vectors, built once per rank: the
+    checker's own copy, so that it shares nothing with the solver."""
+    return tuple(tuple(b.vector().as_dict().items()) for b in basic_ratios_all(rank))

@@ -1,13 +1,12 @@
-"""Exact totally positive matrices: construction, evaluation, witnesses."""
+"""Exact totally positive matrices: construction from planar networks,
+brackets read as the minors they name, the rotation and mirror as bracket
+relabellings, path-family minors, and the falsifier's witnesses."""
 
 from .grassmann import (
-    GrassmannRep,
     eval_ratio,
-    grassmann_embed,
     plucker_eval,
     reverse_matrix,
     shift_matrix,
-    sign_block,
 )
 from .lgv import lgv_minors
 from .matrices import (
@@ -35,7 +34,6 @@ __all__ = [
     "THRESHOLD",
     "T_LADDER",
     "Evidence",
-    "GrassmannRep",
     "Inconclusive",
     "NetworkParams",
     "TPMatrix",
@@ -44,7 +42,6 @@ __all__ = [
     "det",
     "eval_ratio",
     "falsify",
-    "grassmann_embed",
     "lgv_minors",
     "minor",
     "network_matrix",
@@ -53,7 +50,6 @@ __all__ = [
     "random_tp",
     "reverse_matrix",
     "shift_matrix",
-    "sign_block",
     "staircase_word",
     "variable_names",
     "verify_tp",

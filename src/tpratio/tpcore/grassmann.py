@@ -1,72 +1,42 @@
-"""Embedding totally positive matrices into the positive Grassmannian.
+"""Brackets of a square matrix, and the symmetries of the 2n-gon on them.
 
-An ``n x n`` matrix ``A`` is stacked on top of a fixed ``n x n`` sign block
-(antidiagonal ``+1, -1, +1, ...`` read from the top-right corner) to give a
-``2n x n`` representative whose maximal minors ("brackets") are indexed by
-rank-``n`` index sets.  With this sign block:
+The bracket (Plücker coordinate) of a rank-``n`` index set is the minor
+that `plucker_to_minor` addresses: labels ``<= n`` are rows, and a label
+``e > n`` drops column ``2n+1-e``.  So the bracket of ``{n+1, ..., 2n}`` is
+the empty minor, 1, and that of ``{1, ..., n}`` is ``det A``.  The tests
+check this against the maximal minors of ``A`` stacked on an antidiagonal
+sign block, the ``2n x n`` point of the positive Grassmannian.
 
-* the bracket of ``{n+1, ..., 2n}`` is exactly 1,
-* the bracket of ``{1, ..., n}`` is ``det A``, and
-* every bracket equals the minor of ``A`` addressed by `plucker_to_minor`,
-  which is the bridge the whole library leans on (and pins down the sign
-  convention; the test suite checks it exhaustively for ranks 2 to 4).
-
-The rotation and mirror constructions (`shift_matrix`, `reverse_matrix`)
-permute representative rows, restandardize the lower block, and return the
-new upper block; they rescale every bracket by one common positive factor,
-so ratios passing the counting screen are left invariant.
+The rotation and mirror are bracket relabellings: `shift_matrix` and
+`reverse_matrix` return the matrix whose bracket at each index set is the
+input's at the set rotated one step back, or mirrored, over one common
+positive bracket.  So the base bracket stays 1, and the factor cancels from
+every `RatioExpr`, whose two sides hold equally many brackets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from ..combinatorics import IndexSet, RatioExpr
+from ..combinatorics import (
+    IndexSet,
+    MinorSpec,
+    RatioExpr,
+    base_set,
+    cyclic_shift,
+    minor_to_plucker,
+    plucker_to_minor,
+    reversal,
+)
 from ..errors import InvalidInput
-from .matrices import Grid, TPMatrix, det, inverse, mat_mul, require_tp
-
-
-def sign_block(rank: int) -> Grid:
-    """Rows n+1..2n of the standard representative: row r has its only
-    nonzero, ``(-1)**(r-1)``, in column ``n+1-r``."""
-    n = rank
-    rows = []
-    for r in range(1, n + 1):
-        row = [Fraction(0)] * n
-        row[n - r] = Fraction((-1) ** (r - 1))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class GrassmannRep:
-    """A ``2n x n`` matrix whose lower block is the standard sign block."""
-
-    rank: int
-    rows: Grid
-
-    def __post_init__(self):
-        n = self.rank
-        if len(self.rows) != 2 * n or any(len(r) != n for r in self.rows):
-            raise InvalidInput(f"representative is not {2 * n} x {n}")
-
-    def bracket(self, alpha: IndexSet) -> Fraction:
-        if alpha.rank != self.rank:
-            raise InvalidInput(
-                f"index set rank {alpha.rank} vs representative rank {self.rank}"
-            )
-        return det([self.rows[e - 1] for e in alpha.elements])
-
-
-def grassmann_embed(matrix: TPMatrix) -> GrassmannRep:
-    return GrassmannRep(matrix.rank, matrix.entries + sign_block(matrix.rank))
+from .matrices import TPMatrix, minor, require_tp
 
 
 def plucker_eval(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
-    """Bracket of ``alpha``; equals the minor addressed by `plucker_to_minor`."""
-    return grassmann_embed(matrix).bracket(alpha)
+    """Bracket of ``alpha``: the minor addressed by `plucker_to_minor`."""
+    return minor(matrix, plucker_to_minor(alpha))
 
 
 def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
@@ -74,8 +44,7 @@ def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
     in the ratio is evaluated once.  The brackets' integer numerators and
     denominators are multiplied out separately, and one `Fraction` is
     reduced at the end."""
-    rep = grassmann_embed(matrix)
-    value = {s: rep.bracket(s) for s in {*ratio.numerator, *ratio.denominator}}
+    value = {s: plucker_eval(matrix, s) for s in {*ratio.numerator, *ratio.denominator}}
     down = math.prod(value[s].numerator for s in ratio.denominator)
     if down == 0:
         raise InvalidInput(f"denominator of {ratio} vanishes on this matrix")
@@ -85,26 +54,30 @@ def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
     return Fraction(up, down)
 
 
-def _restandardize(rank: int, moved_rows: Grid) -> TPMatrix:
-    """Right-multiply so the lower block returns to the standard sign block,
-    then read off the upper block."""
-    n = rank
-    lower = moved_rows[n:]
-    transform = mat_mul(inverse(lower), sign_block(n))
-    fixed = mat_mul(moved_rows, transform)
-    assert fixed[n:] == sign_block(n)
-    return TPMatrix(n, fixed[:n])
+def _relabelled(matrix: TPMatrix, relabel: Callable[[IndexSet], IndexSet]) -> TPMatrix:
+    """The matrix whose bracket at each index set is ``matrix``'s at its
+    relabelling, over ``matrix``'s at the relabelled base set.  Entry
+    ``(i, j)`` is the bracket of the one-by-one minor ``(i|j)``."""
+    n = matrix.rank
+    scale = plucker_eval(matrix, relabel(base_set(n)))
+    at = lambda i, j: plucker_eval(matrix, relabel(minor_to_plucker(MinorSpec(n, (i,), (j,)))))
+    return TPMatrix(
+        n, tuple(tuple(at(i, j) / scale for j in range(1, n + 1)) for i in range(1, n + 1))
+    )
+
+
+def _rotated_back(alpha: IndexSet) -> IndexSet:
+    """The inverse of `cyclic_shift`: ``2n - 1`` steps forward."""
+    for _ in range(2 * alpha.rank - 1):
+        alpha = cyclic_shift(alpha)
+    return alpha
 
 
 def shift_matrix(matrix: TPMatrix) -> TPMatrix:
     """The matrix whose bracket at the rotated index set is a fixed positive
     multiple of the input's bracket at the original index set."""
     require_tp(matrix, "shift_matrix")
-    n = matrix.rank
-    rep = grassmann_embed(matrix)
-    sign = Fraction((-1) ** (n - 1))
-    moved = (tuple(sign * x for x in rep.rows[2 * n - 1]),) + rep.rows[: 2 * n - 1]
-    result = _restandardize(n, moved)
+    result = _relabelled(matrix, _rotated_back)
     require_tp(result, "shift_matrix output")
     return result
 
@@ -113,9 +86,6 @@ def reverse_matrix(matrix: TPMatrix) -> TPMatrix:
     """The matrix whose bracket at the mirrored index set is a fixed positive
     multiple of the input's bracket at the original index set."""
     require_tp(matrix, "reverse_matrix")
-    n = matrix.rank
-    rep = grassmann_embed(matrix)
-    moved = tuple(reversed(rep.rows))
-    result = _restandardize(n, moved)
+    result = _relabelled(matrix, reversal)
     require_tp(result, "reverse_matrix output")
     return result

@@ -1,8 +1,11 @@
 """Exact rational matrices, minors, and total-positivity checks.
 
 Everything in this module is exact: entries are `fractions.Fraction`, and
-no floating point appears anywhere.  Matrices are small (rank <= 4 in all
-driving use cases), so determinants use plain fraction-exact elimination.
+no floating point appears anywhere.  `minor` is the one exact minor the
+library evaluates brackets with: `grassmann` reads each bracket as the minor
+`plucker_to_minor` names, a determinant of at most ``n x n`` and often much
+smaller.  Matrices are small (rank <= 4 in all driving use cases), so
+determinants use plain fraction-exact elimination.
 Network matrices come from `tpratio.tpcore.network.network_product`, the
 one routine that multiplies out the planar network, here over `Fraction`.
 """
@@ -25,21 +28,6 @@ Grid = tuple[Row, ...]
 
 def as_grid(rows: Sequence[Sequence]) -> Grid:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def mat_mul(a: Grid, b: Grid) -> Grid:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert all(len(r) == inner for r in a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
-        for i in range(rows)
-    )
-
-
-def identity_grid(n: int) -> Grid:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -65,24 +53,6 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                 for c in range(col, n):
                     work[r][c] -= factor * work[col][c]
     return sign * result
-
-
-def inverse(rows: Grid) -> Grid:
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
-    n = len(rows)
-    work = [list(r) + list(identity_grid(n)[i]) for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
 
 
 @dataclass(frozen=True)

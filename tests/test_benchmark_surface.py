@@ -1,0 +1,33 @@
+"""The benchmark's hold on the library: every function its tracer wraps
+still exists, and the first queries of each workload run and pass the
+benchmark's own output checks.  A rename under ``src/`` that the benchmark
+depends on fails here instead of only as a failed benchmark run.
+
+Only reads ``perfbench/tracer.py`` and ``perfbench/workloads.py``."""
+
+import importlib
+import time
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_targets_and_first_queries(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    started = time.monotonic()
+    originals = [getattr(home, attr) for _, home, attr in tracer.TARGETS]
+    recorder = tracer.SpanRecorder()
+    restore = tracer.install(recorder)  # getattr of every target
+    try:
+        for workload in workloads.WORKLOADS:
+            for query in workloads.stream(workload, 1, 2):
+                outcome = workload.recipe(query.text)
+                assert workloads.check(query, outcome) is None, query.text
+                assert workloads.summarize(outcome)
+    finally:
+        restore()
+    assert recorder.count("conelab.cone_membership") == 2  # the cone-r4 queries
+    assert [getattr(home, attr) for _, home, attr in tracer.TARGETS] == originals
+    assert time.monotonic() - started < 2

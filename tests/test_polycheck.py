@@ -19,9 +19,15 @@ from tpratio.polycheck import (
     symbolic_minor,
     symbolic_network_matrix,
 )
-from tpratio.tpcore import NetworkParams, lgv_minors, minor, network_matrix, random_network
+from tpratio.tpcore import (
+    NetworkParams,
+    lgv_minors,
+    minor,
+    network_matrix,
+    plucker_eval,
+    random_network,
+)
 from tpratio.tpcore.network import flat_weights
-from tpratio.tpcore.grassmann import grassmann_embed
 
 import util
 
@@ -97,9 +103,8 @@ class TestRatioDifference:
         for seed in range(5):
             p = random_network(3, seed)
             m = network_matrix(p)
-            rep = grassmann_embed(m)
-            num = util.product_of_values(rep.bracket(s) for s in r.numerator)
-            den = util.product_of_values(rep.bracket(s) for s in r.denominator)
+            num = util.product_of_values(plucker_eval(m, s) for s in r.numerator)
+            den = util.product_of_values(plucker_eval(m, s) for s in r.denominator)
             assert diff.evaluate(flat_weights(p)) == den - num
 
 

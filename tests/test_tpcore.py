@@ -28,10 +28,8 @@ from tpratio.tpcore import (
     NetworkParams,
     TPMatrix,
     counterexample_matrix,
-    det,
     eval_ratio,
     falsify,
-    grassmann_embed,
     lgv_minors,
     minor,
     network_matrix,
@@ -45,7 +43,7 @@ from tpratio.tpcore import (
     witness_matrix,
 )
 from tpratio.tpcore import grassmann, witnesses
-from tpratio.tpcore.matrices import mat_mul, require_tp
+from tpratio.tpcore.matrices import require_tp
 from tpratio.tpcore.network import all_ones_params, staircase_word
 
 import util
@@ -121,9 +119,9 @@ class TestRandomTp:
 
 class TestGrassmann:
     def test_lower_block_n2(self):
-        rep = grassmann_embed(TPMatrix.of([[1, 1], [1, 2]]))
-        assert rep.rows[2] == (Fraction(0), Fraction(1))
-        assert rep.rows[3] == (Fraction(-1), Fraction(0))
+        rep = util.representative(TPMatrix.of([[1, 1], [1, 2]]))
+        assert rep[2] == (Fraction(0), Fraction(1))
+        assert rep[3] == (Fraction(-1), Fraction(0))
 
     def test_bracket_examples_n2(self):
         m = TPMatrix.of([[1, 1], [1, 2]])
@@ -150,7 +148,29 @@ class TestGrassmann:
         for seed in range(3):
             m = random_tp(n, seed)
             for spec in all_minor_specs(n):
-                assert plucker_eval(m, minor_to_plucker(spec)) == minor(m, spec)
+                assert minor(m, spec) == util.representative_bracket(m, minor_to_plucker(spec))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bridge_identity_arbitrary_matrices(self, n):
+        # `eval --matrix` reads any matrix: negative entries, and singular
+        # ones (a repeated row, a zero column, the all-zero matrix)
+        rng = random.Random(n)
+        entry = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        matrices = []
+        for trial in range(6):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            if trial == 1:
+                rows[-1] = rows[0]
+            elif trial == 2:
+                for row in rows:
+                    row[n // 2] = Fraction(0)
+            elif trial == 3:
+                rows = [[Fraction(0)] * n for _ in range(n)]
+            matrices.append(TPMatrix.of(rows))
+        assert any(x < 0 for m in matrices for row in m.entries for x in row)
+        for m in matrices:
+            for alpha in all_index_sets(n):
+                assert plucker_eval(m, alpha) == util.representative_bracket(m, alpha)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_brackets_positive(self, n):
@@ -170,7 +190,8 @@ class TestGrassmann:
 
     def test_eval_ratio_evaluates_each_bracket_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(grassmann, "det", lambda rows: calls.append(rows) or det(rows))
+        counted = lambda m, alpha: calls.append(alpha) or plucker_eval(m, alpha)
+        monkeypatch.setattr(grassmann, "plucker_eval", counted)
         m = TPMatrix.of([[1, 1], [1, 2]])
         r = ratio(2, [(1, 4), (2, 3), (1, 4), (1, 4)], [(1, 3), (2, 4), (1, 3), (2, 4)])
         assert eval_ratio(m, r) == Fraction(1, 4)
@@ -210,12 +231,11 @@ class TestShortPlucker:
         labels = range(1, 2 * n + 1)
         for seed in range(5):
             m = random_tp(n, seed + 20)
-            rep = grassmann_embed(m)
             for quad in itertools.combinations(labels, 4):
                 i1, i2, j1, j2 = quad
                 rest = [e for e in labels if e not in quad]
                 for core in itertools.combinations(rest, n - 2):
-                    br = lambda *xs: rep.bracket(IndexSet.of(n, xs + core))
+                    br = lambda *xs: plucker_eval(m, IndexSet.of(n, xs + core))
                     assert br(i1, i2) * br(j1, j2) + br(i1, j2) * br(i2, j1) == br(
                         i1, j1
                     ) * br(i2, j2)
@@ -232,6 +252,14 @@ class TestShiftReverse:
             value = eval_ratio(m, r)
             assert eval_ratio(shift_matrix(m), cyclic_shift_ratio(r)) == value
             assert eval_ratio(reverse_matrix(m), reversal_ratio(r)) == value
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_representative_oracle(self, n):
+        for magnitude in (3, 20):
+            for seed in range(4):
+                m = random_tp(n, seed, magnitude)
+                assert repr(shift_matrix(m)) == repr(util.shift_oracle(m))
+                assert repr(reverse_matrix(m)) == repr(util.reverse_oracle(m))
 
     def test_outputs_are_tp(self):
         m = TPMatrix.of([[1, 1], [1, 2]])
@@ -276,12 +304,12 @@ class TestWitnessFamily:
         network matrices G = H (rank s) and C (rank n)."""
         g = network_matrix(all_ones_params(s)).entries
         scaled = tuple(tuple(x * (t if c < k else 1) for c, x in enumerate(row)) for row in g)
-        top = mat_mul(scaled, g)
+        top = util.mat_mul(scaled, g)
         block = tuple(
             tuple(top[r][c] if max(r, c) < s else Fraction(r == c) for c in range(n))
             for r in range(n)
         )
-        return mat_mul(block, network_matrix(all_ones_params(n)).entries)
+        return util.mat_mul(block, network_matrix(all_ones_params(n)).entries)
 
     def test_matches_dense_block_formula(self):
         for n in range(1, 6):

@@ -3,7 +3,8 @@
 Everything here is deliberately written against the problem statement, not
 against the library internals, so the tests keep their value as oracles:
 the degree fitter uses divided differences, ratio enumeration works from
-raw index counting, and exponent bookkeeping is redone with dictionaries.
+raw index counting, exponent bookkeeping is redone with dictionaries, and
+brackets and their symmetries are read off the ``2n x n`` representative.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
+from tpratio.tpcore import TPMatrix, det
 
 
 def st0_pairs_by_profile(rank: int):
@@ -86,3 +88,76 @@ def product_of_values(values) -> Fraction:
     for v in values:
         total *= v
     return total
+
+
+# The 2n x n representative: the matrix stacked on the antidiagonal sign
+# block.  Its maximal minors are the brackets, and moving its rows rotates or
+# mirrors them; the tests hold the library's bracket evaluator and its
+# symmetries to this construction.
+
+
+def sign_block(rank: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows n+1..2n of the representative: row r has its only nonzero,
+    ``(-1)**(r-1)``, in column ``n+1-r``."""
+    return tuple(
+        tuple(Fraction((-1) ** (r - 1)) if c == rank - r else Fraction(0) for c in range(rank))
+        for r in range(1, rank + 1)
+    )
+
+
+def mat_mul(a, b):
+    inner, cols = len(b), len(b[0])
+    assert all(len(r) == inner for r in a)
+    return tuple(
+        tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
+        for row in a
+    )
+
+
+def inverse(rows):
+    """Exact inverse by Gauss-Jordan; raises on singular input."""
+    n = len(rows)
+    work = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def representative(matrix: TPMatrix):
+    return matrix.entries + sign_block(matrix.rank)
+
+
+def representative_bracket(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
+    """The maximal minor of the representative on the rows ``alpha``."""
+    rows = representative(matrix)
+    return det([rows[e - 1] for e in alpha])
+
+
+def _restandardize(rank: int, moved_rows) -> TPMatrix:
+    """Right-multiply so the lower block returns to the sign block, then
+    read off the upper block."""
+    fixed = mat_mul(moved_rows, mat_mul(inverse(moved_rows[rank:]), sign_block(rank)))
+    assert fixed[rank:] == sign_block(rank)
+    return TPMatrix(rank, fixed[:rank])
+
+
+def shift_oracle(matrix: TPMatrix) -> TPMatrix:
+    """Move the last representative row to the top, with the sign that
+    keeps every bracket's orientation, and restandardize."""
+    n, rows = matrix.rank, representative(matrix)
+    sign = Fraction((-1) ** (n - 1))
+    return _restandardize(n, (tuple(sign * x for x in rows[-1]),) + rows[:-1])
+
+
+def reverse_oracle(matrix: TPMatrix) -> TPMatrix:
+    """Reverse the representative's rows and restandardize."""
+    return _restandardize(matrix.rank, tuple(reversed(representative(matrix))))
