@@ -1,17 +1,22 @@
 """Exact rational matrices, minors, and total-positivity checks.
 
-Everything in this module is exact: entries are `fractions.Fraction`, and
-no floating point appears anywhere.  `minor` is the one exact minor the
-library evaluates brackets with: `grassmann` reads each bracket as the minor
+Everything in this module is exact and no floating point appears anywhere.
+Entries are `fractions.Fraction` at the boundary; the two kernels inside
+run over Python ints.  `minor` is the one exact minor the library evaluates
+brackets with: `grassmann` reads each bracket as the minor
 `plucker_to_minor` names, a determinant of at most ``n x n`` and often much
-smaller.  Matrices are small (rank <= 4 in all driving use cases), so
-determinants use plain fraction-exact elimination.
-Network matrices come from `tpratio.tpcore.network.network_product`, the
-one routine that multiplies out the planar network, here over `Fraction`.
+smaller.  `det` clears one denominator per row and runs Bareiss's
+fraction-free elimination, so every division is exact and no gcd is paid
+until the one `Fraction` it returns.
+`network_matrix` multiplies the planar network out with
+`tpratio.tpcore.network.network_product`, the one routine that multiplies
+layers, over integer layers that share one denominator for the whole
+matrix.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +25,7 @@ from typing import Sequence
 from ..combinatorics import MinorSpec, all_minor_specs
 from ..budgets import MAX_MAGNITUDE
 from ..errors import BudgetExceeded, InvalidInput, NotTotallyPositive
-from .network import NetworkParams, chips, flat_weights, network_product
+from .network import Chip, NetworkParams, chips, flat_weights, network_product
 
 Row = tuple[Fraction, ...]
 Grid = tuple[Row, ...]
@@ -31,28 +36,39 @@ def as_grid(rows: Sequence[Sequence]) -> Grid:
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction elimination with row swaps."""
+    """Exact determinant by Bareiss elimination over ints, with row swaps.
+
+    Each row is cleared by the lcm of its denominators, and the product of
+    those lcms is the scale the integer determinant is divided by.  Step
+    ``k`` replaces every entry below and right of the pivot by the 2 x 2
+    minor with the pivot, divided exactly by the previous pivot, so the
+    last pivot is the determinant of the cleared rows."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    work = [list(r) for r in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
+    work, scale = [], 1
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (lcm // x.denominator) for x in row])
+        scale *= lcm
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            work[k], work[swap] = work[swap], work[k]
             sign = -sign
-        pv = work[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] / pv
-                for c in range(col, n):
-                    work[r][c] -= factor * work[col][c]
-    return sign * result
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        for row in work[k + 1 :]:
+            lead = row[k]
+            row[k + 1 :] = [
+                (pivot * x - lead * y) // previous
+                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        previous = pivot
+    return Fraction(sign * work[-1][-1], scale)
 
 
 @dataclass(frozen=True)
@@ -117,10 +133,35 @@ def verify_tp(matrix: TPMatrix) -> bool:
 
 def network_matrix(params: NetworkParams) -> TPMatrix:
     """The matrix of the weighted planar network; totally positive whenever
-    all weights are positive (which `NetworkParams` enforces)."""
+    all weights are positive (which `NetworkParams` enforces).
+
+    The product runs over ints with one denominator for the whole matrix:
+    the diagonal layer is cleared by the lcm of its denominators, and a
+    slant of weight ``p/q`` is ``1/q`` times the integer layers that scale
+    every column but the slant's source by ``q``, add ``p`` times the
+    source, and then scale the source by ``q``."""
     n = params.rank
-    layers = chips(n, flat_weights(params))
-    return TPMatrix(n, network_product(n, layers, Fraction(0), Fraction(1)))
+    layers, scale = [], 1
+    for chip in chips(n, flat_weights(params)):
+        if chip.kind == "diag":
+            lcm = math.lcm(*(d.denominator for d in chip.weights))
+            cleared = tuple(d.numerator * (lcm // d.denominator) for d in chip.weights)
+            layers.append(Chip("diag", 0, cleared))
+            scale *= lcm
+            continue
+        p, q = chip.weights[0].numerator, chip.weights[0].denominator
+        slant = Chip(chip.kind, chip.wire, (p,))
+        if q == 1:  # the scaling layers would be the identity
+            layers.append(slant)
+            continue
+        source = chip.wire if chip.kind == "lower" else chip.wire - 1  # 0-based
+        scales = [q] * n
+        scales[source] = 1
+        # a diagonal layer scales only its first len(weights) columns
+        layers += [Chip("diag", 0, tuple(scales)), slant, Chip("diag", 0, (1,) * source + (q,))]
+        scale *= q
+    grid = network_product(n, layers, 0, 1)
+    return TPMatrix(n, tuple(tuple(Fraction(x, scale) for x in row) for row in grid))
 
 
 def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:

@@ -29,5 +29,8 @@ def test_tracer_targets_and_first_queries(monkeypatch):
     finally:
         restore()
     assert recorder.count("conelab.cone_membership") == 2  # the cone-r4 queries
+    # the per-layer figures for the exact kernels read these spans
+    assert recorder.count("matrices.det") > 0
+    assert recorder.count("matrices.random_tp") > 0
     assert [getattr(home, attr) for _, home, attr in tracer.TARGETS] == originals
     assert time.monotonic() - started < 2

@@ -28,6 +28,7 @@ from tpratio.tpcore import (
     NetworkParams,
     TPMatrix,
     counterexample_matrix,
+    det,
     eval_ratio,
     falsify,
     lgv_minors,
@@ -44,7 +45,13 @@ from tpratio.tpcore import (
 )
 from tpratio.tpcore import grassmann, witnesses
 from tpratio.tpcore.matrices import require_tp
-from tpratio.tpcore.network import all_ones_params, staircase_word
+from tpratio.tpcore.network import (
+    all_ones_params,
+    chips,
+    flat_weights,
+    network_product,
+    staircase_word,
+)
 
 import util
 
@@ -64,6 +71,50 @@ UNBOUNDED_3OVER3 = ratio(
     [(1, 2, 3, 8), (2, 3, 4, 5), (4, 6, 7, 8)],
     [(1, 4, 6, 8), (2, 3, 4, 8), (2, 3, 5, 7)],
 )
+
+
+def rational_rows(rng, n, denominators, numerators=range(-9, 10)):
+    return [
+        [Fraction(rng.choice(numerators), rng.choice(denominators)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+class TestDet:
+    """`det` eliminates over ints; `util.fraction_det` is the reference."""
+
+    def test_examples(self):
+        assert det([]) == 1
+        assert det([[Fraction(-3, 4)]]) == Fraction(-3, 4)
+        assert det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+        # the second pivot vanishes only after the first step, and needs a swap
+        assert det(TPMatrix.of([[1, 2, 3], [2, 4, 5], [3, 5, 6]]).entries) == -1
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_fraction_elimination(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            mixed = rational_rows(rng, n, (1, 2, 3, 5, 7, 12))
+            integer = rational_rows(rng, n, (1,))
+            sparse = rational_rows(rng, n, (1, 3), numerators=(-1, 0, 0, 0, 1))
+            cases = [mixed, integer, sparse]
+            if n:
+                zero_lead = [list(r) for r in mixed]
+                zero_lead[0][0] = Fraction(0)
+                zero_column = [r[:-1] + [Fraction(0)] for r in mixed]
+                repeated = mixed[:-1] + [list(mixed[0])]
+                cases += [zero_lead, zero_column, repeated]
+            if n >= 3:
+                combined = mixed[:-1] + [[a - 2 * b for a, b in zip(mixed[0], mixed[1])]]
+                cases.append(combined)
+            for rows in cases:
+                assert det(rows) == util.fraction_det(rows), rows
+            if n:
+                assert det(zero_column) == 0
+            if n >= 2:
+                assert det(repeated) == 0
+            if n >= 3:
+                assert det(combined) == 0
 
 
 class TestNetwork:
@@ -89,6 +140,28 @@ class TestNetwork:
     def test_n1(self):
         m = network_matrix(NetworkParams.of(1, [], [5], []))
         assert m.entries == ((Fraction(5),),)
+
+    @staticmethod
+    def fraction_product(p):
+        layers = chips(p.rank, flat_weights(p))
+        return TPMatrix(p.rank, network_product(p.rank, layers, Fraction(0), Fraction(1)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_fraction_product(self, n):
+        for magnitude in (1, 6, 64):
+            for seed in range(4):
+                p = random_network(n, seed, magnitude)
+                assert network_matrix(p) == self.fraction_product(p)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_fraction_product_non_dyadic(self, n):
+        pool = [Fraction(7, 3), Fraction(5, 12), Fraction(1, 9), Fraction(2), Fraction(11, 6)]
+        k = n * (n - 1) // 2
+        for seed in range(10):
+            rng = random.Random(seed)
+            draw = lambda count: [rng.choice(pool) for _ in range(count)]
+            p = NetworkParams.of(n, draw(k), draw(n), draw(k))
+            assert network_matrix(p) == self.fraction_product(p)
 
     def test_positive_weights_required(self):
         with pytest.raises(InvalidInput, match="network weight 0 is not positive"):
@@ -381,6 +454,16 @@ class TestLgv:
         m = network_matrix(p)
         rng = random.Random(4)
         specs = rng.sample(all_minor_specs(4), 50)
+        for spec in specs:
+            assert lgv_minors(p, spec) == minor(m, spec)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oracle_equivalence_at_search_magnitude_n4(self, seed):
+        """All 70 minors at the random search's magnitude."""
+        p = random_network(4, seed, magnitude=6)
+        m = network_matrix(p)
+        specs = all_minor_specs(4)
+        assert len(specs) == 70
         for spec in specs:
             assert lgv_minors(p, spec) == minor(m, spec)
 

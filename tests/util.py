@@ -3,8 +3,9 @@
 Everything here is deliberately written against the problem statement, not
 against the library internals, so the tests keep their value as oracles:
 the degree fitter uses divided differences, ratio enumeration works from
-raw index counting, exponent bookkeeping is redone with dictionaries, and
-brackets and their symmetries are read off the ``2n x n`` representative.
+raw index counting, exponent bookkeeping is redone with dictionaries,
+determinants use plain `Fraction` elimination, and brackets and their
+symmetries are read off the ``2n x n`` representative.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
-from tpratio.tpcore import TPMatrix, det
+from tpratio.tpcore import TPMatrix
 
 
 def st0_pairs_by_profile(rank: int):
@@ -83,6 +84,32 @@ def poly_degree_from_samples(samples: list[tuple[Fraction, Fraction]]) -> int:
     return degree
 
 
+def fraction_det(rows) -> Fraction:
+    """Exact determinant by `Fraction` elimination with row swaps: the
+    reference the library's integer elimination is held to."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    work = [[Fraction(x) for x in r] for r in rows]
+    sign = 1
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            sign = -sign
+        pv = work[col][col]
+        result *= pv
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                factor = work[r][col] / pv
+                for c in range(col, n):
+                    work[r][c] -= factor * work[col][c]
+    return sign * result
+
+
 def product_of_values(values) -> Fraction:
     total = Fraction(1)
     for v in values:
@@ -139,7 +166,7 @@ def representative(matrix: TPMatrix):
 def representative_bracket(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
     """The maximal minor of the representative on the rows ``alpha``."""
     rows = representative(matrix)
-    return det([rows[e - 1] for e in alpha])
+    return fraction_det([rows[e - 1] for e in alpha])
 
 
 def _restandardize(rank: int, moved_rows) -> TPMatrix:
