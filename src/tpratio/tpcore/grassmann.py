@@ -12,10 +12,16 @@ The rotation and mirror are bracket relabellings: `shift_matrix` and
 input's at the set rotated one step back, or mirrored, over one common
 positive bracket.  So the base bracket stays 1, and the factor cancels from
 every `RatioExpr`, whose two sides hold equally many brackets.
+
+`ratio_value` multiplies a ratio out from any source of bracket values.
+`eval_ratio` feeds it `plucker_eval`, one minor per distinct bracket; a
+caller that reads many ratios off one matrix feeds it `all_brackets`, the
+table of every bracket at once, keyed by `IndexSet.mask`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -39,12 +45,51 @@ def plucker_eval(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
     return minor(matrix, plucker_to_minor(alpha))
 
 
-def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
-    """Exact value of the product-of-brackets quotient; a bracket repeated
-    in the ratio is evaluated once.  The brackets' integer numerators and
-    denominators are multiplied out separately, and one `Fraction` is
-    reduced at the end."""
-    value = {s: plucker_eval(matrix, s) for s in {*ratio.numerator, *ratio.denominator}}
+def all_brackets(matrix: TPMatrix) -> dict[int, Fraction]:
+    """Every bracket of ``matrix``, keyed by `IndexSet.mask`: rows are the
+    low ``n`` bits, and a dropped column ``c`` is bit ``2n - c``.
+
+    The matrix is cleared by one common denominator, ``scale``, and its
+    minors are computed over ints in increasing size by Laplace expansion
+    along their first row, each from the minors one size smaller.  A
+    size-``k`` bracket is the integer minor over ``scale**k``; the base set
+    is the empty minor, 1.  `plucker_eval` reads the same values one at a
+    time."""
+    n = matrix.rank
+    scale = math.lcm(*(x.denominator for row in matrix.entries for x in row))
+    cleared = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix.entries]
+    dropped = lambda cols: sum(1 << (2 * n - 1 - c) for c in range(n) if c not in cols)
+    table = {dropped(()): Fraction(1)}
+    minors = {0: 1}  # rows mask | columns mask << n  ->  integer minor
+    for k in range(1, n + 1):
+        denominator = scale**k
+        # (0-based columns, their mask above the rows, their bracket bits)
+        col_sets = [
+            (cols, sum(1 << c for c in cols) << n, dropped(cols))
+            for cols in itertools.combinations(range(n), k)
+        ]
+        larger = {}
+        for rows in itertools.combinations(range(n), k):
+            first = cleared[rows[0]]
+            rest = sum(1 << r for r in rows[1:])
+            row_mask = rest | 1 << rows[0]
+            for cols, col_mask, dropped_mask in col_sets:
+                value = 0
+                for j, c in enumerate(cols):
+                    term = first[c] * minors[rest | col_mask ^ 1 << (c + n)]
+                    value += -term if j & 1 else term
+                larger[row_mask | col_mask] = value
+                table[row_mask | dropped_mask] = Fraction(value, denominator)
+        minors = larger
+    return table
+
+
+def ratio_value(ratio: RatioExpr, bracket: Callable[[IndexSet], Fraction]) -> Fraction:
+    """Exact value of the product-of-brackets quotient, with ``bracket``
+    giving each bracket's value; a bracket repeated in the ratio is read
+    once.  The brackets' integer numerators and denominators are multiplied
+    out separately, and one `Fraction` is reduced at the end."""
+    value = {s: bracket(s) for s in {*ratio.numerator, *ratio.denominator}}
     down = math.prod(value[s].numerator for s in ratio.denominator)
     if down == 0:
         raise InvalidInput(f"denominator of {ratio} vanishes on this matrix")
@@ -52,6 +97,12 @@ def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
     up = math.prod(value[s].numerator for s in ratio.numerator)
     up *= math.prod(value[s].denominator for s in ratio.denominator)
     return Fraction(up, down)
+
+
+def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:
+    """Exact value of the ratio on ``matrix``, one `plucker_eval` per
+    distinct bracket; see `ratio_value`."""
+    return ratio_value(ratio, lambda s: plucker_eval(matrix, s))
 
 
 def _relabelled(matrix: TPMatrix, relabel: Callable[[IndexSet], IndexSet]) -> TPMatrix:

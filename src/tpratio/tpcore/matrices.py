@@ -174,8 +174,9 @@ def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:
         raise BudgetExceeded(f"magnitude is budgeted to {MAX_MAGNITUDE}")
     rng = random.Random(seed)
     k = rank * (rank - 1) // 2
+    dyadic = lambda e: Fraction(2**e) if e >= 0 else Fraction(1, 2**-e)
     draw = lambda count: tuple(
-        Fraction(2) ** rng.randint(-magnitude, magnitude) for _ in range(count)
+        dyadic(rng.randint(-magnitude, magnitude)) for _ in range(count)
     )
     return NetworkParams(rank, draw(k), draw(rank), draw(k))
 

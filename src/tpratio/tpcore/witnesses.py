@@ -12,9 +12,11 @@ which converts a failed majorization prefix into a numerator/denominator
 degree gap.  The falsifier locates such a gap, rotates the ratio so the
 gap arc leads, and evaluates it on the family along a ladder of ``t``
 values; at rank 4 it also tries every rotation and mirror image of the
-ratio on the known 4 x 4 counterexample family.  Both families are planar
-networks, totally positive by construction.  Boundedness is invariant
-under these symmetries, so they act on the ratio, never on the matrices.
+ratio on the known 4 x 4 counterexample family, reading all sixteen from
+one table of every bracket per ladder rung (`all_brackets`).  Both
+families are planar networks, totally positive by construction.
+Boundedness is invariant under these symmetries, so they act on the ratio,
+never on the matrices.
 Everything is labeled a numerical witness: growth past a threshold, never
 a proof.
 """
@@ -34,7 +36,7 @@ from ..combinatorics import (
     reversal_ratio,
 )
 from ..errors import InvalidInput
-from .grassmann import eval_ratio, shift_matrix
+from .grassmann import all_brackets, eval_ratio, ratio_value, shift_matrix
 from .matrices import TPMatrix, network_matrix, random_tp
 from .network import Chip, NetworkParams, chips, network_product
 
@@ -154,6 +156,16 @@ def _oriented(ratio: RatioExpr, rotation: int, mirrored: bool) -> RatioExpr:
     return reversal_ratio(ratio) if mirrored else ratio
 
 
+def _orientations(ratio: RatioExpr):
+    """``(rotation, mirrored, _oriented(ratio, rotation, mirrored))`` for
+    every rotation, unmirrored first, built with one shift per rotation
+    and one mirror per mirrored variant."""
+    for rotation in range(2 * ratio.rank):
+        yield rotation, False, ratio
+        yield rotation, True, reversal_ratio(ratio)
+        ratio = cyclic_shift_ratio(ratio)
+
+
 def _climb_ladder(family, detail, value_at):
     """Evaluate along `T_LADDER`; while the trace keeps strictly increasing
     but has not crossed `THRESHOLD`, extend by factors of 10, at most
@@ -176,7 +188,9 @@ def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
 
     A failed majorization screen always yields a witness family; otherwise
     the known 4 x 4 counterexample family and a random search over seeds
-    ``0 .. RANDOM_TRIALS - 1`` are tried.  Ladders that are still strictly
+    ``0 .. RANDOM_TRIALS - 1`` are tried.  The sixteen rotations and mirror
+    images of a rank-4 ratio are all read from one table of the family
+    member's brackets per ladder rung.  Ladders that are still strictly
     climbing at their top rung are extended by factors of 10.  An
     `Inconclusive` result records what was attempted; it is not a proof of
     boundedness.
@@ -199,17 +213,15 @@ def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
         attempts.append("majorization screen holds: no degree gap")
 
     if ratio.rank == 4:
-        member = cache(counterexample_matrix)  # each rung's member, built once
-        for rotation in range(2 * ratio.rank):
-            for mirrored in (False, True):
-                variant = _oriented(ratio, rotation, mirrored)
-                evidence = _climb_ladder(
-                    "counterexample-family",
-                    (("rotation", rotation), ("mirrored", int(mirrored))),
-                    lambda t: eval_ratio(member(t), variant),
-                )
-                if evidence is not None and evidence.increasing:
-                    return evidence
+        table = cache(lambda t: all_brackets(counterexample_matrix(t)))  # once per rung
+        for rotation, mirrored, variant in _orientations(ratio):
+            evidence = _climb_ladder(
+                "counterexample-family",
+                (("rotation", rotation), ("mirrored", int(mirrored))),
+                lambda t: ratio_value(variant, lambda s: table(t)[s.mask]),
+            )
+            if evidence is not None and evidence.increasing:
+                return evidence
         attempts.append("counterexample family (all symmetries) did not climb past threshold")
 
     best = max(

@@ -1,6 +1,7 @@
 """Exact matrices, the Grassmannian bridge, path families, and witnesses."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -44,6 +45,7 @@ from tpratio.tpcore import (
     witness_matrix,
 )
 from tpratio.tpcore import grassmann, witnesses
+from tpratio.tpcore.grassmann import all_brackets, ratio_value
 from tpratio.tpcore.matrices import require_tp
 from tpratio.tpcore.network import (
     all_ones_params,
@@ -189,6 +191,18 @@ class TestRandomTp:
         for seed in range(100):
             assert verify_tp(random_tp(4, seed))
 
+    def test_weights_are_powers_of_two_from_the_same_draws(self):
+        for n in range(1, 9):
+            k = n * (n - 1) // 2
+            for magnitude in (1, 3, 6, 64):
+                for seed in range(30):
+                    rng = random.Random(seed)
+                    draw = lambda count: tuple(
+                        Fraction(2) ** rng.randint(-magnitude, magnitude) for _ in range(count)
+                    )
+                    expected = NetworkParams(n, draw(k), draw(n), draw(k))
+                    assert repr(random_network(n, seed, magnitude)) == repr(expected)
+
 
 class TestGrassmann:
     def test_lower_block_n2(self):
@@ -249,6 +263,32 @@ class TestGrassmann:
     def test_all_brackets_positive(self, n):
         m = random_tp(n, 9)
         assert all(plucker_eval(m, a) > 0 for a in all_index_sets(n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bracket_table_matches_plucker_eval(self, n):
+        # the table must hold off TP too: mixed denominators, negative and
+        # zero entries, repeated and linearly dependent rows
+        rng = random.Random(n)
+        matrices = [random_tp(n, seed, magnitude) for magnitude in (1, 6, 64) for seed in (0, 1)]
+        for _ in range(3):
+            mixed = rational_rows(rng, n, (1, 2, 3, 5, 7, 12))
+            matrices.append(TPMatrix.of(mixed))
+            matrices.append(TPMatrix.of(rational_rows(rng, n, (1, 4), numerators=(-1, 0, 0, 1))))
+            if n >= 2:
+                matrices.append(TPMatrix.of(mixed[:-1] + [mixed[0]]))
+            if n >= 3:
+                combined = [a - 2 * b for a, b in zip(mixed[0], mixed[1])]
+                matrices.append(TPMatrix.of(mixed[:-1] + [combined]))
+        if n == 4:
+            for t in (Fraction(10) ** 8, Fraction(10) ** -8, Fraction(7, 3) ** 8, Fraction(3, 7) ** 8):
+                matrices.append(counterexample_matrix(t))
+        sets = all_index_sets(n)
+        assert len(sets) == math.comb(2 * n, n)
+        for m in matrices:
+            table = all_brackets(m)
+            assert len(table) == len(sets)
+            for s in sets:
+                assert table[s.mask] == plucker_eval(m, s), (m, s)
 
     def test_minor_conventions(self):
         m = TPMatrix.of([[1, 1], [1, 2]])
@@ -487,14 +527,17 @@ class TestFalsify:
         assert out.increasing and out.peak > 1000
 
     def test_counterexample_member_built_once_per_rung(self, monkeypatch):
-        rungs = []
+        rungs, tables = [], []
         build = witnesses.counterexample_matrix
         counted = lambda t: rungs.append(t) or build(t)
         monkeypatch.setattr(witnesses, "counterexample_matrix", counted)
+        tabulate = witnesses.all_brackets
+        monkeypatch.setattr(witnesses, "all_brackets", lambda m: tables.append(m) or tabulate(m))
         out = falsify(ratio(4, [(1, 2, 3, 4), (1, 4, 6, 7)], [(1, 2, 4, 7), (1, 3, 4, 6)]))
         assert isinstance(out, Inconclusive)
         assert set(T_LADDER) <= set(rungs)
         assert len(rungs) == len(set(rungs))  # shared by all 16 orientations
+        assert len(tables) == len(set(rungs))
 
     def test_bounded_ratio_inconclusive(self):
         out = falsify(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
@@ -563,6 +606,35 @@ class TestFalsifyOrientation:
             starts.add(arc.start)
         assert checked == {3: 4, 4: 4}
         assert len(starts) > 1
+
+    def test_sweep_reads_every_orientation_from_the_rung_table(self, monkeypatch):
+        rng = random.Random(14)
+        screened = []
+        while len(screened) < 20:
+            r = util.random_st0_ratio(4, rng)
+            if r is not None and check_condition_m(r).holds:
+                screened.append(r)
+        ratios = _orbit(UNBOUNDED_3OVER3) + screened
+        extensions = range(1, witnesses.LADDER_EXTENSIONS + 1)
+        ladder = [*T_LADDER, *(T_LADDER[-1] * 10**e for e in extensions)]
+        members = {t: counterexample_matrix(t) for t in ladder}
+        tables = {t: all_brackets(m) for t, m in members.items()}
+        for r in ratios:
+            oriented = list(witnesses._orientations(r))
+            assert oriented == [
+                (rotation, mirrored, witnesses._oriented(r, rotation, mirrored))
+                for rotation in range(8)
+                for mirrored in (False, True)
+            ]
+            for _, _, variant in oriented:
+                for t, table in tables.items():
+                    read = ratio_value(variant, lambda s: table[s.mask])
+                    assert read == eval_ratio(members[t], variant), (variant, t)
+        outcomes = [falsify(r) for r in ratios]
+        assert {type(out) for out in outcomes} == {Evidence, Inconclusive}
+        single = lambda m: {s.mask: plucker_eval(m, s) for s in all_index_sets(m.rank)}
+        monkeypatch.setattr(witnesses, "all_brackets", single)
+        assert [falsify(r) for r in ratios] == outcomes
 
     def test_falsify_transforms_no_matrix(self, monkeypatch):
         inconclusive = ratio(
