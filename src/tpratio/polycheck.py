@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .combinatorics import IndexSet, RatioExpr, plucker_to_minor
 from .budgets import MAX_RANK, TERM_LIMIT
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidInput
 from .tpcore.network import chips, network_product, variable_names
 
 Exponents = tuple[int, ...]
@@ -123,7 +123,8 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def evaluate(self, values: tuple[Fraction, ...]) -> Fraction:
-        assert len(values) == self.nvars
+        if len(values) != self.nvars:
+            raise InvalidInput(f"need {self.nvars} values, got {len(values)}")
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = Fraction(coeff)

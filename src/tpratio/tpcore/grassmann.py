@@ -126,17 +126,15 @@ def _rotated_back(alpha: IndexSet) -> IndexSet:
 
 def shift_matrix(matrix: TPMatrix) -> TPMatrix:
     """The matrix whose bracket at the rotated index set is a fixed positive
-    multiple of the input's bracket at the original index set."""
+    multiple of the input's bracket at the original index set.  The input
+    must be totally positive, and so the output is (tested, not re-checked)."""
     require_tp(matrix, "shift_matrix")
-    result = _relabelled(matrix, _rotated_back)
-    require_tp(result, "shift_matrix output")
-    return result
+    return _relabelled(matrix, _rotated_back)
 
 
 def reverse_matrix(matrix: TPMatrix) -> TPMatrix:
     """The matrix whose bracket at the mirrored index set is a fixed positive
-    multiple of the input's bracket at the original index set."""
+    multiple of the input's bracket at the original index set.  The input
+    must be totally positive, and so the output is (tested, not re-checked)."""
     require_tp(matrix, "reverse_matrix")
-    result = _relabelled(matrix, reversal)
-    require_tp(result, "reverse_matrix output")
-    return result
+    return _relabelled(matrix, reversal)

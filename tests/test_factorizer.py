@@ -1,9 +1,11 @@
 """Decomposition, elementary recognition, splitting, and full factorization."""
 
+import functools
 import random
 
 import pytest
 
+from tpratio import factorizer
 from tpratio.combinatorics import (
     ExponentVector,
     IndexSet,
@@ -294,6 +296,88 @@ class TestFactorToBasics:
             expr = b.expr()
             assert check_condition_m(expr).holds
             assert classify_elementary(expr) is not None
+
+    def test_screens_run_once(self, monkeypatch):
+        r = ratio(4, [(1, 4, 5, 8), (2, 3, 6, 7)], [(1, 3, 5, 7), (2, 4, 6, 8)])
+        expected = factor_to_basics(r)
+        assert len(expected.trace) > 3
+        calls = {"check_condition_m": 0, "check_st0": 0}
+        for name in calls:
+
+            def counted(*args, name=name, original=getattr(factorizer, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(factorizer, name, counted)
+        assert repr(factor_to_basics(r)) == repr(expected)
+        assert calls == {"check_condition_m": 1, "check_st0": 1}
+
+
+def _check_trace(res, screened):
+    """Check, on one factorization trace, the lemmas the recursion does not
+    re-check: each split's two factors pass condition M, have smaller nu and
+    multiply back to the node; each elementary rewrite strictly shrinks
+    (mu, delta) and multiplies back; and each elementary node passes
+    condition M and is recognized by `classify_elementary`.  The trace is
+    the preorder of the factorization tree, a node's factors being the
+    ratios, up to order within each side, of the steps that follow it."""
+    trace = res.trace
+    vector = ExponentVector.of_ratio
+
+    def walk(i):
+        step, nxt, children = trace[i], i + 1, []
+        for factor in step.factors:
+            assert trace[nxt].ratio.canonical() == factor.canonical()
+            children.append(trace[nxt])
+            nxt = walk(nxt)
+        if step.rule == "elementary":
+            assert dict(step.measures)["nu"] == 2 and screened(step.ratio)
+            assert classify_elementary(step.ratio).expr() == step.factors[0]
+        elif len(children) == 2:
+            left, right = children
+            assert vector(left.ratio) + vector(right.ratio) == vector(step.ratio)
+            if "nu" in dict(step.measures):
+                for child in children:
+                    assert screened(child.ratio)
+                    assert dict(child.measures)["nu"] < dict(step.measures)["nu"]
+            else:
+                for child in children:
+                    assert child.measures < step.measures  # (mu, delta), lexicographic
+        return nxt
+
+    assert walk(0) == len(trace)
+
+
+class TestTraceFacts:
+    """The split and elementary-rewrite lemmas, on every trace at rank 4
+    and on seeded screen-passing ratios up to `MAX_RATIO_RANK`."""
+
+    def test_exhaustive_rank4(self):
+        screened = functools.cache(lambda r: check_condition_m(r).holds)
+        factored = 0
+        for r in util.st0_ratios(4):
+            if not screened(r):
+                with pytest.raises(ConditionMViolation):
+                    factor_to_basics(r)
+                if decompose(r).nu == 2:
+                    assert classify_elementary(r) is None
+                continue
+            res = factor_to_basics(r)
+            assert res.vector_check()
+            _check_trace(res, screened)
+            factored += 1
+        assert factored == 4255
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_seeded_higher_ranks(self, n):
+        screened = functools.cache(lambda r: check_condition_m(r).holds)
+        rng = random.Random(n)
+        factored = 0
+        while factored < 200:
+            r = util.random_shared_split_ratio(n, rng)
+            if screened(r):
+                _check_trace(factor_to_basics(r), screened)
+                factored += 1
 
 
 class TestBasicRatiosAll:

@@ -1,12 +1,14 @@
-"""Every module under ``src/`` uses what it imports, and every budget is
-read somewhere.
+"""Every module under ``src/`` uses what it imports and holds no
+``assert``, and every budget is read somewhere.
 
 No linter ships with the project, so this reads each module's syntax tree
 with the standard library: a name bound by an import must be read at least
 once, in code or as a string annotation.  Package ``__init__`` modules
 import to re-export and are skipped.  Every public name in
 `tpratio.budgets`, the one home for budgets, must be read by some other
-module under ``src/``, so no budget outlives the check it names.
+module under ``src/``, so no budget outlives the check it names.  An
+``assert`` is stripped under ``python -O``, so a check the library relies
+on raises instead.
 """
 
 import ast
@@ -48,6 +50,13 @@ def test_no_unused_import(path):
     read = _read(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in read}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_no_assert(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not lines, f"{path.name}: assert on lines {lines}"
 
 
 def test_modules_found():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpratio.combinatorics import IndexSet, RatioExpr, all_minor_specs
-from tpratio.errors import BudgetExceeded
+from tpratio.errors import BudgetExceeded, InvalidInput
 from tpratio.factorizer import basic_ratios_all
 from tpratio.polycheck import (
     Monomial,
@@ -65,6 +65,10 @@ class TestSymbolicMatrix:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             symbolic_network_matrix(5)
+
+    def test_evaluate_needs_one_value_per_variable(self):
+        with pytest.raises(InvalidInput, match="need 4 values, got 3"):
+            symbolic_network_matrix(2)[0][0].evaluate((Fraction(1),) * 3)
 
 
 class TestMinorEvaluators:

@@ -170,6 +170,54 @@ class TestNetwork:
             NetworkParams.of(2, [0], [1, 1], [1])
 
 
+def _tp_by_definition(matrix):
+    """Every non-empty minor is positive, each by the reference elimination."""
+    rows = matrix.entries
+    return all(
+        util.fraction_det([[rows[r - 1][c - 1] for c in spec.cols] for r in spec.rows]) > 0
+        for spec in all_minor_specs(matrix.rank)
+        if spec.size
+    )
+
+
+def _nudged(matrix):
+    """Copies of a totally positive ``matrix`` with one entry moved, each
+    with whether it is still totally positive.  Every minor is affine in
+    the entry, so the entry keeps all of them positive on an open interval
+    ``(lo, hi)``, with ``hi`` unbounded when no minor falls as it grows.
+    The entry is moved to each end of the interval, and from there by half
+    its distance to the nearer end, inward and outward."""
+    n, rows = matrix.rank, matrix.entries
+    for i, j in itertools.product(range(n), repeat=2):
+        def with_entry(x):
+            return TPMatrix(n, tuple(
+                tuple(x if (r, c) == (i, j) else v for c, v in enumerate(row))
+                for r, row in enumerate(rows)
+            ))
+
+        lo, hi = Fraction(0), None
+        for spec in all_minor_specs(n):
+            if i + 1 not in spec.rows or j + 1 not in spec.cols:
+                continue
+            value = lambda x: util.fraction_det(
+                [[with_entry(x).entries[r - 1][c - 1] for c in spec.cols] for r in spec.rows]
+            )
+            a = value(Fraction(0))
+            b = value(Fraction(1)) - a
+            if b > 0:
+                lo = max(lo, -a / b)
+            elif b < 0:
+                hi = -a / b if hi is None else min(hi, -a / b)
+        x = rows[i][j]
+        assert lo < x and (hi is None or x < hi)
+        step = (x - lo) / 2 if hi is None else min(x - lo, hi - x) / 2
+        for end, inward in ((lo, step), (hi, -step)):
+            if end is not None:
+                yield with_entry(end - inward), False
+                yield with_entry(end), False
+                yield with_entry(end + inward), True
+
+
 class TestVerifyTp:
     def test_examples(self):
         assert verify_tp(TPMatrix.of([[1, 1], [1, 2]]))
@@ -179,7 +227,16 @@ class TestVerifyTp:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_networks_are_tp(self, n):
         for seed in range(30):
-            assert verify_tp(random_tp(n, seed))
+            m = random_tp(n, seed)
+            assert verify_tp(m) and _tp_by_definition(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_nudged_entries_match_definition(self, n):
+        """The initial minors decide total positivity (Gasca and Peña) even
+        when one entry sits at, or just past, the edge of the TP region."""
+        for seed in range(3):
+            for copy, tp in _nudged(random_tp(n, seed)):
+                assert verify_tp(copy) == _tp_by_definition(copy) == tp
 
 
 class TestRandomTp:
@@ -375,9 +432,12 @@ class TestShiftReverse:
                 assert repr(reverse_matrix(m)) == repr(util.reverse_oracle(m))
 
     def test_outputs_are_tp(self):
-        m = TPMatrix.of([[1, 1], [1, 2]])
-        assert verify_tp(shift_matrix(m))
-        assert verify_tp(reverse_matrix(m))
+        for n in range(1, 7):
+            for magnitude in (3, 20):
+                for seed in range(4):
+                    m = random_tp(n, seed, magnitude)
+                    assert verify_tp(shift_matrix(m))
+                    assert verify_tp(reverse_matrix(m))
 
     def test_rejects_non_tp(self):
         with pytest.raises(NotTotallyPositive):

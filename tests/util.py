@@ -65,6 +65,20 @@ def random_st0_ratio(rank: int, rng: random.Random) -> RatioExpr | None:
     return RatioExpr.of(rank, [a1, a2], [b1, b2])
 
 
+def random_shared_split_ratio(rank: int, rng: random.Random) -> RatioExpr:
+    """A random two-over-two ST0 ratio drawn without listing splits: the
+    labels both numerator sets hold go to both denominator sets, and the
+    others are halved at random.  Unlike `random_st0_ratio`, its cost does
+    not grow with ``C(2n, n)``."""
+    labels = range(1, 2 * rank + 1)
+    a1, a2 = set(rng.sample(labels, rank)), set(rng.sample(labels, rank))
+    unshared = sorted(a1 ^ a2)
+    half = set(rng.sample(unshared, len(unshared) // 2))
+    b1, b2 = (a1 & a2) | half, (a1 & a2) | (set(unshared) - half)
+    sets = [IndexSet.of(rank, s) for s in (a1, a2, b1, b2)]
+    return RatioExpr.of(rank, sets[:2], sets[2:])
+
+
 def poly_degree_from_samples(samples: list[tuple[Fraction, Fraction]]) -> int:
     """Degree of the polynomial interpolating exact samples at distinct
     points, assuming the true degree is below the sample count.  Newton
