@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
@@ -326,17 +326,19 @@ class Arc:
         return "{" + ",".join(map(str, self.members)) + "}"
 
 
-def arcs_up_to_half(rank: int) -> list[Arc]:
+@cache
+def arcs_up_to_half(rank: int) -> tuple[Arc, ...]:
     """All arcs of length 1..n in lexicographic (start, length) order.
 
     Longer arcs are redundant for the majorization condition because it
-    transfers from an arc to its complement.
+    transfers from an arc to its complement.  Built once per rank, so each
+    arc's members and mask are computed once.
     """
-    return [
+    return tuple(
         Arc(rank, start, length)
         for start in range(1, 2 * rank + 1)
         for length in range(1, rank + 1)
-    ]
+    )
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,17 @@ Ratios embed into the integer lattice over the ``C(2n, n)`` index sets
 cone generated by the basic ratios exactly when the ratio is a product of
 nonnegative real powers of basics, hence bounded by 1.
 
-Membership is decided by an exact phase-one simplex with Bland's rule (so
-it terminates and is deterministic).  Its tableau is sparse and integral:
-each row holds the integer numerators of its nonzero entries over one
-positive denominator, starting from the generators' integer columns (every
-generator touches just four of the ``C(2n, n)`` coordinates, and the rows
-are built once per rank) and the query.  Both answers come with an
-independently checkable certificate in `Fraction`s: nonnegative
-coefficients that reproduce the query exactly, or a separating functional
-that is nonpositive on every generator yet positive on the query
-(`verify_certificate` re-checks either one from scratch).
+Membership is decided by an exact homogeneous simplex with Bland's rule (so
+it terminates and is deterministic), warm-started from a basis of the
+generators' span that is built once per rank; the rows left out of that
+basis are the index-balance relations, which reject a query outside the
+span before any pivot.  The tableau is sparse and integral: each row holds
+the integer numerators of its nonzero entries over one positive
+denominator.  Both answers come with an independently checkable
+certificate in `Fraction`s: nonnegative coefficients that reproduce the
+query exactly, or a separating functional that is nonpositive on every
+generator yet positive on the query (`verify_certificate` re-checks either
+one from scratch).
 """
 
 from __future__ import annotations
@@ -61,127 +62,124 @@ def _check_rank(vector: ExponentVector, rank: int) -> None:
 def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
     """Decide membership of ``vector`` in the basic-ratio cone.
 
-    Solves the equality system ``columns @ lam = vector, lam >= 0`` exactly;
-    infeasibility yields the Farkas functional from the optimal dual.
+    Maximizes ``mu`` over ``columns @ lam = mu * vector, lam, mu >= 0``
+    exactly: a ray (``mu`` unbounded) gives the coefficients, an optimum
+    at 0 gives the Farkas functional from the optimal dual.
     Deterministic: fixed generator order plus Bland's pivoting rule.
     """
     _check_rank(vector, rank)
     if rank > MAX_RANK:
         raise BudgetExceeded(f"cone membership is budgeted to rank {MAX_RANK}")
-    coords, basics, rows = _generator_rows(rank)
+    coords, basics, rows, dens, basis, balance = _generator_basis(rank)
     wanted = vector.as_dict()
-    rhs = [wanted.get(c, 0) for c in coords]
+    b = [wanted.get(c, 0) for c in coords]
+    # Verdict tuples are built from lists: tuple() of a generator shrinks its
+    # result by realloc, and CPython's tuple free lists then grow by one a call.
+    for y in balance:  # the vector leaves the generators' span
+        if pairing := sum(v * b[i] for i, v in y):
+            sign = 1 if pairing > 0 else -1
+            return Outside(tuple([(coords[i], Fraction(sign * v)) for i, v in y]))
 
-    feasible, payload = _phase_one(rows, rhs, len(basics))
-    if feasible:
-        return InCone(tuple((basics[j], value) for j, value in sorted(payload.items())))
-    return Outside(tuple((coords[i], y) for i, y in enumerate(payload) if y != 0))
+    n_cols, n_rows = len(basics), len(rows)
+    mu = n_cols + len(coords)  # the query's column, after the generators and B0^-1
+    query = [(n_cols + i, v) for i, v in enumerate(b) if v]
+    tableau = [dict(row) for row in rows]
+    for row in tableau:  # mu's column is -B0^-1 @ vector
+        if x := sum(row.get(k, 0) * v for k, v in query):
+            row[mu] = -x
+    objective = {mu: -1}  # min -mu; every basic value is 0 and stays 0
+    tableau.append(objective)  # eliminated along with the constraint rows
+    dens, basis = [*dens, 1], list(basis)
+    while True:
+        # Bland's rule over the generators and mu; B0^-1's columns never enter
+        entering = min((j for j, v in objective.items() if v < 0 and not n_cols <= j < mu),
+                       default=None)
+        if entering is None:  # optimal at mu = 0: y is minus objective's B0^-1 part
+            return Outside(tuple([(coords[j - n_cols], Fraction(-v, dens[n_rows]))
+                                  for j, v in sorted(objective.items()) if n_cols <= j < mu]))
+        rising = [i for i in range(n_rows) if tableau[i].get(entering, 0) > 0]
+        if not rising:
+            break
+        p = min(rising, key=basis.__getitem__)
+        _pivot(tableau, dens, p, entering)
+        basis[p] = entering
+    # A ray: raising `entering` by 1 raises each basic variable by minus its
+    # entry in that column, and raises mu since the reduced cost is negative.
+    ray = {basis[i]: Fraction(-row[entering], dens[i])
+           for i, row in enumerate(tableau[:n_rows]) if entering in row}
+    ray[entering] = Fraction(1)
+    scale = ray.pop(mu, 0)
+    if not scale:
+        raise InvariantViolation("a ray of the cone simplex leaves mu at 0")
+    return InCone(tuple([(basics[j], x / scale) for j, x in sorted(ray.items())]))
 
 
 @cache
-def _generator_rows(rank: int):
-    """The rank's coordinates, its basic ratios, and the constraint rows:
-    ``rows[i]`` maps generator ``j`` to its nonzero integer exponent at
-    coordinate ``i``.  Built on first use, once per rank; never mutated."""
+def _generator_basis(rank: int):
+    """The rank's coordinates and basic ratios, a basis ``B0`` of the
+    generators' span, and the index-balance relations.
+
+    Pivots the integer tableau ``[A | I]`` (one row per coordinate, one
+    column per basic ratio, then the identity) in generator order: each
+    generator enters the first row without a basis column that holds a
+    nonzero entry in its column.  Returns the basis rows ``B0^-1 A`` and
+    ``B0^-1`` with their denominators and basis columns, and each row left
+    over as its ``(coordinate index, y)`` pairs: its ``A`` part is 0, so
+    ``y @ A = 0``.  Built on first use, once per rank; never mutated.
+    """
     coords, basics = tuple(all_index_sets(rank)), tuple(basic_ratios_all(rank))
+    n_cols = len(basics)
     index_of = {c: i for i, c in enumerate(coords)}
-    rows: list[dict[int, int]] = [{} for _ in coords]
+    tableau: list[dict[int, int]] = [{n_cols + i: 1} for i in range(len(coords))]
     for j, b in enumerate(basics):
         for key, val in b.vector().as_dict().items():
-            rows[index_of[key]][j] = val
-    return coords, basics, tuple(rows)
-
-
-def _phase_one(rows, rhs, n_cols):
-    """Minimize total artificial mass of ``a @ lam + artificials = rhs``,
-    where ``rows[i]`` maps column ``j`` to the nonzero integer ``a[i][j]``
-    and ``rhs`` holds integers.
-
-    Returns ``(True, {column: nonzero value})`` when the system is feasible,
-    else ``(False, y)`` where ``y @ a <= 0`` columnwise and ``y @ rhs > 0``;
-    the values are `Fraction`s.
-
-    Integer rows, one denominator per row: each tableau row, like the
-    objective row of reduced costs and (negated) objective value, maps a
-    column index to the integer numerator of its nonzero entry, over one
-    positive denominator for the whole row, kept in lowest terms.  Columns
-    ``0..n_cols-1`` are the real variables, then one artificial per row,
-    then the right-hand side.  Rows with a negative right-hand side are
-    negated first, so every artificial starts basic and feasible.
-    """
-    n_rows = len(rows)
-    last = n_cols + n_rows  # the right-hand side's column
-    signs = [-1 if b < 0 else 1 for b in rhs]
-    tableau = []
-    for i, (row, b, sign) in enumerate(zip(rows, rhs, signs)):
-        flipped = {j: sign * v for j, v in row.items()}
-        flipped[n_cols + i] = 1
-        if b:
-            flipped[last] = sign * b
-        tableau.append(flipped)
-    # Objective row for min(sum of artificials), written with basic columns
-    # zeroed out: costs minus the sum of the constraint rows, in which every
-    # artificial cancels.
-    total: dict[int, int] = {}
-    for row in tableau:
-        for j, v in row.items():
-            total[j] = total.get(j, 0) - v
-    objective = {j: v for j, v in total.items() if v and not n_cols <= j < last}
-    tableau.append(objective)  # eliminated along with the constraint rows
-    dens = [1] * (n_rows + 1)
-    basis = list(range(n_cols, last))
-
-    while True:
-        entering = min((j for j, v in objective.items() if v < 0 and j < last), default=None)
-        if entering is None:
-            break
-        # Ratio test on rhs / coeff, whose row denominator cancels; compare
-        # by cross-multiplication, ties to the smaller basis index.
-        p = None
-        for i in range(n_rows):
-            coeff = tableau[i].get(entering, 0)
-            if coeff > 0:
-                b = tableau[i].get(last, 0)
-                if p is None or b * p_coeff < p_b * coeff or (
-                    b * p_coeff == p_b * coeff and basis[i] < basis[p]
-                ):
-                    p, p_coeff, p_b = i, coeff, b
+            tableau[index_of[key]][j] = val
+    dens = [1] * len(coords)
+    basis: list[int | None] = [None] * len(coords)
+    for j in range(n_cols):
+        p = next((i for i, row in enumerate(tableau) if basis[i] is None and j in row), None)
         if p is None:
-            raise InvariantViolation("phase-one objective is bounded below; no ray exists")
-        # Scaled to a leading 1, the pivot row keeps its numerators over the
-        # pivot's numerator as denominator.
-        pivot_row = tableau[p]
-        d_p = _reduce(pivot_row, p_coeff)
-        dens[p] = d_p
-        for i, row in enumerate(tableau):
-            if i == p or entering not in row:
-                continue
-            # row - row[e] * pivot_row  =  (row * d_p - row[e] * pivot_row) / (d * d_p)
-            f = row[entering]
-            if d_p != 1:
-                for j in row:
-                    row[j] *= d_p
-            for j, v in pivot_row.items():
-                x = row.get(j, 0) - f * v
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-            dens[i] = _reduce(row, dens[i] * d_p)
-        basis[p] = entering
+            continue
+        if tableau[p][j] < 0:
+            tableau[p] = {k: -v for k, v in tableau[p].items()}
+        _pivot(tableau, dens, p, j)
+        basis[p] = j
+    kept = [i for i in range(len(coords)) if basis[i] is not None]
+    balance = tuple(
+        tuple((k - n_cols, v) for k, v in sorted(tableau[i].items()))
+        for i in range(len(coords)) if basis[i] is None
+    )
+    return (coords, basics, tuple(dict(tableau[i]) for i in kept),  # dict(): compact copies
+            tuple(dens[i] for i in kept), tuple(basis[i] for i in kept), balance)
 
-    if last not in objective:  # no artificial mass left
-        return True, {
-            var: Fraction(row[last], d)
-            for var, row, d in zip(basis, tableau, dens)
-            if var < n_cols and last in row
-        }
-    # Dual: y_i = cost(artificial i) - reduced_cost(artificial i), undoing
-    # the row sign flips.
-    d = dens[n_rows]
-    return False, [
-        sign * Fraction(d - objective.get(n_cols + i, 0), d) for i, sign in enumerate(signs)
-    ]
+
+def _pivot(tableau: list[dict[int, int]], dens: list[int], p: int, e: int) -> None:
+    """Pivot on row ``p``, column ``e``, in place.
+
+    Integer rows, one denominator per row: each row maps a column to the
+    integer numerator of its nonzero entry, over the positive ``dens[i]``,
+    kept in lowest terms.  The pivot entry must be positive.  Scaled to a
+    leading 1, row ``p`` keeps its numerators over the pivot's numerator;
+    every other row loses column ``e`` and every entry it cancels.
+    """
+    pivot_row = tableau[p]
+    d_p = _reduce(pivot_row, pivot_row[e])
+    dens[p] = d_p
+    for i, row in enumerate(tableau):
+        if i == p or e not in row:
+            continue
+        # row - row[e] * pivot_row  =  (row * d_p - row[e] * pivot_row) / (d * d_p)
+        f = row[e]
+        if d_p != 1:
+            for j in row:
+                row[j] *= d_p
+        for j, v in pivot_row.items():
+            x = row.get(j, 0) - f * v
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        dens[i] = _reduce(row, dens[i] * d_p)
 
 
 def _reduce(row: dict[int, int], d: int) -> int:
