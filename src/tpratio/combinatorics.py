@@ -146,10 +146,11 @@ def plucker_to_minor(alpha: IndexSet) -> MinorSpec:
     return MinorSpec.of(n, rows, cols)
 
 
-def cyclic_shift(alpha: IndexSet) -> IndexSet:
-    """Rotate every element one step around the 2n-gon (2n wraps to 1)."""
+def cyclic_shift(alpha: IndexSet, steps: int = 1) -> IndexSet:
+    """Rotate every element ``steps`` steps around the 2n-gon (2n wraps to
+    1); a negative count rotates back."""
     n2 = 2 * alpha.rank
-    return IndexSet.of(alpha.rank, ((e % n2) + 1 for e in alpha))
+    return IndexSet.of(alpha.rank, ((e - 1 + steps) % n2 + 1 for e in alpha))
 
 
 def reversal(alpha: IndexSet) -> IndexSet:
@@ -214,12 +215,12 @@ class RatioExpr:
         return f"{num}/{den}"
 
 
-def cyclic_shift_ratio(ratio: RatioExpr) -> RatioExpr:
-    """Apply the rotation to every index set of the ratio."""
+def cyclic_shift_ratio(ratio: RatioExpr, steps: int = 1) -> RatioExpr:
+    """Rotate every index set of the ratio ``steps`` steps (`cyclic_shift`)."""
     return RatioExpr(
         ratio.rank,
-        tuple(cyclic_shift(s) for s in ratio.numerator),
-        tuple(cyclic_shift(s) for s in ratio.denominator),
+        tuple(cyclic_shift(s, steps) for s in ratio.numerator),
+        tuple(cyclic_shift(s, steps) for s in ratio.denominator),
     )
 
 

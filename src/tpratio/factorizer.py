@@ -665,12 +665,13 @@ def _factor(ratio: RatioExpr, basics, trace):
 
 def basic_ratio_count(rank: int) -> int:
     """Number of basic ratios, ``n(2n-3) * C(2n-4, n-2)``: pairs of disjoint
-    adjacent label pairs on the 2n-gon times the choices for the core."""
-    if rank < 2:
-        raise InvalidInput("basic ratios need rank >= 2")
+    adjacent label pairs on the 2n-gon times the choices for the core.  The
+    2-gon of rank 1 has no two disjoint adjacent pairs, so no basic ratio."""
+    if rank < 1:
+        raise InvalidInput("basic ratios need rank >= 1")
     if rank > MAX_COUNTED_RANK:
         raise BudgetExceeded(f"counting basic ratios is budgeted to rank {MAX_COUNTED_RANK}")
-    return rank * (2 * rank - 3) * comb(2 * rank - 4, rank - 2)
+    return rank * (2 * rank - 3) * comb(2 * rank - 4, rank - 2) if rank > 1 else 0
 
 
 def basic_ratios_all(rank: int) -> list[BasicRatio]:

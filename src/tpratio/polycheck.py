@@ -12,21 +12,22 @@ variable order above; it only matters for reporting deterministic
 witnesses.  The symbolic network matrix is
 `tpratio.tpcore.network.network_product` taken over polynomials, with
 variable ``i`` standing for weight ``i`` of the flat order (`flat_weights`,
-`variable_names`), so ``symbolic_minor(...).evaluate(flat_weights(p))`` is
-the exact minor of ``network_matrix(p)``.  Brackets are computed as
-symbolic minors through the index-set bridge, with sub-minors memoized by
-(row set, column set).
+`variable_names`).  Its brackets are `tpratio.tpcore.grassmann.bracket_table`
+taken over polynomials, the same expansion `all_brackets` runs over ints,
+built once per rank; so ``symbolic_bracket(n, alpha).evaluate(flat_weights(p))``
+is the exact bracket of ``network_matrix(p)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
-from .combinatorics import IndexSet, RatioExpr, plucker_to_minor
+from .combinatorics import IndexSet, RatioExpr
 from .budgets import MAX_RANK, TERM_LIMIT
 from .errors import BudgetExceeded, InvalidInput
+from .tpcore.grassmann import bracket_table
 from .tpcore.network import chips, network_product, variable_names
 
 Exponents = tuple[int, ...]
@@ -142,7 +143,6 @@ def _nvars(rank: int) -> int:
     return rank * rank
 
 
-@lru_cache(maxsize=None)
 def symbolic_network_matrix(rank: int) -> tuple[tuple[Polynomial, ...], ...]:
     """The network matrix with each weight replaced by its own variable, in
     the flat order of `variable_names`."""
@@ -155,35 +155,23 @@ def symbolic_network_matrix(rank: int) -> tuple[tuple[Polynomial, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def symbolic_minor(rank: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
-    """Minor of the symbolic matrix, by cofactor expansion with memoized
-    sub-minors keyed by (row set, column set)."""
+@cache
+def _symbolic_brackets(rank: int) -> dict[int, Polynomial]:
+    """`bracket_table` of the symbolic network matrix, built once per rank."""
     nv = _nvars(rank)
-    if not rows:
-        return Polynomial.constant(nv, 1)
-    grid = symbolic_network_matrix(rank)
-    if len(rows) == 1:
-        return grid[rows[0] - 1][cols[0] - 1]
-    result = Polynomial.zero(nv)
-    rest = rows[1:]
-    for pos, c in enumerate(cols):
-        sub_cols = cols[:pos] + cols[pos + 1 :]
-        term = grid[rows[0] - 1][c - 1] * symbolic_minor(rank, rest, sub_cols)
-        result = result + term if pos % 2 == 0 else result - term
-    return result
+    return bracket_table(
+        symbolic_network_matrix(rank), Polynomial.zero(nv), Polynomial.constant(nv, 1)
+    )
 
 
 def symbolic_bracket(rank: int, alpha: IndexSet) -> Polynomial:
-    spec = plucker_to_minor(alpha)
-    return symbolic_minor(rank, spec.rows, spec.cols)
+    """The bracket of ``alpha`` as a polynomial in the network weights."""
+    return _symbolic_brackets(rank)[alpha.mask]
 
 
 def ratio_difference_poly(ratio: RatioExpr) -> Polynomial:
     """``q - p`` where the ratio is ``p/q`` in the network weights."""
     n = ratio.rank
-    if n > MAX_RANK:
-        raise BudgetExceeded(f"symbolic ratios are budgeted to rank {MAX_RANK}")
     nv = _nvars(n)
     p = Polynomial.constant(nv, 1)
     for s in ratio.numerator:

@@ -9,14 +9,17 @@ sign block, the ``2n x n`` point of the positive Grassmannian.
 
 The rotation and mirror are bracket relabellings: `shift_matrix` and
 `reverse_matrix` return the matrix whose bracket at each index set is the
-input's at the set rotated one step back, or mirrored, over one common
-positive bracket.  So the base bracket stays 1, and the factor cancels from
-every `RatioExpr`, whose two sides hold equally many brackets.
+input's at the set rotated one step back (`cyclic_shift` by -1), or
+mirrored, over one common positive bracket.  So the base bracket stays 1,
+and the factor cancels from every `RatioExpr`, whose two sides hold
+equally many brackets.
 
 `ratio_value` multiplies a ratio out from any source of bracket values.
 `eval_ratio` feeds it `plucker_eval`, one minor per distinct bracket; a
 caller that reads many ratios off one matrix feeds it `all_brackets`, the
-table of every bracket at once, keyed by `IndexSet.mask`.
+table of every bracket at once, keyed by `IndexSet.mask`.  That table is
+`bracket_table`, the one Laplace expansion of all minors, taken over ints;
+`tpratio.polycheck.symbolic_bracket` takes it over polynomials.
 """
 
 from __future__ import annotations
@@ -45,43 +48,49 @@ def plucker_eval(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
     return minor(matrix, plucker_to_minor(alpha))
 
 
-def all_brackets(matrix: TPMatrix) -> dict[int, Fraction]:
-    """Every bracket of ``matrix``, keyed by `IndexSet.mask`: rows are the
+def bracket_table(grid, zero, one) -> dict:
+    """Every bracket of the square ``grid`` over any ring whose elements
+    support ``+``, ``-`` and ``*``, keyed by `IndexSet.mask`: rows are the
     low ``n`` bits, and a dropped column ``c`` is bit ``2n - c``.
 
+    The minors are built in increasing size by Laplace expansion along
+    their first row, each from the minors one size smaller, which the table
+    already holds; the base set is the empty minor, ``one``.  Over ints it
+    serves `all_brackets`, over polynomials
+    `tpratio.polycheck.symbolic_bracket`."""
+    n = len(grid)
+    base = (1 << 2 * n) - (1 << n)  # every column dropped
+    bit = [1 << (2 * n - 1 - c) for c in range(n)]  # column c's dropped label
+    table = {base: one}
+    for k in range(1, n + 1):
+        col_sets = [(cols, base - sum(bit[c] for c in cols))
+                    for cols in itertools.combinations(range(n), k)]
+        for rows in itertools.combinations(range(n), k):
+            first = grid[rows[0]]
+            rest = sum(1 << r for r in rows[1:])
+            for cols, dropped in col_sets:
+                value = zero
+                for j, c in enumerate(cols):
+                    term = first[c] * table[rest | dropped | bit[c]]
+                    value = value - term if j & 1 else value + term
+                table[rest | 1 << rows[0] | dropped] = value
+    return table
+
+
+def all_brackets(matrix: TPMatrix) -> dict[int, Fraction]:
+    """Every bracket of ``matrix``, keyed by `IndexSet.mask` as in
+    `bracket_table`.
+
     The matrix is cleared by one common denominator, ``scale``, and its
-    minors are computed over ints in increasing size by Laplace expansion
-    along their first row, each from the minors one size smaller.  A
-    size-``k`` bracket is the integer minor over ``scale**k``; the base set
-    is the empty minor, 1.  `plucker_eval` reads the same values one at a
+    `bracket_table` is taken over ints; a size-``k`` bracket is that integer
+    minor over ``scale**k``.  `plucker_eval` reads the same values one at a
     time."""
     n = matrix.rank
     scale = math.lcm(*(x.denominator for row in matrix.entries for x in row))
     cleared = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix.entries]
-    dropped = lambda cols: sum(1 << (2 * n - 1 - c) for c in range(n) if c not in cols)
-    table = {dropped(()): Fraction(1)}
-    minors = {0: 1}  # rows mask | columns mask << n  ->  integer minor
-    for k in range(1, n + 1):
-        denominator = scale**k
-        # (0-based columns, their mask above the rows, their bracket bits)
-        col_sets = [
-            (cols, sum(1 << c for c in cols) << n, dropped(cols))
-            for cols in itertools.combinations(range(n), k)
-        ]
-        larger = {}
-        for rows in itertools.combinations(range(n), k):
-            first = cleared[rows[0]]
-            rest = sum(1 << r for r in rows[1:])
-            row_mask = rest | 1 << rows[0]
-            for cols, col_mask, dropped_mask in col_sets:
-                value = 0
-                for j, c in enumerate(cols):
-                    term = first[c] * minors[rest | col_mask ^ 1 << (c + n)]
-                    value += -term if j & 1 else term
-                larger[row_mask | col_mask] = value
-                table[row_mask | dropped_mask] = Fraction(value, denominator)
-        minors = larger
-    return table
+    rows, powers = (1 << n) - 1, [scale**k for k in range(n + 1)]
+    return {mask: Fraction(value, powers[(mask & rows).bit_count()])
+            for mask, value in bracket_table(cleared, 0, 1).items()}
 
 
 def ratio_value(ratio: RatioExpr, bracket: Callable[[IndexSet], Fraction]) -> Fraction:
@@ -117,19 +126,12 @@ def _relabelled(matrix: TPMatrix, relabel: Callable[[IndexSet], IndexSet]) -> TP
     )
 
 
-def _rotated_back(alpha: IndexSet) -> IndexSet:
-    """The inverse of `cyclic_shift`: ``2n - 1`` steps forward."""
-    for _ in range(2 * alpha.rank - 1):
-        alpha = cyclic_shift(alpha)
-    return alpha
-
-
 def shift_matrix(matrix: TPMatrix) -> TPMatrix:
     """The matrix whose bracket at the rotated index set is a fixed positive
     multiple of the input's bracket at the original index set.  The input
     must be totally positive, and so the output is (tested, not re-checked)."""
     require_tp(matrix, "shift_matrix")
-    return _relabelled(matrix, _rotated_back)
+    return _relabelled(matrix, lambda alpha: cyclic_shift(alpha, -1))
 
 
 def reverse_matrix(matrix: TPMatrix) -> TPMatrix:

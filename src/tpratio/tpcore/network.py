@@ -19,9 +19,10 @@ share one denominator for the whole matrix, with `Fraction` only in the
 weights it reads and the entries it returns;
 `tpratio.polycheck.symbolic_network_matrix` over polynomials; and
 `tpratio.tpcore.witnesses.witness_family` over `Fraction` on a longer layer
-list.  `tpratio.tpcore.lgv` reads the same layers through `chip_entries`
-and sums path families instead, an independent oracle for the product's
-minors.
+list.  The product's brackets come from the other ring-generic kernel,
+`tpratio.tpcore.grassmann.bracket_table`, over the same rings.
+`tpratio.tpcore.lgv` reads the same layers through `chip_entries` and sums
+path families instead, an independent oracle for the product's minors.
 """
 
 from __future__ import annotations

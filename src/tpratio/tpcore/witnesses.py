@@ -69,8 +69,8 @@ def counterexample_matrix(t: Fraction) -> TPMatrix:
     bound as ``t`` grows.
 
     It is the network at the monomial weights below (``u = 1/t``), so by
-    the path-family (LGV) lemma each minor is `symbolic_minor` at them, a
-    Laurent polynomial in ``t`` with positive coefficients.  The ratio
+    the path-family (LGV) lemma each bracket is `symbolic_bracket` at them,
+    a Laurent polynomial in ``t`` with positive coefficients.  The ratio
     ``[1,2,3,8][2,3,4,5][4,6,7,8] / [1,4,6,8][2,3,4,8][2,3,5,7]`` equals
     ``t^7 (t^2+t+2) / ((3t^2+2t+3)(4t^2+3t+2)(t^4+t^3+9t^2+6t+3))`` here,
     which grows like ``t/12``: about 833 at ``t = 10^4``, past 1000 only
@@ -146,20 +146,14 @@ def witness_matrix(ratio: RatioExpr, arc, k: int, t: Fraction) -> TPMatrix:
     return m
 
 
-def _oriented(ratio: RatioExpr, rotation: int, mirrored: bool) -> RatioExpr:
-    """The ratio rotated ``rotation`` steps, then mirrored if asked.  Its
-    value on ``M`` is the given ratio's on `reverse_matrix` (if mirrored)
-    then ``(2n - rotation) mod 2n`` times `shift_matrix` of ``M``: those
-    scale every bracket by one common factor, which cancels."""
-    for _ in range(rotation % (2 * ratio.rank)):
-        ratio = cyclic_shift_ratio(ratio)
-    return reversal_ratio(ratio) if mirrored else ratio
-
-
 def _orientations(ratio: RatioExpr):
-    """``(rotation, mirrored, _oriented(ratio, rotation, mirrored))`` for
-    every rotation, unmirrored first, built with one shift per rotation
-    and one mirror per mirrored variant."""
+    """``(rotation, mirrored, variant)`` for every rotation, unmirrored
+    first: the variant is the ratio rotated ``rotation`` steps, then
+    mirrored if asked, built with one shift per rotation and one mirror per
+    mirrored variant.  Its value on ``M`` is the given ratio's on
+    `reverse_matrix` (if mirrored) then ``(2n - rotation) mod 2n`` times
+    `shift_matrix` of ``M``: those scale every bracket by one common
+    factor, which cancels."""
     for rotation in range(2 * ratio.rank):
         yield rotation, False, ratio
         yield rotation, True, reversal_ratio(ratio)
@@ -200,7 +194,7 @@ def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
     if found is not None:
         arc, k = found
         detail = (("s", arc.length), ("k", k), ("start", arc.start))
-        leading = _oriented(ratio, 1 - arc.start, False)
+        leading = cyclic_shift_ratio(ratio, 1 - arc.start)
         evidence = _climb_ladder(
             "degree-gap",
             detail,

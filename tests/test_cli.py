@@ -159,6 +159,15 @@ class TestCommands:
         assert report["verdict"] == "in-cone"
         assert report["certificate_verified"] is True
 
+    def test_cone_at_rank_one(self, capsys):
+        # rank 1 has no basic ratios: the cone is {0}
+        code, out, _ = run(capsys, "cone", "[1]/[1]", "--json")
+        assert (code, json.loads(out)["verdict"]) == (0, "in-cone")
+        code, out, _ = run(capsys, "cone", "[1]/[2]", "--json")
+        report = json.loads(out)
+        assert (code, report["verdict"], report["certificate_verified"]) == (0, "outside-cone", True)
+        assert report["certificate"] == [["[1]", "1"]]
+
     def test_subfree(self, capsys):
         code, out, _ = run(capsys, "subfree", "[1,4][2,3]/[1,3][2,4]", "--json")
         report = json.loads(out)
@@ -347,7 +356,7 @@ class TestBadInput:
             ("check", "[1,\u00b2]/[1,2]"),  # a digit that int() refuses
             ("falsify", "[1,3][2,4]/[1,4][2,3]", "--seed", "0"),
             ("check",),  # no ratio and no --file
-            ("basics", "--n", "1"),
+            ("basics", "--n", "0"),
             ("frobnicate",),  # no such command
             ("cone", "[1,2,3,4,5]/[1,2,3,4,6]"),  # rank 5: over the rank budget
             ("check", "(1|2)/[1,2]"),  # minor notation without --n
@@ -359,6 +368,7 @@ class TestBadInput:
             ("check", f"{WIDE_TERM}/{WIDE_TERM}"),
             # values past CPython's 4,300-digit int-to-str limit printed a traceback
             ("falsify", "[1,3]" * 1200 + "[2,4]" * 1200 + "/" + "[1,4]" * 1200 + "[2,3]" * 1200),
+            ("basics", "--n", "-1"),
         ],
     )
     def test_error_line_exit_one(self, capsys, argv):

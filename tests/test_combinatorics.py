@@ -107,6 +107,16 @@ class TestShiftAndReversal:
             assert out == a
             assert reversal(reversal(a)) == a
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_step_count_is_repeated_single_shifts(self, n):
+        # single shifts have period 2n (above), so k steps are k mod 2n of them
+        for a in all_index_sets(n):
+            singles = [a]
+            for _ in range(2 * n - 1):
+                singles.append(cyclic_shift(singles[-1]))
+            for k in range(-2 * n, 2 * n + 1):
+                assert cyclic_shift(a, k) == singles[k % (2 * n)], (a, k)
+
 
 class TestSt0:
     def test_holds(self):

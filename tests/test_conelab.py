@@ -109,12 +109,13 @@ class TestMembership:
         assert verify_certificate(vec, verdict, 2)
 
     def test_zero_vector(self):
-        for rank in (2, 3, 4):
+        # rank 1 has no basic ratios: its cone is {0}
+        for rank in (1, 2, 3, 4):
             verdict = cone_membership(ExponentVector.zero(rank), rank)
             assert verdict == InCone(())
             assert verify_certificate(ExponentVector.zero(rank), verdict, rank)
 
-    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_off_span_vector_gets_a_balance_functional(self, rank):
         # a vector failing index balance leaves the generators' span: its
         # functional is an index-balance relation, 0 on every generator

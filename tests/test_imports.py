@@ -1,5 +1,6 @@
 """Every module under ``src/`` uses what it imports and holds no
-``assert``, and every budget is read somewhere.
+``assert``, every budget is read somewhere, and so is every private
+module-level name.
 
 No linter ships with the project, so this reads each module's syntax tree
 with the standard library: a name bound by an import must be read at least
@@ -8,7 +9,9 @@ import to re-export and are skipped.  Every public name in
 `tpratio.budgets`, the one home for budgets, must be read by some other
 module under ``src/``, so no budget outlives the check it names.  An
 ``assert`` is stripped under ``python -O``, so a check the library relies
-on raises instead.
+on raises instead.  A private (``_``-prefixed) function, class or
+constant defined at module level must be read somewhere under ``src/``, so
+a helper a refactor leaves behind fails here.
 """
 
 import ast
@@ -34,14 +37,19 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return bound
 
 
-def _read(tree: ast.Module) -> set[str]:
-    """Every name the module reads, and every string that is an identifier
-    (a string annotation such as ``-> "TPMatrix"``)."""
-    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+def _identifier_strings(tree: ast.Module) -> set[str]:
+    """Every string that is an identifier (a string annotation such as
+    ``-> "TPMatrix"``)."""
+    return {
         n.value
         for n in ast.walk(tree)
         if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier()
     }
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Every name the module reads, and every identifier string."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _identifier_strings(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
@@ -95,3 +103,42 @@ def test_every_budget_is_read():
         if path != BUDGETS:
             read |= _budgets_read(ast.parse(path.read_text(encoding="utf-8")))
     assert not budgets - read, f"budgets no module under src/ reads: {sorted(budgets - read)}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name the module defines at its top level, with its line;
+    dunders such as ``__all__`` are left out."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.startswith("_") and not target.id.endswith("__"):
+                defined[target.id] = node.lineno
+    return defined
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    """Every name the module loads, as a name, an attribute or an identifier
+    string; a name only assigned to is not loaded."""
+    return {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    } | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} | _identifier_strings(tree)
+
+
+def test_every_private_name_is_read():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))}
+    read = set().union(*map(_loaded, trees.values()))
+    dead = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+    assert not dead, f"private names nothing under src/ reads: {dead}"

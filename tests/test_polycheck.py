@@ -4,10 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tpratio.combinatorics import IndexSet, RatioExpr, all_minor_specs
+from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets, plucker_to_minor
 from tpratio.errors import BudgetExceeded, InvalidInput
 from tpratio.factorizer import basic_ratios_all
 from tpratio.polycheck import (
@@ -16,13 +14,10 @@ from tpratio.polycheck import (
     is_subtraction_free,
     ratio_difference_poly,
     symbolic_bracket,
-    symbolic_minor,
     symbolic_network_matrix,
 )
 from tpratio.tpcore import (
-    NetworkParams,
     lgv_minors,
-    minor,
     network_matrix,
     plucker_eval,
     random_network,
@@ -65,6 +60,10 @@ class TestSymbolicMatrix:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             symbolic_network_matrix(5)
+        # a rank-5 ratio meets the same one check, through its brackets
+        r = ratio(5, [(1, 2, 3, 4, 5)], [(1, 2, 3, 4, 6)])
+        with pytest.raises(BudgetExceeded, match="symbolic networks are budgeted to rank 4"):
+            ratio_difference_poly(r)
 
     def test_evaluate_needs_one_value_per_variable(self):
         with pytest.raises(InvalidInput, match="need 4 values, got 3"):
@@ -72,21 +71,20 @@ class TestSymbolicMatrix:
 
 
 class TestMinorEvaluators:
-    """The determinant, the path-family oracle and the symbolic polynomial
-    are three independent ways to one minor of a network matrix."""
+    """The symbolic brackets are `bracket_table` over polynomials, the
+    kernel `all_brackets` runs over ints, so they are held to the two
+    evaluators that share no code with it: the Bareiss determinant behind
+    `plucker_eval` and the path-family oracle `lgv_minors`."""
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_three_evaluators_agree(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=4))
-        k = n * (n - 1) // 2
-        dyadic = st.integers(min_value=-3, max_value=3).map(lambda e: Fraction(2) ** e)
-        draw = lambda count: data.draw(st.lists(dyadic, min_size=count, max_size=count))
-        p = NetworkParams.of(n, draw(k), draw(n), draw(k))
-        spec = data.draw(st.sampled_from(all_minor_specs(n)))
-        exact = minor(network_matrix(p), spec)
-        assert lgv_minors(p, spec) == exact
-        assert symbolic_minor(n, spec.rows, spec.cols).evaluate(flat_weights(p)) == exact
+    def test_three_evaluators_agree(self):
+        for n in range(1, 5):
+            for seed in range(3):
+                p = random_network(n, seed)
+                m, values = network_matrix(p), flat_weights(p)
+                for alpha in all_index_sets(n):
+                    exact = plucker_eval(m, alpha)
+                    assert lgv_minors(p, plucker_to_minor(alpha)) == exact, (n, seed, alpha)
+                    assert symbolic_bracket(n, alpha).evaluate(values) == exact, (n, seed, alpha)
 
 
 class TestRatioDifference:

@@ -681,9 +681,10 @@ class TestFalsifyOrientation:
         tables = {t: all_brackets(m) for t, m in members.items()}
         for r in ratios:
             oriented = list(witnesses._orientations(r))
+            rotated = [cyclic_shift_ratio(r, rotation) for rotation in range(8)]
             assert oriented == [
-                (rotation, mirrored, witnesses._oriented(r, rotation, mirrored))
-                for rotation in range(8)
+                (rotation, mirrored, reversal_ratio(variant) if mirrored else variant)
+                for rotation, variant in enumerate(rotated)
                 for mirrored in (False, True)
             ]
             for _, _, variant in oriented:
