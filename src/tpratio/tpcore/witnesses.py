@@ -15,6 +15,10 @@ values; at rank 4 it also tries every rotation and mirror image of the
 ratio on the known 4 x 4 counterexample family, reading all sixteen from
 one table of every bracket per ladder rung (`all_brackets`).  Both
 families are planar networks, totally positive by construction.
+Only the degree-gap family depends on the ratio, so the counterexample
+rung tables (`_rung_table`) and the random-search matrices
+(`_random_trials`) are built once per process, on first use, and shared
+by every later call.
 Boundedness is invariant under these symmetries, so they act on the ratio,
 never on the matrices.
 Everything is labeled a numerical witness: growth past a threshold, never
@@ -23,9 +27,11 @@ a proof.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 
 from ..combinatorics import (
     RatioExpr,
@@ -160,6 +166,30 @@ def _orientations(ratio: RatioExpr):
         ratio = cyclic_shift_ratio(ratio)
 
 
+@cache
+def _rung_table(t: Fraction) -> Mapping[int, Fraction]:
+    """Every bracket of `counterexample_matrix(t)` by `IndexSet.mask`,
+    read-only since every later `falsify` call shares it.  `falsify` asks
+    only for the rungs of its ladder, so at most ``len(T_LADDER) +
+    LADDER_EXTENSIONS`` tables are ever held."""
+    return MappingProxyType(all_brackets(counterexample_matrix(t)))
+
+
+def _rung_value(ratio: RatioExpr, t: Fraction) -> Fraction:
+    """The ratio's value on `counterexample_matrix(t)`, read from its rung
+    table.  The table is looked up once, not once per bracket: each lookup
+    hashes the `Fraction` ``t``."""
+    table = _rung_table(t)
+    return ratio_value(ratio, lambda s: table[s.mask])
+
+
+@cache
+def _random_trials(rank: int) -> tuple[TPMatrix, ...]:
+    """The random-search matrices, ``random_tp(rank, seed, magnitude=6)``
+    for seeds ``0 .. RANDOM_TRIALS - 1``: one tuple per rank."""
+    return tuple(random_tp(rank, seed, magnitude=6) for seed in range(RANDOM_TRIALS))
+
+
 def _climb_ladder(family, detail, value_at):
     """Evaluate along `T_LADDER`; while the trace keeps strictly increasing
     but has not crossed `THRESHOLD`, extend by factors of 10, at most
@@ -184,10 +214,11 @@ def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
     the known 4 x 4 counterexample family and a random search over seeds
     ``0 .. RANDOM_TRIALS - 1`` are tried.  The sixteen rotations and mirror
     images of a rank-4 ratio are all read from one table of the family
-    member's brackets per ladder rung.  Ladders that are still strictly
-    climbing at their top rung are extended by factors of 10.  An
-    `Inconclusive` result records what was attempted; it is not a proof of
-    boundedness.
+    member's brackets per ladder rung, built once per process and shared
+    by every call, as are the random-search matrices.  Ladders that are
+    still strictly climbing at their top rung are extended by factors of
+    10.  An `Inconclusive` result records what was attempted; it is not a
+    proof of boundedness.
     """
     attempts = []
     found = _gap_arc(ratio)
@@ -207,12 +238,11 @@ def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
         attempts.append("majorization screen holds: no degree gap")
 
     if ratio.rank == 4:
-        table = cache(lambda t: all_brackets(counterexample_matrix(t)))  # once per rung
         for rotation, mirrored, variant in _orientations(ratio):
             evidence = _climb_ladder(
                 "counterexample-family",
                 (("rotation", rotation), ("mirrored", int(mirrored))),
-                lambda t: ratio_value(variant, lambda s: table(t)[s.mask]),
+                lambda t: _rung_value(variant, t),
             )
             if evidence is not None and evidence.increasing:
                 return evidence
@@ -220,8 +250,8 @@ def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
 
     best = max(
         (
-            (Fraction(seed), eval_ratio(random_tp(ratio.rank, seed, magnitude=6), ratio))
-            for seed in range(RANDOM_TRIALS)
+            (Fraction(seed), eval_ratio(m, ratio))
+            for seed, m in enumerate(_random_trials(ratio.rank))
         ),
         key=lambda pair: pair[1],
     )

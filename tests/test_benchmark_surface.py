@@ -9,6 +9,8 @@ import importlib
 import time
 from pathlib import Path
 
+from tpratio.tpcore import witnesses
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -18,6 +20,9 @@ def test_tracer_targets_and_first_queries(monkeypatch):
     workloads = importlib.import_module("workloads")
     started = time.monotonic()
     originals = [getattr(home, attr) for _, home, attr in tracer.TARGETS]
+    # each benchmark run is a fresh process: nothing built by earlier tests
+    witnesses._rung_table.cache_clear()
+    witnesses._random_trials.cache_clear()
     recorder = tracer.SpanRecorder()
     restore = tracer.install(recorder)  # getattr of every target
     try:

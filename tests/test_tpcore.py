@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -572,6 +575,18 @@ class TestLgv:
             lgv_minors(all_ones_params(5), MinorSpec.of(5, [1], [1]))
 
 
+@pytest.fixture
+def cold_families():
+    """`falsify`'s process-level families, emptied before the test and
+    after it, so that nothing a test builds or patches outlives it."""
+    families = (witnesses._rung_table, witnesses._random_trials)
+    for family in families:
+        family.cache_clear()
+    yield families
+    for family in families:
+        family.cache_clear()
+
+
 class TestFalsify:
     def test_failing_ratio_yields_witness(self):
         out = falsify(ratio(2, [(1, 3), (2, 4)], [(1, 4), (2, 3)]))
@@ -586,23 +601,34 @@ class TestFalsify:
         assert out.family == "counterexample-family"
         assert out.increasing and out.peak > 1000
 
-    def test_counterexample_member_built_once_per_rung(self, monkeypatch):
+    def test_counterexample_member_built_once_per_rung(self, monkeypatch, cold_families):
         rungs, tables = [], []
         build = witnesses.counterexample_matrix
         counted = lambda t: rungs.append(t) or build(t)
         monkeypatch.setattr(witnesses, "counterexample_matrix", counted)
         tabulate = witnesses.all_brackets
         monkeypatch.setattr(witnesses, "all_brackets", lambda m: tables.append(m) or tabulate(m))
-        out = falsify(ratio(4, [(1, 2, 3, 4), (1, 4, 6, 7)], [(1, 2, 4, 7), (1, 3, 4, 6)]))
+        query = ratio(4, [(1, 2, 3, 4), (1, 4, 6, 7)], [(1, 2, 4, 7), (1, 3, 4, 6)])
+        out = falsify(query)
         assert isinstance(out, Inconclusive)
         assert set(T_LADDER) <= set(rungs)
         assert len(rungs) == len(set(rungs))  # shared by all 16 orientations
         assert len(tables) == len(set(rungs))
+        built = len(rungs)
+        assert falsify(query) == out
+        assert len(rungs) == len(tables) == built  # and by every later call
 
     def test_bounded_ratio_inconclusive(self):
         out = falsify(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
         assert isinstance(out, Inconclusive)
         assert any("no degree gap" in a for a in out.attempts)
+
+
+# every rung `falsify` can reach: `T_LADDER` and all its extensions
+FULL_LADDER = (
+    *T_LADDER,
+    *(T_LADDER[-1] * 10**e for e in range(1, witnesses.LADDER_EXTENSIONS + 1)),
+)
 
 
 def _orbit(r):
@@ -667,7 +693,7 @@ class TestFalsifyOrientation:
         assert checked == {3: 4, 4: 4}
         assert len(starts) > 1
 
-    def test_sweep_reads_every_orientation_from_the_rung_table(self, monkeypatch):
+    def test_sweep_reads_every_orientation_from_the_rung_table(self, monkeypatch, cold_families):
         rng = random.Random(14)
         screened = []
         while len(screened) < 20:
@@ -675,9 +701,7 @@ class TestFalsifyOrientation:
             if r is not None and check_condition_m(r).holds:
                 screened.append(r)
         ratios = _orbit(UNBOUNDED_3OVER3) + screened
-        extensions = range(1, witnesses.LADDER_EXTENSIONS + 1)
-        ladder = [*T_LADDER, *(T_LADDER[-1] * 10**e for e in extensions)]
-        members = {t: counterexample_matrix(t) for t in ladder}
+        members = {t: counterexample_matrix(t) for t in FULL_LADDER}
         tables = {t: all_brackets(m) for t, m in members.items()}
         for r in ratios:
             oriented = list(witnesses._orientations(r))
@@ -695,7 +719,9 @@ class TestFalsifyOrientation:
         assert {type(out) for out in outcomes} == {Evidence, Inconclusive}
         single = lambda m: {s.mask: plucker_eval(m, s) for s in all_index_sets(m.rank)}
         monkeypatch.setattr(witnesses, "all_brackets", single)
+        witnesses._rung_table.cache_clear()
         assert [falsify(r) for r in ratios] == outcomes
+        assert witnesses._rung_table.cache_info().currsize >= len(T_LADDER)  # from `single`
 
     def test_falsify_transforms_no_matrix(self, monkeypatch):
         inconclusive = ratio(
@@ -718,6 +744,77 @@ class TestFalsifyOrientation:
                 if name.split(".")[0] == "tpratio" and getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, forbidden)
         assert [falsify(r) for r in (member, inconclusive)] == expected
+
+
+def _seeded_batch():
+    """Two-over-two ST0 ratios at ranks 2 to 5, screen-passing and not, plus
+    the unbounded three-over-three ratio and one mirror image of it."""
+    rng = random.Random(23)
+    batch = [UNBOUNDED_3OVER3, reversal_ratio(UNBOUNDED_3OVER3)]
+    for rank in (2, 3, 4, 5):
+        drawn = 0
+        while drawn < 6:
+            r = util.random_st0_ratio(rank, rng)
+            if r is not None:
+                batch.append(r)
+                drawn += 1
+    return batch
+
+
+class TestFalsifierFamilies:
+    """The counterexample rung tables and the random-search matrices are
+    built once per process; what they hold must be what `falsify` would
+    build fresh, and no call may see another's effects."""
+
+    def test_random_trials_equal_fresh_builds(self, cold_families):
+        for n in (2, 3, 4, 5):
+            trials = witnesses._random_trials(n)
+            assert len(trials) == witnesses.RANDOM_TRIALS
+            for seed, m in enumerate(trials):
+                assert m == random_tp(n, seed, magnitude=6), (n, seed)
+
+    def test_rung_tables_equal_fresh_builds(self, cold_families):
+        assert len(FULL_LADDER) == len(T_LADDER) + witnesses.LADDER_EXTENSIONS
+        for t in FULL_LADDER:
+            assert dict(witnesses._rung_table(t)) == all_brackets(counterexample_matrix(t)), t
+
+    def test_rung_table_is_read_only(self, cold_families):
+        table = witnesses._rung_table(T_LADDER[0])
+        mask, value = next(iter(table.items()))
+        with pytest.raises(TypeError):
+            table[mask] = value + 1
+        with pytest.raises(TypeError):
+            del table[mask]
+        assert witnesses._rung_table(T_LADDER[0])[mask] == value
+
+    def test_families_stay_bounded(self, cold_families):
+        rung_tables, random_trials = cold_families
+        batch = _seeded_batch()
+        outcomes = [falsify(r) for r in batch]
+        assert {type(out) for out in outcomes} == {Evidence, Inconclusive}
+        ranks_seen = {r.rank for r in batch}
+        assert len(T_LADDER) <= rung_tables.cache_info().currsize <= len(FULL_LADDER)
+        assert 1 <= random_trials.cache_info().currsize <= len(ranks_seen)
+
+    def test_outcomes_do_not_depend_on_call_order(self, cold_families):
+        batch = _seeded_batch()
+        forward = [falsify(r) for r in batch]
+        backward = [falsify(r) for r in reversed(batch)]
+        assert backward[::-1] == forward
+
+    def test_import_builds_neither_family(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import tpratio.cli, tpratio.tpcore.witnesses as w\n"
+            "print(w._rung_table.cache_info().currsize, w._random_trials.cache_info().currsize)"
+        )
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
 
 
 class TestSerialization:
