@@ -23,10 +23,9 @@ from .combinatorics import (
     arcs_up_to_half,
     check_condition_m,
     check_st0,
-    conjugate,
     cyclic_shift,
     cyclic_shift_ratio,
-    majorizes,
+    degree_gap,
     minor_to_plucker,
     m_vector,
     plucker_to_minor,

@@ -242,7 +242,7 @@ def _ratio_argument(args) -> RatioExpr | None:
     elif args.ratio:
         text = args.ratio
     elif args.ratio_required:
-        raise RatioSyntaxError("no ratio given (argument or --file)", 0)
+        raise InvalidInput("no ratio given (argument or --file)")
     else:
         return None
     return parse_ratio(text, args.n)
@@ -407,7 +407,7 @@ def _cmd_transform(args, ratio):
         fields["matrix"] = _entries(args.matrix_op(_load_matrix(args.matrix)))
         lines += ["matrix rows:", *("  " + " ".join(row) for row in fields["matrix"])]
     if not lines:
-        raise RatioSyntaxError("nothing to transform: give a ratio or --matrix", 0)
+        raise InvalidInput("nothing to transform: give a ratio or --matrix")
     return fields, lines
 
 

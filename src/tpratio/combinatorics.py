@@ -114,17 +114,6 @@ class MinorSpec:
         )
 
 
-def all_minor_specs(rank: int) -> list[MinorSpec]:
-    """Every minor address of an ``n x n`` matrix, the empty one included."""
-    labels = range(1, rank + 1)
-    specs = []
-    for size in range(rank + 1):
-        for rows in itertools.combinations(labels, size):
-            for cols in itertools.combinations(labels, size):
-                specs.append(MinorSpec(rank, rows, cols))
-    return specs
-
-
 def minor_to_plucker(spec: MinorSpec) -> IndexSet:
     """Encode a minor address as a single Plücker index set.
 
@@ -365,35 +354,31 @@ def check_st0(ratio: RatioExpr) -> St0Verdict:
     return St0Verdict(True)
 
 
-def majorizes(x: Sequence[int], y: Sequence[int]) -> bool:
-    """Prefix sums of ``x`` dominate those of ``y``, with equal totals.
+def degree_gap(x: Sequence[int], y: Sequence[int]) -> int | None:
+    """The least ``k >= 1`` at which ``sum(min(x_i, k))`` exceeds
+    ``sum(min(y_i, k))``, or None when there is no such ``k``.
 
-    Both inputs are non-increasing; the shorter is padded with zeros.
-    Unequal totals yield False (see `majorization_defect` for which way
-    it failed).
-    """
-    return majorization_defect(x, y) is None
+    Read ``x`` and ``y`` as the numerator's and denominator's intersection
+    profiles on an arc of length ``s`` that leads the 2n-gon.  On the
+    family ``witness_family(n, s, k, t)`` each bracket obeys the degree law
 
+        deg_t bracket(alpha) = min(k, |alpha ∩ {1..s}|),
 
-def majorization_defect(x: Sequence[int], y: Sequence[int]) -> str | None:
-    """None if ``x`` majorizes ``y``, else ``"prefix"`` or ``"total"``."""
-    n = max(len(x), len(y))
-    sx = sy = 0
-    for k in range(n):
-        sx += x[k] if k < len(x) else 0
-        sy += y[k] if k < len(y) else 0
-        if sx < sy:
-            return "prefix"
-    if sx != sy:
-        return "total"
+    so the two sums are the ``t``-degrees of the two sides, and a gap at
+    ``k`` drives the ratio to infinity on that family.  Each sum is also
+    the ``k``-th prefix sum of the conjugate partition, whose ``k``-th part
+    counts the parts that reach ``k``, and conjugation reverses
+    majorization: when the totals agree, ``x`` majorizes ``y`` exactly
+    when there is no gap (`check_condition_m`)."""
+    gap = 0  # sum(min(x_i, k)) - sum(min(y_i, k)), grown by the k-th parts
+    for k in range(1, max((*x, *y), default=0) + 1):
+        for a in x:
+            gap += a >= k
+        for b in y:
+            gap -= b >= k
+        if gap > 0:
+            return k
     return None
-
-
-def conjugate(x: Sequence[int]) -> tuple[int, ...]:
-    """Conjugate partition: entry j counts how many parts are >= j."""
-    if not x or x[0] == 0:
-        return ()
-    return tuple(sum(1 for xi in x if xi >= j) for j in range(1, x[0] + 1))
 
 
 def m_vector(sets: Sequence[IndexSet], arc: Arc) -> tuple[int, ...]:
@@ -413,7 +398,8 @@ class ConditionMVerdict:
 
 def check_condition_m(ratio: RatioExpr) -> ConditionMVerdict:
     """For every arc of length <= n, the numerator intersection profile must
-    majorize the denominator profile.
+    majorize the denominator profile: the totals agree and there is no
+    `degree_gap`.
 
     The witness on failure is the lexicographically first failing arc,
     ordered by (start, length).
@@ -421,6 +407,6 @@ def check_condition_m(ratio: RatioExpr) -> ConditionMVerdict:
     for arc in arcs_up_to_half(ratio.rank):
         mn = m_vector(ratio.numerator, arc)
         md = m_vector(ratio.denominator, arc)
-        if not majorizes(mn, md):
+        if mn != md and (sum(mn) != sum(md) or degree_gap(mn, md) is not None):
             return ConditionMVerdict(False, arc, mn, md)
     return ConditionMVerdict(True)

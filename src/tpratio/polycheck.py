@@ -12,10 +12,12 @@ variable order above; it only matters for reporting deterministic
 witnesses.  The symbolic network matrix is
 `tpratio.tpcore.network.network_product` taken over polynomials, with
 variable ``i`` standing for weight ``i`` of the flat order (`flat_weights`,
-`variable_names`).  Its brackets are `tpratio.tpcore.grassmann.bracket_table`
-taken over polynomials, the same expansion `all_brackets` runs over ints,
-built once per rank; so ``symbolic_bracket(n, alpha).evaluate(flat_weights(p))``
-is the exact bracket of ``network_matrix(p)``.
+`variable_names`); `network_matrix` takes the same product over `Fraction`.
+Its brackets are `tpratio.tpcore.grassmann.bracket_table` taken over
+polynomials, the same expansion the falsifier's rung tables run over
+`Fraction`, built once per rank; so
+``symbolic_bracket(n, alpha).evaluate(flat_weights(p))`` is the exact
+bracket of ``network_matrix(p)``.
 """
 
 from __future__ import annotations

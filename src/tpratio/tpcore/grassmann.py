@@ -16,10 +16,10 @@ equally many brackets.
 
 `ratio_value` multiplies a ratio out from any source of bracket values.
 `eval_ratio` feeds it `plucker_eval`, one minor per distinct bracket; a
-caller that reads many ratios off one matrix feeds it `all_brackets`, the
-table of every bracket at once, keyed by `IndexSet.mask`.  That table is
-`bracket_table`, the one Laplace expansion of all minors, taken over ints;
-`tpratio.polycheck.symbolic_bracket` takes it over polynomials.
+caller that reads many ratios off one matrix feeds it `bracket_table`, the
+table of every bracket at once, keyed by `IndexSet.mask`: the one Laplace
+expansion of all minors, which `tpratio.tpcore.witnesses` takes over
+`Fraction` and `tpratio.polycheck.symbolic_bracket` over polynomials.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ def bracket_table(grid, zero, one) -> dict:
 
     The minors are built in increasing size by Laplace expansion along
     their first row, each from the minors one size smaller, which the table
-    already holds; the base set is the empty minor, ``one``.  Over ints it
-    serves `all_brackets`, over polynomials
-    `tpratio.polycheck.symbolic_bracket`."""
+    already holds; the base set is the empty minor, ``one``.  Over
+    `Fraction` it serves the falsifier's rung tables, over polynomials
+    `tpratio.polycheck.symbolic_bracket`; `plucker_eval` reads the same
+    values one at a time."""
     n = len(grid)
     base = (1 << 2 * n) - (1 << n)  # every column dropped
     bit = [1 << (2 * n - 1 - c) for c in range(n)]  # column c's dropped label
@@ -75,22 +76,6 @@ def bracket_table(grid, zero, one) -> dict:
                     value = value - term if j & 1 else value + term
                 table[rest | 1 << rows[0] | dropped] = value
     return table
-
-
-def all_brackets(matrix: TPMatrix) -> dict[int, Fraction]:
-    """Every bracket of ``matrix``, keyed by `IndexSet.mask` as in
-    `bracket_table`.
-
-    The matrix is cleared by one common denominator, ``scale``, and its
-    `bracket_table` is taken over ints; a size-``k`` bracket is that integer
-    minor over ``scale**k``.  `plucker_eval` reads the same values one at a
-    time."""
-    n = matrix.rank
-    scale = math.lcm(*(x.denominator for row in matrix.entries for x in row))
-    cleared = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix.entries]
-    rows, powers = (1 << n) - 1, [scale**k for k in range(n + 1)]
-    return {mask: Fraction(value, powers[(mask & rows).bit_count()])
-            for mask, value in bracket_table(cleared, 0, 1).items()}
 
 
 def ratio_value(ratio: RatioExpr, bracket: Callable[[IndexSet], Fraction]) -> Fraction:

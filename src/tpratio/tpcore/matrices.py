@@ -1,8 +1,8 @@
 """Exact rational matrices, minors, and total-positivity checks.
 
 Everything in this module is exact and no floating point appears anywhere.
-Entries are `fractions.Fraction` at the boundary; the two kernels inside
-run over Python ints.  `minor` is the one exact minor the library evaluates
+Entries are `fractions.Fraction`; the one kernel inside, `det`, runs over
+Python ints.  `minor` is the one exact minor the library evaluates
 brackets with: `grassmann` reads each bracket as the minor
 `plucker_to_minor` names, a determinant of at most ``n x n`` and often much
 smaller.  `det` clears one denominator per row and runs Bareiss's
@@ -10,8 +10,7 @@ fraction-free elimination, so every division is exact and no gcd is paid
 until the one `Fraction` it returns.
 `network_matrix` multiplies the planar network out with
 `tpratio.tpcore.network.network_product`, the one routine that multiplies
-layers, over integer layers that share one denominator for the whole
-matrix.
+layers, over `Fraction`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Sequence
 from ..combinatorics import MinorSpec
 from ..budgets import MAX_MAGNITUDE
 from ..errors import BudgetExceeded, InvalidInput, NotTotallyPositive
-from .network import Chip, NetworkParams, chips, flat_weights, network_product
+from .network import NetworkParams, chips, flat_weights, network_product
 
 Row = tuple[Fraction, ...]
 Grid = tuple[Row, ...]
@@ -129,35 +128,10 @@ def verify_tp(matrix: TPMatrix) -> bool:
 
 def network_matrix(params: NetworkParams) -> TPMatrix:
     """The matrix of the weighted planar network; totally positive whenever
-    all weights are positive (which `NetworkParams` enforces).
-
-    The product runs over ints with one denominator for the whole matrix:
-    the diagonal layer is cleared by the lcm of its denominators, and a
-    slant of weight ``p/q`` is ``1/q`` times the integer layers that scale
-    every column but the slant's source by ``q``, add ``p`` times the
-    source, and then scale the source by ``q``."""
+    all weights are positive (which `NetworkParams` enforces)."""
     n = params.rank
-    layers, scale = [], 1
-    for chip in chips(n, flat_weights(params)):
-        if chip.kind == "diag":
-            lcm = math.lcm(*(d.denominator for d in chip.weights))
-            cleared = tuple(d.numerator * (lcm // d.denominator) for d in chip.weights)
-            layers.append(Chip("diag", 0, cleared))
-            scale *= lcm
-            continue
-        p, q = chip.weights[0].numerator, chip.weights[0].denominator
-        slant = Chip(chip.kind, chip.wire, (p,))
-        if q == 1:  # the scaling layers would be the identity
-            layers.append(slant)
-            continue
-        source = chip.wire if chip.kind == "lower" else chip.wire - 1  # 0-based
-        scales = [q] * n
-        scales[source] = 1
-        # a diagonal layer scales only its first len(weights) columns
-        layers += [Chip("diag", 0, tuple(scales)), slant, Chip("diag", 0, (1,) * source + (q,))]
-        scale *= q
-    grid = network_product(n, layers, 0, 1)
-    return TPMatrix(n, tuple(tuple(Fraction(x, scale) for x in row) for row in grid))
+    layers = chips(n, flat_weights(params))
+    return TPMatrix(n, network_product(n, layers, Fraction(0), Fraction(1)))
 
 
 def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:

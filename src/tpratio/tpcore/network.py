@@ -14,13 +14,11 @@ The weights have one flat order, ``L(1..K) < D(1..n) < U(1..K)``
 (`flat_weights`, `variable_names`).  `chips` turns flat weights into the
 layer sequence, and `network_product`, the one routine that multiplies
 layers, runs over any ring, one column operation per layer:
-`tpratio.tpcore.matrices.network_matrix` over ints, on integer layers that
-share one denominator for the whole matrix, with `Fraction` only in the
-weights it reads and the entries it returns;
-`tpratio.polycheck.symbolic_network_matrix` over polynomials; and
-`tpratio.tpcore.witnesses.witness_family` over `Fraction` on a longer layer
-list.  The product's brackets come from the other ring-generic kernel,
-`tpratio.tpcore.grassmann.bracket_table`, over the same rings.
+`tpratio.tpcore.matrices.network_matrix` and
+`tpratio.tpcore.witnesses.witness_family` (on a longer layer list) over
+`Fraction`, and `tpratio.polycheck.symbolic_network_matrix` over
+polynomials.  The product's brackets come from the other ring-generic
+kernel, `tpratio.tpcore.grassmann.bracket_table`, over the same two rings.
 `tpratio.tpcore.lgv` reads the same layers through `chip_entries` and sums
 path families instead, an independent oracle for the product's minors.
 """

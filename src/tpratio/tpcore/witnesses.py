@@ -8,13 +8,15 @@ is the degree law
 
     deg_t bracket(alpha) = min(k, |alpha ∩ {1..s}|),
 
-which converts a failed majorization prefix into a numerator/denominator
-degree gap.  The falsifier locates such a gap, rotates the ratio so the
+which turns the arc on which the screen fails into a numerator/denominator
+degree gap (`tpratio.combinatorics.degree_gap`, the same inequality the
+screen tests).  The falsifier locates such a gap, rotates the ratio so the
 gap arc leads, and evaluates it on the family along a ladder of ``t``
 values; at rank 4 it also tries every rotation and mirror image of the
 ratio on the known 4 x 4 counterexample family, reading all sixteen from
-one table of every bracket per ladder rung (`all_brackets`).  Both
-families are planar networks, totally positive by construction.
+one table of every bracket per ladder rung (`bracket_table` over
+`Fraction`).  Both families are planar networks, totally positive by
+construction.
 Only the degree-gap family depends on the ratio, so the counterexample
 rung tables (`_rung_table`) and the random-search matrices
 (`_random_trials`) are built once per process, on first use, and shared
@@ -28,7 +30,7 @@ a proof.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -36,13 +38,13 @@ from types import MappingProxyType
 from ..combinatorics import (
     RatioExpr,
     arcs_up_to_half,
-    conjugate,
     cyclic_shift_ratio,
+    degree_gap,
     m_vector,
     reversal_ratio,
 )
 from ..errors import InvalidInput
-from .grassmann import all_brackets, eval_ratio, ratio_value, shift_matrix
+from .grassmann import bracket_table, eval_ratio, ratio_value, shift_matrix
 from .matrices import TPMatrix, network_matrix, random_tp
 from .network import Chip, NetworkParams, chips, network_product
 
@@ -117,25 +119,11 @@ class Inconclusive:
     attempts: tuple[str, ...]
 
 
-def _degree_gap(ratio: RatioExpr, arc) -> int | None:
-    """Smallest prefix length at which the numerator's conjugate profile
-    strictly exceeds the denominator's, or None when the arc gives no gap."""
-    cn = conjugate(m_vector(ratio.numerator, arc))
-    cd = conjugate(m_vector(ratio.denominator, arc))
-    sn = sd = 0
-    for k in range(1, arc.length + 1):
-        sn += cn[k - 1] if k <= len(cn) else 0
-        sd += cd[k - 1] if k <= len(cd) else 0
-        if sn > sd:
-            return k
-    return None
-
-
 def _gap_arc(ratio: RatioExpr):
-    """First arc (in lexicographic order) whose majorization failure yields a
-    growth gap.  Exists whenever the screen fails at all."""
+    """First arc (in lexicographic order) with a `degree_gap`, and the gap.
+    Exists whenever the screen fails at all."""
     for arc in arcs_up_to_half(ratio.rank):
-        k = _degree_gap(ratio, arc)
+        k = degree_gap(m_vector(ratio.numerator, arc), m_vector(ratio.denominator, arc))
         if k is not None:
             return arc, k
     return None
@@ -172,7 +160,9 @@ def _rung_table(t: Fraction) -> Mapping[int, Fraction]:
     read-only since every later `falsify` call shares it.  `falsify` asks
     only for the rungs of its ladder, so at most ``len(T_LADDER) +
     LADDER_EXTENSIONS`` tables are ever held."""
-    return MappingProxyType(all_brackets(counterexample_matrix(t)))
+    return MappingProxyType(
+        bracket_table(counterexample_matrix(t).entries, Fraction(0), Fraction(1))
+    )
 
 
 def _rung_value(ratio: RatioExpr, t: Fraction) -> Fraction:
@@ -194,16 +184,12 @@ def _climb_ladder(family, detail, value_at):
     """Evaluate along `T_LADDER`; while the trace keeps strictly increasing
     but has not crossed `THRESHOLD`, extend by factors of 10, at most
     `LADDER_EXTENSIONS` times.  Returns the Evidence or None."""
-    trace = [(t, value_at(t)) for t in T_LADDER]
+    evidence = Evidence(family, detail, tuple((t, value_at(t)) for t in T_LADDER), THRESHOLD)
     for _ in range(LADDER_EXTENSIONS):
-        values = [v for _, v in trace]
-        if any(a >= b for a, b in zip(values, values[1:])):
+        if not evidence.increasing or evidence.peak > THRESHOLD:
             break
-        if max(values) > THRESHOLD:
-            break
-        t = trace[-1][0] * 10
-        trace.append((t, value_at(t)))
-    evidence = Evidence(family, detail, tuple(trace), THRESHOLD)
+        t = evidence.trace[-1][0] * 10
+        evidence = replace(evidence, trace=(*evidence.trace, (t, value_at(t))))
     return evidence if evidence.peak > THRESHOLD else None
 
 

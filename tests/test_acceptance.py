@@ -22,7 +22,6 @@ from tpratio.combinatorics import (
     IndexSet,
     RatioExpr,
     all_index_sets,
-    all_minor_specs,
     check_condition_m,
     check_st0,
     cyclic_shift_ratio,
@@ -222,7 +221,7 @@ def test_criterion_06_bridge_identity():
     for n in (2, 3, 4):
         for seed in range(10):
             m = random_tp(n, seed)
-            for spec in all_minor_specs(n):
+            for spec in util.all_minor_specs(n):
                 assert minor(m, spec) == util.representative_bracket(m, minor_to_plucker(spec))
                 checked += 1
     elapsed = time.monotonic() - started
@@ -272,13 +271,13 @@ def test_criterion_09_lgv_oracle():
     for n in (1, 2, 3):
         p = random_network(n, 42, magnitude=2)
         m = network_matrix(p)
-        for spec in all_minor_specs(n):
+        for spec in util.all_minor_specs(n):
             assert lgv_minors(p, spec) == minor(m, spec)
             checked += 1
     p = random_network(4, 17, magnitude=2)
     m = network_matrix(p)
     rng = random.Random(9)
-    for spec in rng.sample(all_minor_specs(4), 50):
+    for spec in rng.sample(util.all_minor_specs(4), 50):
         assert lgv_minors(p, spec) == minor(m, spec)
         checked += 1
     report(9, True, f"{checked} path-family sums equal determinant minors")

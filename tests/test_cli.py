@@ -377,6 +377,18 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("check",), "error: no ratio given (argument or --file)\n"),
+            (("reverse",), "error: nothing to transform: give a ratio or --matrix\n"),
+        ],
+        ids=["check", "reverse"],
+    )
+    def test_missing_input_names_no_offset(self, capsys, argv, line):
+        # no text was read, so there is no offset to point at
+        assert run(capsys, *argv) == (1, "", line)
+
     @pytest.mark.parametrize("argv", [("--help",), ("falsify", "--help")])
     def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_:

@@ -4,8 +4,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from tpratio.combinatorics import (
     Arc,
@@ -14,22 +12,21 @@ from tpratio.combinatorics import (
     MinorSpec,
     RatioExpr,
     all_index_sets,
-    all_minor_specs,
     arcs_up_to_half,
     base_set,
     check_condition_m,
     check_st0,
-    conjugate,
     cyclic_shift,
     cyclic_shift_ratio,
+    degree_gap,
     m_vector,
-    majorization_defect,
-    majorizes,
     minor_to_plucker,
     plucker_to_minor,
     reversal,
     reversal_ratio,
 )
+
+import util
 
 
 def iset(n, *elems):
@@ -82,7 +79,7 @@ class TestMinorBridge:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_round_trip_exhaustive(self, n):
-        for spec in all_minor_specs(n):
+        for spec in util.all_minor_specs(n):
             assert plucker_to_minor(minor_to_plucker(spec)) == spec
         for alpha in all_index_sets(n):
             assert minor_to_plucker(plucker_to_minor(alpha)) == alpha
@@ -132,33 +129,34 @@ class TestSt0:
 
 class TestMajorization:
     def test_examples(self):
-        assert majorizes((2, 0), (1, 1))
-        assert not majorizes((1, 1), (2, 0))
-        assert majorizes((2, 1), (2, 1))
+        assert util.majorizes((2, 0), (1, 1))
+        assert not util.majorizes((1, 1), (2, 0))
+        assert util.majorizes((2, 1), (2, 1))
+        assert util.majorizes((3,), (1, 1, 1))
+        assert degree_gap((1, 1), (2, 0)) == 1
+        assert degree_gap((2, 0), (1, 1)) is None
+        assert degree_gap((2, 1), (2, 1)) is None
+        assert degree_gap((2, 2), (3, 1)) == 2
+        assert degree_gap((), ()) is None
 
-    def test_defect_flags(self):
-        assert majorization_defect((1, 1), (2, 0)) == "prefix"
-        assert majorization_defect((2, 1), (1, 1)) == "total"
-        assert majorization_defect((3,), (1, 1, 1)) is None
-
-    def test_conjugate_examples(self):
-        assert conjugate((2, 1)) == (2, 1)
-        assert conjugate((3, 1)) == (2, 1, 1)
-        assert conjugate((0, 0)) == ()
-
-    @given(st.lists(st.integers(min_value=0, max_value=6), max_size=6))
-    def test_conjugate_involution(self, parts):
-        x = tuple(sorted(parts, reverse=True))
-        assert conjugate(conjugate(x)) == tuple(p for p in x if p)
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=5),
-        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=5),
-    )
-    def test_conjugation_duality(self, xs, ys):
-        x = tuple(sorted(xs, reverse=True))
-        y = tuple(sorted(ys, reverse=True))
-        assert majorizes(x, y) == majorizes(conjugate(y), conjugate(x))
+    def test_conjugation_duality(self):
+        """Every pair of profiles of 1-4 sets on an arc of length 1-5: with
+        equal totals, ``x`` majorizes ``y`` exactly when `degree_gap` finds
+        no ``k``, and a ``k`` it finds is the least one."""
+        for length in range(1, 6):
+            for sets in range(1, 5):
+                profiles = list(
+                    itertools.combinations_with_replacement(range(length, -1, -1), sets)
+                )
+                for x, y in itertools.product(profiles, repeat=2):
+                    k = degree_gap(x, y)
+                    if sum(x) == sum(y):
+                        assert (k is None) == util.majorizes(x, y), (x, y)
+                    exceeds = [
+                        sum(min(a, j) for a in x) > sum(min(b, j) for b in y)
+                        for j in range(1, length + 1)
+                    ]
+                    assert k == (exceeds.index(True) + 1 if any(exceeds) else None), (x, y)
 
 
 class TestArcs:
@@ -195,6 +193,23 @@ class TestConditionM:
         assert verdict.m_numerator == (1, 1)
         assert verdict.m_denominator == (2, 0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_witness_is_the_first_arc_not_majorized(self, n):
+        # every two-over-two ratio, ST0 or not, against the prefix-sum
+        # definition on each arc in (start, length) order
+        pairs = list(itertools.combinations_with_replacement(all_index_sets(n), 2))
+        for num, den in itertools.product(pairs, repeat=2):
+            first = next(
+                (
+                    arc
+                    for arc in arcs_up_to_half(n)
+                    if not util.majorizes(m_vector(num, arc), m_vector(den, arc))
+                ),
+                None,
+            )
+            verdict = check_condition_m(RatioExpr.of(n, num, den))
+            assert (verdict.holds, verdict.witness) == (first is None, first), (num, den)
+
     def test_basic_ratios_pass(self):
         from tpratio.factorizer import basic_ratios_all
 
@@ -225,10 +240,10 @@ class TestConditionM:
             num, den = sets[:2], sets[2:]
             for arc in arcs_up_to_half(n):
                 mn, md = m_vector(num, arc), m_vector(den, arc)
-                if sum(mn) != sum(md) or not majorizes(mn, md):
+                if not util.majorizes(mn, md):
                     continue
                 comp = arc.complement()
-                assert majorizes(m_vector(num, comp), m_vector(den, comp))
+                assert util.majorizes(m_vector(num, comp), m_vector(den, comp))
 
     def test_invariance_under_shift_and_reversal_exhaustive_n3(self):
         # verdicts computed from precomputed intersection tables for speed

@@ -11,7 +11,9 @@ module under ``src/``, so no budget outlives the check it names.  An
 ``assert`` is stripped under ``python -O``, so a check the library relies
 on raises instead.  A private (``_``-prefixed) function, class or
 constant defined at module level must be read somewhere under ``src/``, so
-a helper a refactor leaves behind fails here.
+a helper a refactor leaves behind fails here.  So must a public function or
+class, unless a package ``__init__`` re-exports it: one that only the tests
+call belongs in the tests.
 """
 
 import ast
@@ -142,3 +144,25 @@ def test_every_private_name_is_read():
         if name not in read
     ]
     assert not dead, f"private names nothing under src/ reads: {dead}"
+
+
+def test_every_public_definition_is_read_or_exported():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.rglob("*.py"))}
+    read = set().union(*map(_loaded, trees.values()))
+    exported = {
+        alias.name
+        for path, tree in trees.items()
+        if path.name == "__init__.py"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unused = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read | exported
+    ]
+    assert not unused, f"public definitions nothing under src/ reads or re-exports: {unused}"

@@ -72,9 +72,10 @@ class TestSymbolicMatrix:
 
 class TestMinorEvaluators:
     """The symbolic brackets are `bracket_table` over polynomials, the
-    kernel `all_brackets` runs over ints, so they are held to the two
-    evaluators that share no code with it: the Bareiss determinant behind
-    `plucker_eval` and the path-family oracle `lgv_minors`."""
+    kernel the falsifier's rung tables run over `Fraction`, so they are
+    held to the two evaluators that share no code with it: the Bareiss
+    determinant behind `plucker_eval` and the path-family oracle
+    `lgv_minors`."""
 
     def test_three_evaluators_agree(self):
         for n in range(1, 5):

@@ -17,7 +17,6 @@ from tpratio.combinatorics import (
     MinorSpec,
     RatioExpr,
     all_index_sets,
-    all_minor_specs,
     check_condition_m,
     check_st0,
     cyclic_shift_ratio,
@@ -48,13 +47,13 @@ from tpratio.tpcore import (
     witness_matrix,
 )
 from tpratio.tpcore import grassmann, witnesses
-from tpratio.tpcore.grassmann import all_brackets, ratio_value
+from tpratio.tpcore.grassmann import bracket_table, ratio_value
 from tpratio.tpcore.matrices import require_tp
 from tpratio.tpcore.network import (
     all_ones_params,
+    chip_entries,
     chips,
     flat_weights,
-    network_product,
     staircase_word,
 )
 
@@ -148,8 +147,16 @@ class TestNetwork:
 
     @staticmethod
     def fraction_product(p):
-        layers = chips(p.rank, flat_weights(p))
-        return TPMatrix(p.rank, network_product(p.rank, layers, Fraction(0), Fraction(1)))
+        """The dense product of the layers' transfer matrices, read off
+        `chip_entries` as the path-family oracle reads them."""
+        n = p.rank
+        product = tuple(tuple(Fraction(r == c) for c in range(n)) for r in range(n))
+        for chip in chips(n, flat_weights(p)):
+            layer = [[Fraction(0)] * n for _ in range(n)]
+            for (r, c), weight in chip_entries(chip, n):
+                layer[r - 1][c - 1] = weight
+            product = util.mat_mul(product, layer)
+        return TPMatrix(n, product)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_fraction_product(self, n):
@@ -178,7 +185,7 @@ def _tp_by_definition(matrix):
     rows = matrix.entries
     return all(
         util.fraction_det([[rows[r - 1][c - 1] for c in spec.cols] for r in spec.rows]) > 0
-        for spec in all_minor_specs(matrix.rank)
+        for spec in util.all_minor_specs(matrix.rank)
         if spec.size
     )
 
@@ -199,7 +206,7 @@ def _nudged(matrix):
             ))
 
         lo, hi = Fraction(0), None
-        for spec in all_minor_specs(n):
+        for spec in util.all_minor_specs(n):
             if i + 1 not in spec.rows or j + 1 not in spec.cols:
                 continue
             value = lambda x: util.fraction_det(
@@ -294,7 +301,7 @@ class TestGrassmann:
     def test_bridge_identity_exhaustive(self, n):
         for seed in range(3):
             m = random_tp(n, seed)
-            for spec in all_minor_specs(n):
+            for spec in util.all_minor_specs(n):
                 assert minor(m, spec) == util.representative_bracket(m, minor_to_plucker(spec))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -345,7 +352,7 @@ class TestGrassmann:
         sets = all_index_sets(n)
         assert len(sets) == math.comb(2 * n, n)
         for m in matrices:
-            table = all_brackets(m)
+            table = bracket_table(m.entries, Fraction(0), Fraction(1))
             assert len(table) == len(sets)
             for s in sets:
                 assert table[s.mask] == plucker_eval(m, s), (m, s)
@@ -549,14 +556,14 @@ class TestLgv:
     def test_oracle_equivalence_exhaustive(self, n):
         p = random_network(n, 42, magnitude=2)
         m = network_matrix(p)
-        for spec in all_minor_specs(n):
+        for spec in util.all_minor_specs(n):
             assert lgv_minors(p, spec) == minor(m, spec)
 
     def test_oracle_equivalence_sampled_n4(self):
         p = random_network(4, 17, magnitude=2)
         m = network_matrix(p)
         rng = random.Random(4)
-        specs = rng.sample(all_minor_specs(4), 50)
+        specs = rng.sample(util.all_minor_specs(4), 50)
         for spec in specs:
             assert lgv_minors(p, spec) == minor(m, spec)
 
@@ -565,7 +572,7 @@ class TestLgv:
         """All 70 minors at the random search's magnitude."""
         p = random_network(4, seed, magnitude=6)
         m = network_matrix(p)
-        specs = all_minor_specs(4)
+        specs = util.all_minor_specs(4)
         assert len(specs) == 70
         for spec in specs:
             assert lgv_minors(p, spec) == minor(m, spec)
@@ -606,8 +613,9 @@ class TestFalsify:
         build = witnesses.counterexample_matrix
         counted = lambda t: rungs.append(t) or build(t)
         monkeypatch.setattr(witnesses, "counterexample_matrix", counted)
-        tabulate = witnesses.all_brackets
-        monkeypatch.setattr(witnesses, "all_brackets", lambda m: tables.append(m) or tabulate(m))
+        tabulate = witnesses.bracket_table
+        counted_tables = lambda *args: tables.append(args) or tabulate(*args)
+        monkeypatch.setattr(witnesses, "bracket_table", counted_tables)
         query = ratio(4, [(1, 2, 3, 4), (1, 4, 6, 7)], [(1, 2, 4, 7), (1, 3, 4, 6)])
         out = falsify(query)
         assert isinstance(out, Inconclusive)
@@ -617,6 +625,19 @@ class TestFalsify:
         built = len(rungs)
         assert falsify(query) == out
         assert len(rungs) == len(tables) == built  # and by every later call
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_gap_arc_is_the_screen_witness(self, n):
+        """On every two-over-two ST0 ratio the arc `falsify` builds its
+        degree-gap family on is the arc `check_condition_m` reports."""
+        failing = 0
+        for r in util.st0_ratios(n):
+            verdict, found = check_condition_m(r), witnesses._gap_arc(r)
+            assert (found is None) == verdict.holds, r
+            if found is not None:
+                assert found[0] == verdict.witness, r
+                failing += 1
+        assert failing > 0
 
     def test_bounded_ratio_inconclusive(self):
         out = falsify(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
@@ -702,7 +723,7 @@ class TestFalsifyOrientation:
                 screened.append(r)
         ratios = _orbit(UNBOUNDED_3OVER3) + screened
         members = {t: counterexample_matrix(t) for t in FULL_LADDER}
-        tables = {t: all_brackets(m) for t, m in members.items()}
+        tables = {t: bracket_table(m.entries, Fraction(0), Fraction(1)) for t, m in members.items()}
         for r in ratios:
             oriented = list(witnesses._orientations(r))
             rotated = [cyclic_shift_ratio(r, rotation) for rotation in range(8)]
@@ -717,8 +738,10 @@ class TestFalsifyOrientation:
                     assert read == eval_ratio(members[t], variant), (variant, t)
         outcomes = [falsify(r) for r in ratios]
         assert {type(out) for out in outcomes} == {Evidence, Inconclusive}
-        single = lambda m: {s.mask: plucker_eval(m, s) for s in all_index_sets(m.rank)}
-        monkeypatch.setattr(witnesses, "all_brackets", single)
+        single = lambda grid, zero, one: {
+            s.mask: plucker_eval(TPMatrix(len(grid), grid), s) for s in all_index_sets(len(grid))
+        }
+        monkeypatch.setattr(witnesses, "bracket_table", single)
         witnesses._rung_table.cache_clear()
         assert [falsify(r) for r in ratios] == outcomes
         assert witnesses._rung_table.cache_info().currsize >= len(T_LADDER)  # from `single`
@@ -776,7 +799,9 @@ class TestFalsifierFamilies:
     def test_rung_tables_equal_fresh_builds(self, cold_families):
         assert len(FULL_LADDER) == len(T_LADDER) + witnesses.LADDER_EXTENSIONS
         for t in FULL_LADDER:
-            assert dict(witnesses._rung_table(t)) == all_brackets(counterexample_matrix(t)), t
+            m = counterexample_matrix(t)
+            expected = {s.mask: plucker_eval(m, s) for s in all_index_sets(4)}
+            assert dict(witnesses._rung_table(t)) == expected, t
 
     def test_rung_table_is_read_only(self, cold_families):
         table = witnesses._rung_table(T_LADDER[0])

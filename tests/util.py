@@ -4,8 +4,9 @@ Everything here is deliberately written against the problem statement, not
 against the library internals, so the tests keep their value as oracles:
 the degree fitter uses divided differences, ratio enumeration works from
 raw index counting, exponent bookkeeping is redone with dictionaries,
-determinants use plain `Fraction` elimination, and brackets and their
-symmetries are read off the ``2n x n`` representative.
+determinants use plain `Fraction` elimination, majorization compares prefix
+sums, and brackets and their symmetries are read off the ``2n x n``
+representative.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 
-from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
+from tpratio.combinatorics import IndexSet, MinorSpec, RatioExpr, all_index_sets
 from tpratio.tpcore import TPMatrix
 
 
@@ -77,6 +78,28 @@ def random_shared_split_ratio(rank: int, rng: random.Random) -> RatioExpr:
     b1, b2 = (a1 & a2) | half, (a1 & a2) | (set(unshared) - half)
     sets = [IndexSet.of(rank, s) for s in (a1, a2, b1, b2)]
     return RatioExpr.of(rank, sets[:2], sets[2:])
+
+
+def all_minor_specs(rank: int) -> list[MinorSpec]:
+    """Every minor address of an ``n x n`` matrix, the empty one included."""
+    labels = range(1, rank + 1)
+    return [
+        MinorSpec(rank, rows, cols)
+        for size in range(rank + 1)
+        for rows in itertools.combinations(labels, size)
+        for cols in itertools.combinations(labels, size)
+    ]
+
+
+def majorizes(x, y) -> bool:
+    """The textbook definition: sorted in decreasing order and padded with
+    zeros to one length, every prefix sum of ``x`` is at least that of
+    ``y``, and the totals are equal."""
+    width = max(len(x), len(y))
+    xs = sorted(x, reverse=True) + [0] * (width - len(x))
+    ys = sorted(y, reverse=True) + [0] * (width - len(y))
+    prefixes = zip(itertools.accumulate(xs), itertools.accumulate(ys))
+    return all(a >= b for a, b in prefixes) and sum(xs) == sum(ys)
 
 
 def poly_degree_from_samples(samples: list[tuple[Fraction, Fraction]]) -> int:
