@@ -8,8 +8,10 @@ path-family oracle.  With it patched to 5 (2-CPU machine, CPython 3.11):
 the warm-started cone simplex builds its per-rank basis in 0.08 s and then
 solves 100 seeded two-over-two ST0 queries in a median of 4.4 ms, the
 slowest in 0.11 s (72 pivots); the symbolic bracket table, built once per
-rank, takes 0.96 s (252 brackets of at most 195 terms), against 0.014 s at
-rank 4.  The path-family oracle has not been re-timed at rank 5."""
+rank, takes 0.11-0.14 s (252 brackets of at most 195 terms), against
+4.4-4.7 ms at rank 4 (three fresh processes each; 0.84-0.87 s and 15 ms
+with exponent-tuple keys).  The path-family oracle has not been re-timed at
+rank 5."""
 
 MAX_RATIO_RANK = 8
 """Largest rank of a ratio `parse_ratio` reads, checked before any index set
@@ -38,6 +40,15 @@ default limit of 4,300 digits, and at rank 10^6 `comb` alone takes 40 s."""
 TERM_LIMIT = 10**7
 """Most terms of a symbolic polynomial; a product is refused before it
 starts when its operands' term counts multiply past four times this."""
+
+MAX_DEGREE = 255
+"""Largest total degree of a monomial of a symbolic polynomial, so each
+exponent fits an 8-bit field of the packed key (`tpratio.polycheck`); a
+product past it is refused before it starts.  The symbolic brackets reach
+degree 10 at rank 4 and 15 at rank 5, so any ratio of up to 25 brackets a
+side fits at rank 4 (17 at rank 5).  With 16-bit fields the rank-5 bracket
+table and bracket products took 10-25% longer (2-CPU machine, CPython
+3.11)."""
 
 MAX_MAGNITUDE = 64
 """Largest weight spread ``2^[-m, m]`` of `random_network`.  At 64, `eval`

@@ -8,7 +8,8 @@ Conventions used throughout the library:
   sets ``(rows | cols)``.  The empty minor has value 1 by convention.
 * The two addressings are linked by the encoding
   ``rows ∪ {2n+1-c : c in complement of cols}``, implemented here in both
-  directions (`minor_to_plucker`, `plucker_to_minor`).
+  directions (`minor_to_plucker`, and `plucker_to_minor` over
+  `minor_address`, which bracket evaluation reads without a `MinorSpec`).
 * An arc is a run of consecutive labels on the ``2n``-gon.  Arcs are the
   intervals over which the majorization condition quantifies; restricting to
   arcs of length at most ``n`` loses nothing because the condition transfers
@@ -126,13 +127,19 @@ def minor_to_plucker(spec: MinorSpec) -> IndexSet:
     return IndexSet.of(n, itertools.chain(spec.rows, mirrored))
 
 
+def minor_address(alpha: IndexSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows and kept columns, increasing, of the minor ``alpha`` names:
+    its labels ``e <= n`` are the rows, and a label ``e > n`` drops column
+    ``2n+1-e``, which is bit ``2n-c`` of `IndexSet.mask` for column ``c``."""
+    n = alpha.rank
+    mask = alpha.mask
+    rows = tuple(e for e in alpha.elements if e <= n)
+    return rows, tuple(c for c in range(1, n + 1) if not mask >> (2 * n - c) & 1)
+
+
 def plucker_to_minor(alpha: IndexSet) -> MinorSpec:
     """Invert `minor_to_plucker`: recover the (rows | cols) address."""
-    n = alpha.rank
-    rows = [e for e in alpha if e <= n]
-    dropped = {2 * n + 1 - e for e in alpha if e > n}
-    cols = [c for c in range(1, n + 1) if c not in dropped]
-    return MinorSpec.of(n, rows, cols)
+    return MinorSpec(alpha.rank, *minor_address(alpha))
 
 
 def cyclic_shift(alpha: IndexSet, steps: int = 1) -> IndexSet:

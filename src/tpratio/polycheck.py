@@ -6,10 +6,16 @@ a ratio ``p/q`` the difference ``q - p`` having no negative coefficient
 ("subtraction free") certifies boundedness by 1 for free, since any
 positive weights then give ``p <= q``.
 
-Polynomials are dicts from dense exponent tuples to nonzero integer
-coefficients.  The monomial order is graded lexicographic over the fixed
-variable order above; it only matters for reporting deterministic
-witnesses.  The symbolic network matrix is
+Polynomials are dicts from packed monomials to nonzero integer
+coefficients: one int per monomial, each exponent in its own fixed-width
+bit field and the total degree in the field above them, so a monomial
+product is one int addition (`Polynomial`).  `Monomial`, the exponent
+tuple, is the reporting type, decoded only where a term is read: by
+`Polynomial.evaluate` and for the witness of `is_subtraction_free`.  The
+monomial order is graded lexicographic over the fixed variable order
+above; it only matters for reporting deterministic witnesses.
+
+The symbolic network matrix is
 `tpratio.tpcore.network.network_product` taken over polynomials, with
 variable ``i`` standing for weight ``i`` of the flat order (`flat_weights`,
 `variable_names`); `network_matrix` takes the same product over `Fraction`.
@@ -27,12 +33,35 @@ from fractions import Fraction
 from functools import cache
 
 from .combinatorics import IndexSet, RatioExpr
-from .budgets import MAX_RANK, TERM_LIMIT
+from .budgets import MAX_DEGREE, MAX_RANK, TERM_LIMIT
 from .errors import BudgetExceeded, InvalidInput
 from .tpcore.grassmann import bracket_table
 from .tpcore.network import chips, network_product, variable_names
 
 Exponents = tuple[int, ...]
+
+_WIDTH = MAX_DEGREE.bit_length()
+"""Bits per exponent field of a packed monomial: the least that hold
+`MAX_DEGREE`, the most any one exponent can reach."""
+
+
+def _pack(nvars: int, exponents: Exponents) -> int:
+    """The packed key of one exponent tuple; see `Polynomial`."""
+    if len(exponents) != nvars or any(e < 0 for e in exponents):
+        raise InvalidInput(f"need {nvars} nonnegative exponents, got {exponents!r}")
+    degree = sum(exponents)
+    if degree > MAX_DEGREE:
+        raise BudgetExceeded(f"monomial degree {degree} exceeds {MAX_DEGREE}")
+    key = degree
+    for e in reversed(exponents):
+        key = key << _WIDTH | e
+    return key
+
+
+def _unpack(nvars: int, key: int) -> Exponents:
+    """The exponent tuple of a packed key."""
+    field = (1 << _WIDTH) - 1
+    return tuple(key >> _WIDTH * i & field for i in range(nvars))
 
 
 @dataclass(frozen=True, order=False)
@@ -63,6 +92,11 @@ class Monomial:
 class Polynomial:
     """Sparse polynomial with exact integer coefficients.
 
+    ``terms`` maps a packed monomial to its nonzero coefficient: exponent
+    ``i`` sits in the `_WIDTH`-bit field ``i`` of an int, and field
+    ``nvars`` holds the total degree, so multiplying two monomials is one
+    int addition and the largest key has the largest degree.  No total
+    degree passes `MAX_DEGREE`, so no field carries into the next.
     Canonical: no zero coefficients are stored, so equality is dict
     equality.  Instances are treated as immutable.
     """
@@ -71,7 +105,15 @@ class Polynomial:
 
     def __init__(self, nvars: int, terms: dict[Exponents, int] | None = None):
         self.nvars = nvars
-        self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+        self.terms = {_pack(nvars, k): v for k, v in (terms or {}).items() if v != 0}
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[int, int]) -> "Polynomial":
+        """The polynomial of packed ``terms``, dropping zero coefficients."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {k: v for k, v in terms.items() if v}
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -79,7 +121,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: value})
+        return cls._of(nvars, {0: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -91,6 +133,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def degree(self) -> int:
+        """Total degree; 0 for the zero polynomial."""
+        return max(self.terms, default=0) >> _WIDTH * self.nvars
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
@@ -101,37 +148,45 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, terms) -> "Polynomial":
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return Polynomial(self.nvars, out)
+        get = out.get
+        for k, v in terms:
+            out[k] = get(k, 0) + v
+        return Polynomial._of(self.nvars, out)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other.terms.items())
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {k: -v for k, v in self.terms.items()})
+        return Polynomial._of(self.nvars, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus((k, -v) for k, v in other.terms.items())
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if len(self.terms) * len(other.terms) > 4 * TERM_LIMIT:
             raise BudgetExceeded("polynomial product exceeds the term budget")
-        out: dict[Exponents, int] = {}
+        if self.degree + other.degree > MAX_DEGREE:
+            raise BudgetExceeded(f"polynomial product exceeds degree {MAX_DEGREE}")
+        out: dict[int, int] = {}
+        get = out.get
+        right = other.terms.items()
         for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, 0) + v1 * v2
+            for k2, v2 in right:
+                key = k1 + k2
+                out[key] = get(key, 0) + v1 * v2
         if len(out) > TERM_LIMIT:
             raise BudgetExceeded("polynomial exceeds the term budget")
-        return Polynomial(self.nvars, out)
+        return Polynomial._of(self.nvars, out)
 
     def evaluate(self, values: tuple[Fraction, ...]) -> Fraction:
         if len(values) != self.nvars:
             raise InvalidInput(f"need {self.nvars} values, got {len(values)}")
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for key, coeff in self.terms.items():
             term = Fraction(coeff)
-            for v, e in zip(values, exps):
+            for v, e in zip(values, _unpack(self.nvars, key)):
                 if e:
                     term *= v**e
             total += term
@@ -195,9 +250,9 @@ def is_subtraction_free(poly: Polynomial) -> SubtractionFreeVerdict:
     """No negative coefficients?  The zero polynomial counts as free; on
     failure the graded-lex-least negative monomial is the witness."""
     worst = None
-    for exps, coeff in poly.terms.items():
+    for key, coeff in poly.terms.items():
         if coeff < 0:
-            m = Monomial(exps)
+            m = Monomial(_unpack(poly.nvars, key))
             if worst is None or m.grlex_key() < worst[0].grlex_key():
                 worst = (m, coeff)
     if worst is None:

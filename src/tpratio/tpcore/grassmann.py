@@ -1,7 +1,7 @@
 """Brackets of a square matrix, and the symmetries of the 2n-gon on them.
 
 The bracket (Plücker coordinate) of a rank-``n`` index set is the minor
-that `plucker_to_minor` addresses: labels ``<= n`` are rows, and a label
+that `minor_address` reads off it: labels ``<= n`` are rows, and a label
 ``e > n`` drops column ``2n+1-e``.  So the bracket of ``{n+1, ..., 2n}`` is
 the empty minor, 1, and that of ``{1, ..., n}`` is ``det A``.  The tests
 check this against the maximal minors of ``A`` stacked on an antidiagonal
@@ -14,8 +14,10 @@ mirrored, over one common positive bracket.  So the base bracket stays 1,
 and the factor cancels from every `RatioExpr`, whose two sides hold
 equally many brackets.
 
-`ratio_value` multiplies a ratio out from any source of bracket values.
-`eval_ratio` feeds it `plucker_eval`, one minor per distinct bracket; a
+`ratio_value` multiplies a ratio out from any source of bracket values,
+reading each distinct bracket once by `IndexSet.mask`.  `eval_ratio` feeds
+it `plucker_eval`, which takes `det` of the sub-grid `minor_address` names
+(no `MinorSpec` is built); a
 caller that reads many ratios off one matrix feeds it `bracket_table`, the
 table of every bracket at once, keyed by `IndexSet.mask`: the one Laplace
 expansion of all minors, which `tpratio.tpcore.witnesses` takes over
@@ -25,7 +27,6 @@ expansion of all minors, which `tpratio.tpcore.witnesses` takes over
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Callable
 
@@ -35,17 +36,22 @@ from ..combinatorics import (
     RatioExpr,
     base_set,
     cyclic_shift,
+    minor_address,
     minor_to_plucker,
-    plucker_to_minor,
     reversal,
 )
 from ..errors import InvalidInput
-from .matrices import TPMatrix, minor, require_tp
+from .matrices import TPMatrix, det, require_tp
 
 
 def plucker_eval(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
-    """Bracket of ``alpha``: the minor addressed by `plucker_to_minor`."""
-    return minor(matrix, plucker_to_minor(alpha))
+    """Bracket of ``alpha``: `det` of the rows and kept columns
+    `minor_address` names, read straight off the entries."""
+    if alpha.rank != matrix.rank:
+        raise InvalidInput(f"bracket rank {alpha.rank} vs matrix rank {matrix.rank}")
+    rows, cols = minor_address(alpha)
+    entries = matrix.entries
+    return det([[entries[r - 1][c - 1] for c in cols] for r in rows])
 
 
 def bracket_table(grid, zero, one) -> dict:
@@ -81,16 +87,24 @@ def bracket_table(grid, zero, one) -> dict:
 def ratio_value(ratio: RatioExpr, bracket: Callable[[IndexSet], Fraction]) -> Fraction:
     """Exact value of the product-of-brackets quotient, with ``bracket``
     giving each bracket's value; a bracket repeated in the ratio is read
-    once.  The brackets' integer numerators and denominators are multiplied
-    out separately, and one `Fraction` is reduced at the end."""
-    value = {s: bracket(s) for s in {*ratio.numerator, *ratio.denominator}}
-    down = math.prod(value[s].numerator for s in ratio.denominator)
+    once, keyed by `IndexSet.mask`.  Each side's integer numerators and
+    denominators are multiplied out in one pass, and one `Fraction` is
+    reduced at the end."""
+    value: dict[int, Fraction] = {}
+    sides = []
+    for side in (ratio.numerator, ratio.denominator):
+        top = bottom = 1
+        for s in side:
+            v = value.get(s.mask)
+            if v is None:
+                v = value[s.mask] = bracket(s)
+            top *= v.numerator
+            bottom *= v.denominator
+        sides.append((top, bottom))
+    (up, up_den), (down, down_den) = sides
     if down == 0:
         raise InvalidInput(f"denominator of {ratio} vanishes on this matrix")
-    down *= math.prod(value[s].denominator for s in ratio.numerator)
-    up = math.prod(value[s].numerator for s in ratio.numerator)
-    up *= math.prod(value[s].denominator for s in ratio.denominator)
-    return Fraction(up, down)
+    return Fraction(up * down_den, up_den * down)
 
 
 def eval_ratio(matrix: TPMatrix, ratio: RatioExpr) -> Fraction:

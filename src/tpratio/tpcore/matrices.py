@@ -2,9 +2,9 @@
 
 Everything in this module is exact and no floating point appears anywhere.
 Entries are `fractions.Fraction`; the one kernel inside, `det`, runs over
-Python ints.  `minor` is the one exact minor the library evaluates
-brackets with: `grassmann` reads each bracket as the minor
-`plucker_to_minor` names, a determinant of at most ``n x n`` and often much
+Python ints.  `minor` evaluates a validated `MinorSpec`, as `verify_tp`
+does; `grassmann.plucker_eval` hands `det` the sub-grid an index set
+names directly, a determinant of at most ``n x n`` and often much
 smaller.  `det` clears one denominator per row and runs Bareiss's
 fraction-free elimination, so every division is exact and no gcd is paid
 until the one `Fraction` it returns.

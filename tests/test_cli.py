@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpratio.budgets import MAX_INPUT_BYTES, MAX_MAGNITUDE, MAX_RATIO_RANK
+from tpratio.budgets import MAX_DEGREE, MAX_INPUT_BYTES, MAX_MAGNITUDE, MAX_RATIO_RANK
 from tpratio.cli import main, parse_ratio
 from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
 from tpratio.errors import InvalidInput, RatioSyntaxError
@@ -486,6 +486,17 @@ class TestBadInput:
 
 class TestLargestReports:
     """Every work argument at its budget: the reports still print in full."""
+
+    def test_subfree_at_degree_budget(self, capsys):
+        # `[1,2,3,8]` is a one-term symbolic bracket of degree 6 at rank 4:
+        # a side of 42 reaches degree 252, a side of 43 passes the budget
+        count = MAX_DEGREE // 6
+        code, out, err = run(capsys, "subfree", "[1,2,3,8]" * count + "/" + "[1,2,5,6]" * count)
+        assert (code, err) == (0, "")
+        assert f"D1^{count}*" in out
+        code, out, err = run(capsys, "subfree", "[1,2,3,8]" * (count + 1) + "/" + "[1,2,5,6]")
+        assert (code, out) == (1, "")
+        assert err == f"error: polynomial product exceeds degree {MAX_DEGREE}\n"
 
     def test_eval_at_magnitude_budget(self, capsys):
         ratio = "[1,2,3,8][2,3,4,5][4,6,7,8]/[1,4,6,8][2,3,4,8][2,3,5,7]"

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from tpratio import polycheck
+from tpratio.budgets import MAX_DEGREE
 from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets, plucker_to_minor
 from tpratio.errors import BudgetExceeded, InvalidInput
 from tpratio.factorizer import basic_ratios_all
@@ -35,6 +37,26 @@ def ratio(n, num, den):
 
 def var(nv, idx):
     return Polynomial.variable(nv, idx)
+
+
+def decoded(poly):
+    """The terms as an exponent-tuple dict, `util.poly_mul`'s form."""
+    return {polycheck._unpack(poly.nvars, k): v for k, v in poly.terms.items()}
+
+
+def random_terms(rng, nv, max_degree):
+    """A sparse exponent-tuple dict in ``nv`` variables: each monomial puts
+    its degree, at most ``max_degree``, on one to three variables, so single
+    exponents reach the top of their field."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * nv
+        degree = rng.randint(0, max_degree)
+        for v in rng.sample(range(nv), rng.randint(1, 3)):
+            exps[v] = rng.randint(0, degree)
+            degree -= exps[v]
+        terms[tuple(exps)] = rng.choice((-3, -2, -1, 1, 2, 5))
+    return terms
 
 
 class TestSymbolicMatrix:
@@ -186,6 +208,77 @@ class TestProductRule:
             assert is_subtraction_free(ratio_difference_poly(product)).subtraction_free
 
 
+class TestPackedKernel:
+    """`Polynomial` keys monomials by packed ints; `util.poly_mul` and its
+    neighbours redo the arithmetic on exponent tuples."""
+
+    @pytest.mark.parametrize("nv", [4, 9, 16, 25])
+    def test_random_polynomials_match_the_tuple_oracle(self, nv):
+        rng = random.Random(nv)
+        half = MAX_DEGREE // 2
+        for _ in range(25):
+            a, b = random_terms(rng, nv, half), random_terms(rng, nv, MAX_DEGREE - half)
+            pa, pb = Polynomial(nv, a), Polynomial(nv, b)
+            assert decoded(pa) == {e: c for e, c in a.items() if c}
+            assert decoded(pa * pb) == util.poly_mul(a, b)
+            assert decoded(pa + pb) == util.poly_add(a, b)
+            assert decoded(pa - pb) == util.poly_add(a, util.poly_neg(b))
+            assert decoded(-pa) == util.poly_neg(a)
+            assert (pa - pa).is_zero
+            values = tuple(Fraction(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(nv))
+            assert (pa * pb).evaluate(values) == util.poly_value(util.poly_mul(a, b), values)
+
+    def test_single_exponents_fill_their_field(self):
+        for nv in (4, 25):
+            for i in range(nv):
+                top = tuple(MAX_DEGREE if j == i else 0 for j in range(nv))
+                low = tuple(MAX_DEGREE // 2 if j == i else 0 for j in range(nv))
+                high = tuple(MAX_DEGREE - MAX_DEGREE // 2 if j == i else 0 for j in range(nv))
+                assert decoded(Polynomial(nv, {top: 1})) == {top: 1}
+                assert decoded(Polynomial(nv, {low: 2}) * Polynomial(nv, {high: 3})) == {top: 6}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bracket_products_match_the_tuple_oracle(self, n):
+        rng = random.Random(n)
+        sets = all_index_sets(n)
+        for _ in range(15):
+            polys = [symbolic_bracket(n, s) for s in rng.sample(sets, 3)]
+            expected = decoded(Polynomial.constant(n * n, 1))
+            product = Polynomial.constant(n * n, 1)
+            for p in polys:
+                expected = util.poly_mul(expected, decoded(p))
+                product = product * p
+            assert decoded(product) == expected
+            first, second = decoded(polys[0]), decoded(polys[1])
+            assert decoded(polys[0] - polys[1]) == util.poly_add(first, util.poly_neg(second))
+
+    def test_degree_guard(self):
+        nv = 4
+        x, y = var(nv, 0), var(nv, 1)
+        top = Polynomial(nv, {(MAX_DEGREE, 0, 0, 0): 1})
+        assert top.degree == MAX_DEGREE
+        assert (x + y).degree == 1 and Polynomial.zero(nv).degree == 0
+        # an exponent past its field, and a total past the limit with every
+        # exponent inside its field
+        for exps in [(MAX_DEGREE + 1, 0, 0, 0), (MAX_DEGREE // 2 + 1, MAX_DEGREE // 2 + 1, 0, 0)]:
+            with pytest.raises(BudgetExceeded, match=f"exceeds {MAX_DEGREE}"):
+                Polynomial(nv, {exps: 1})
+        for product in (lambda: top * y, lambda: top * (x + Polynomial.constant(nv, 1))):
+            with pytest.raises(BudgetExceeded, match=f"exceeds degree {MAX_DEGREE}"):
+                product()
+        below = Polynomial(nv, {(MAX_DEGREE - 1, 0, 0, 0): 1})
+        assert decoded(below * y) == {(MAX_DEGREE - 1, 1, 0, 0): 1}
+        assert decoded(top + Polynomial(nv, {(0, MAX_DEGREE, 0, 0): -1})) == {
+            (MAX_DEGREE, 0, 0, 0): 1,
+            (0, MAX_DEGREE, 0, 0): -1,
+        }
+
+    def test_malformed_exponents(self):
+        for exps in [(1, 0, 0), (1, -1, 0, 0)]:
+            with pytest.raises(InvalidInput, match="need 4 nonnegative exponents"):
+                Polynomial(4, {exps: 1})
+
+
 class TestMonomialOrder:
     def test_grlex_witness_is_least(self):
         x, y = var(4, 0), var(4, 3)
@@ -196,6 +289,16 @@ class TestMonomialOrder:
         )
         verdict = is_subtraction_free(poly)
         assert verdict.witness == Monomial((0, 0, 0, 1))
+
+    def test_grlex_witness_is_not_the_least_key(self):
+        # within one degree the least key puts the most weight on the first
+        # variable, graded lex the least
+        x, y, z = var(4, 0), var(4, 1), var(4, 2)
+        poly = z * z * z - x * y - y * z - x * x * z
+        assert polycheck._unpack(4, min(k for k, c in poly.terms.items() if c < 0)) == (1, 1, 0, 0)
+        verdict = is_subtraction_free(poly)
+        assert verdict.witness == Monomial((0, 1, 1, 0))
+        assert verdict.witness_coefficient == -1
 
     def test_format(self):
         assert Monomial((1, 2, 0, 0)).format(2) == "L1*D1^2"

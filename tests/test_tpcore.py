@@ -21,6 +21,7 @@ from tpratio.combinatorics import (
     check_st0,
     cyclic_shift_ratio,
     minor_to_plucker,
+    plucker_to_minor,
     reversal_ratio,
 )
 from tpratio.errors import BudgetExceeded, InvalidInput, NotTotallyPositive
@@ -382,6 +383,44 @@ class TestGrassmann:
             eval_ratio(singular, ratio(2, [(1, 3), (1, 3)], [(1, 3), (1, 2)]))
         assert len(calls) == 2
 
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_plucker_eval_is_the_minor_it_names(self, n):
+        # `plucker_eval` reads the sub-grid off the index set itself; `minor`
+        # goes through the validated `MinorSpec` of `plucker_to_minor`
+        matrices = [random_tp(n, seed, magnitude) for seed in (0, 1) for magnitude in (3, 64)]
+        for s in range(1, n + 1):
+            for k in range(1, s + 1):
+                matrices += [witness_family(n, s, k, t) for t in (T_LADDER[0], T_LADDER[-1])]
+        for m in matrices:
+            for alpha in all_index_sets(n):
+                assert plucker_eval(m, alpha) == minor(m, plucker_to_minor(alpha)), (m, alpha)
+
+    def test_plucker_eval_checks_the_rank(self):
+        with pytest.raises(InvalidInput, match="bracket rank 3 vs matrix rank 2"):
+            plucker_eval(TPMatrix.of([[1, 1], [1, 2]]), iset(3, 1, 2, 3))
+
+    def test_ratio_value_reads_each_distinct_bracket_once(self):
+        m = random_tp(3, 4)
+        sets = all_index_sets(3)
+        rng = random.Random(3)
+        for _ in range(20):
+            num = [rng.choice(sets[:6]) for _ in range(rng.randint(1, 6))]
+            den = [rng.choice(sets[3:9]) for _ in range(rng.randint(1, 6))]
+            r = RatioExpr.of(3, num, den)
+            calls = []
+            value = ratio_value(r, lambda s: calls.append(s) or plucker_eval(m, s))
+            assert sorted(calls) == sorted(set(r.numerator + r.denominator))
+            above = util.product_of_values(plucker_eval(m, s) for s in r.numerator)
+            below = util.product_of_values(plucker_eval(m, s) for s in r.denominator)
+            assert value == above / below
+
+    def test_ratio_value_vanishing_denominator_text(self):
+        r = ratio(2, [(1, 3), (2, 4)], [(1, 2), (1, 3)])
+        singular = {(1, 2): Fraction(0), (1, 3): Fraction(2, 3), (2, 4): Fraction(5)}
+        with pytest.raises(InvalidInput) as caught:
+            ratio_value(r, lambda s: singular[s.elements])
+        assert str(caught.value) == "denominator of [1,3][2,4]/[1,2][1,3] vanishes on this matrix"
 
     def test_eval_ratio_matches_a_running_fraction_product(self):
         # one Fraction built from integer products equals the quotient of

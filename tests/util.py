@@ -4,8 +4,8 @@ Everything here is deliberately written against the problem statement, not
 against the library internals, so the tests keep their value as oracles:
 the degree fitter uses divided differences, ratio enumeration works from
 raw index counting, exponent bookkeeping is redone with dictionaries,
-determinants use plain `Fraction` elimination, majorization compares prefix
-sums, and brackets and their symmetries are read off the ``2n x n``
+determinants use plain `Fraction` elimination, polynomials are dicts keyed
+by exponent tuples, majorization compares prefix sums, and brackets and their symmetries are read off the ``2n x n``
 representative.
 """
 
@@ -151,6 +151,37 @@ def product_of_values(values) -> Fraction:
     total = Fraction(1)
     for v in values:
         total *= v
+    return total
+
+
+# Polynomials as {exponent tuple: nonzero coefficient} dicts: the oracle the
+# packed-key `Polynomial` is held to.
+
+
+def poly_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = out.get(exps, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_neg(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            out[exps] = out.get(exps, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_value(a: dict, values) -> Fraction:
+    total = Fraction(0)
+    for exps, c in a.items():
+        total += c * product_of_values(v**e for v, e in zip(values, exps))
     return total
 
 
