@@ -11,11 +11,16 @@ generators' span that is built once per rank; the rows left out of that
 basis are the index-balance relations, which reject a query outside the
 span before any pivot.  The tableau is sparse and integral: each row holds
 the integer numerators of its nonzero entries over one positive
-denominator.  Both answers come with an independently checkable
-certificate in `Fraction`s: nonnegative coefficients that reproduce the
-query exactly, or a separating functional that is nonpositive on every
-generator yet positive on the query (`verify_certificate` re-checks either
-one from scratch).
+denominator.  It never holds the warm-start inverse ``B0^-1``, 80% of the
+starting rows' nonzeros at ranks 4 and 5, whose columns never enter the
+basis: each row carries instead its multipliers of the warm-start rows,
+as in the product form of the inverse (Dantzig and Orchard-Hays, 1954),
+and the cached ``B0^-1`` rows are applied once, to the objective row's
+multipliers, when a separating functional is read.  Both answers come with
+an independently checkable certificate in `Fraction`s: nonnegative
+coefficients that reproduce the query exactly, or a separating functional
+that is nonpositive on every generator yet positive on the query
+(`verify_certificate` re-checks either one from scratch).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 from .combinatorics import ExponentVector, IndexSet, RatioExpr, all_index_sets
 from .budgets import MAX_RANK
@@ -66,11 +71,18 @@ def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
     exactly: a ray (``mu`` unbounded) gives the coefficients, an optimum
     at 0 gives the Farkas functional from the optimal dual.
     Deterministic: fixed generator order plus Bland's pivoting rule.
+
+    Row ``i`` starts as its cached ``B0^-1 A`` part, the ``mu`` entry
+    ``-(B0^-1 @ vector)_i``, and a multiplier column holding 1 (numerator
+    ``start[i]``): every later row is the sum of the starting rows times
+    its multipliers, plus the cost ``-mu`` in the objective row.  Only the
+    generators and ``mu`` enter, so the pivots are those of the full
+    ``[B0^-1 A | B0^-1]`` tableau.
     """
     _check_rank(vector, rank)
     if rank > MAX_RANK:
         raise BudgetExceeded(f"cone membership is budgeted to rank {MAX_RANK}")
-    coords, basics, rows, dens, basis, balance = _generator_basis(rank)
+    coords, basics, rows, inverse, start, basis, balance = _generator_basis(rank)
     wanted = vector.as_dict()
     b = [wanted.get(c, 0) for c in coords]
     # Verdict tuples are built from lists: tuple() of a generator shrinks its
@@ -81,22 +93,23 @@ def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
             return Outside(tuple([(coords[i], Fraction(sign * v)) for i, v in y]))
 
     n_cols, n_rows = len(basics), len(rows)
-    mu = n_cols + len(coords)  # the query's column, after the generators and B0^-1
-    query = [(n_cols + i, v) for i, v in enumerate(b) if v]
-    tableau = [dict(row) for row in rows]
-    for row in tableau:  # mu's column is -B0^-1 @ vector
-        if x := sum(row.get(k, 0) * v for k, v in query):
+    mu = n_cols  # the query's column; column mu + 1 + i holds 1 x starting row i
+    query = [(i, v) for i, v in enumerate(b) if v]
+    tableau = []
+    for i, (part, inv) in enumerate(zip(rows, inverse)):
+        row = dict(part)
+        if x := sum(inv.get(k, 0) * v for k, v in query):  # mu's column is -B0^-1 @ vector
             row[mu] = -x
+        row[mu + 1 + i] = start[i]
+        tableau.append(row)
     objective = {mu: -1}  # min -mu; every basic value is 0 and stays 0
     tableau.append(objective)  # eliminated along with the constraint rows
-    dens, basis = [*dens, 1], list(basis)
+    dens, basis = [*start, 1], list(basis)
     while True:
-        # Bland's rule over the generators and mu; B0^-1's columns never enter
-        entering = min((j for j, v in objective.items() if v < 0 and not n_cols <= j < mu),
-                       default=None)
-        if entering is None:  # optimal at mu = 0: y is minus objective's B0^-1 part
-            return Outside(tuple([(coords[j - n_cols], Fraction(-v, dens[n_rows]))
-                                  for j, v in sorted(objective.items()) if n_cols <= j < mu]))
+        # Bland's rule over the generators and mu; the multipliers never enter
+        entering = min((j for j, v in objective.items() if v < 0 and j <= mu), default=None)
+        if entering is None:  # optimal at mu = 0
+            return Outside(_functional(objective, dens[n_rows], mu, inverse, start, coords))
         rising = [i for i in range(n_rows) if tableau[i].get(entering, 0) > 0]
         if not rising:
             break
@@ -114,6 +127,22 @@ def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
     return InCone(tuple([(basics[j], x / scale) for j, x in sorted(ray.items())]))
 
 
+def _functional(objective, d, mu, inverse, start, coords):
+    """The Farkas functional at an optimum: ``y`` is minus the objective
+    row's ``B0^-1`` part, the sum of ``B0^-1`` row ``i`` (over ``start[i]``)
+    times the row's multiplier ``m_i / d``.  Summed over ints with one
+    common denominator, one `Fraction` per coordinate."""
+    terms = [(m, j - mu - 1) for j, m in objective.items() if j > mu]
+    common = lcm(*(start[i] for _, i in terms))
+    y: dict[int, int] = {}
+    for m, i in terms:
+        f = m * (common // start[i])
+        for k, v in inverse[i].items():
+            y[k] = y.get(k, 0) - f * v
+    d *= common
+    return tuple([(coords[k], Fraction(v, d)) for k, v in sorted(y.items()) if v])
+
+
 @cache
 def _generator_basis(rank: int):
     """The rank's coordinates and basic ratios, a basis ``B0`` of the
@@ -122,10 +151,14 @@ def _generator_basis(rank: int):
     Pivots the integer tableau ``[A | I]`` (one row per coordinate, one
     column per basic ratio, then the identity) in generator order: each
     generator enters the first row without a basis column that holds a
-    nonzero entry in its column.  Returns the basis rows ``B0^-1 A`` and
-    ``B0^-1`` with their denominators and basis columns, and each row left
-    over as its ``(coordinate index, y)`` pairs: its ``A`` part is 0, so
-    ``y @ A = 0``.  Built on first use, once per rank; never mutated.
+    nonzero entry in its column.  Returns each basis row split in two, its
+    ``B0^-1 A`` part (by generator) and its ``B0^-1`` part (by coordinate
+    index), both over the row's denominator, with the denominators and basis
+    columns; and each row left over as its ``(coordinate index, y)`` pairs:
+    its ``A`` part is 0, so ``y @ A = 0``.  A solve copies the ``B0^-1 A``
+    parts only and reads the ``B0^-1`` parts twice: for the query's column,
+    and for the functional of an `Outside` verdict.  Built on first use,
+    once per rank; never mutated.
     """
     coords, basics = tuple(all_index_sets(rank)), tuple(basic_ratios_all(rank))
     n_cols = len(basics)
@@ -149,7 +182,9 @@ def _generator_basis(rank: int):
         tuple((k - n_cols, v) for k, v in sorted(tableau[i].items()))
         for i in range(len(coords)) if basis[i] is None
     )
-    return (coords, basics, tuple(dict(tableau[i]) for i in kept),  # dict(): compact copies
+    return (coords, basics,
+            tuple({k: v for k, v in tableau[i].items() if k < n_cols} for i in kept),
+            tuple({k - n_cols: v for k, v in tableau[i].items() if k >= n_cols} for i in kept),
             tuple(dens[i] for i in kept), tuple(basis[i] for i in kept), balance)
 
 

@@ -126,6 +126,24 @@ class TestSt0:
         assert verdict.witness == 1
         assert (verdict.numerator_count, verdict.denominator_count) == (2, 1)
 
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    def test_splits_are_the_filtered_combinations(self, rank):
+        # `util.random_st0_ratio` draws from `util.st0_splits`; the same
+        # list in the same order keeps every seeded draw as it was when it
+        # filtered all C(2n, n) combinations
+        labels = range(1, 2 * rank + 1)
+        rng = random.Random(rank)
+        pools = [sorted((*labels[:rank], *labels[:rank])), sorted(labels)]  # all or no label doubled
+        pools += [sorted((*rng.sample(labels, rank), *rng.sample(labels, rank))) for _ in range(30)]
+        for pool in pools:
+            filtered = [
+                c
+                for c in itertools.combinations(range(2 * rank), rank)
+                if len({pool[i] for i in c}) == rank
+                and len({pool[i] for i in range(2 * rank) if i not in c}) == rank
+            ]
+            assert util.st0_splits(pool) == filtered, pool
+
 
 class TestMajorization:
     def test_examples(self):

@@ -1,5 +1,6 @@
 """Cone membership, Farkas certificates, and their independent verification."""
 
+import copy
 import functools
 import random
 from fractions import Fraction
@@ -249,12 +250,8 @@ class TestCoherenceWithFactorizer:
         assert verify_certificate(vec, verdict, 4)
 
     def test_unbounded_orbit_is_outside(self):
-        # the 8 rotations of the counterexample and their 8 mirror images
-        rotations = [UNBOUNDED]
-        for _ in range(7):
-            rotations.append(cyclic_shift_ratio(rotations[-1]))
-        orbit = {*rotations, *map(reversal_ratio, rotations)}
-        assert len(orbit) == 16
+        orbit = _orbit()
+        assert len(set(orbit)) == 16
         for r in orbit:
             vec = ratio_to_vector(r)
             verdict = cone_membership(vec, 4)
@@ -337,6 +334,14 @@ UNBOUNDED = ratio(
 )
 
 
+def _orbit() -> list[RatioExpr]:
+    """The 8 rotations of the counterexample and their 8 mirror images."""
+    rotations = [UNBOUNDED]
+    for _ in range(7):
+        rotations.append(cyclic_shift_ratio(rotations[-1]))
+    return [*rotations, *map(reversal_ratio, rotations)]
+
+
 def _random_3over3(rng: random.Random) -> RatioExpr:
     """A rank-4 three-over-three ST0 ratio: three random numerator sets and
     a random split of their labels into three denominator sets."""
@@ -392,3 +397,82 @@ def test_integer_rows_match_the_fraction_solver(family):
         assert type(verdict) is type(expected), vec
         assert verify_certificate(vec, verdict, rank), vec
         assert verify_certificate(vec, expected, rank), vec
+
+
+# ---------------------------------------------------------------------------
+# the multiplier columns against the dense warm-start tableau
+
+
+def dense_verdict(vec, rank):
+    """The solver as it was before the multiplier columns: every row carries
+    its full ``[B0^-1 A | B0^-1]``, merged here from the split cache rows,
+    and the functional is read off the objective row's ``B0^-1`` columns."""
+    coords, basics, rows, inverse, dens, basis, balance = conelab._generator_basis(rank)
+    wanted = vec.as_dict()
+    b = [wanted.get(c, 0) for c in coords]
+    for y in balance:
+        if pairing := sum(v * b[i] for i, v in y):
+            sign = 1 if pairing > 0 else -1
+            return Outside(tuple((coords[i], Fraction(sign * v)) for i, v in y))
+    n_cols, n_rows = len(basics), len(rows)
+    mu = n_cols + len(coords)
+    query = [(n_cols + i, v) for i, v in enumerate(b) if v]
+    tableau = [
+        {**part, **{n_cols + k: v for k, v in inv.items()}} for part, inv in zip(rows, inverse)
+    ]
+    for row in tableau:
+        if x := sum(row.get(k, 0) * v for k, v in query):
+            row[mu] = -x
+    objective = {mu: -1}
+    tableau.append(objective)
+    dens, basis = [*dens, 1], list(basis)
+    while True:
+        entering = min(
+            (j for j, v in objective.items() if v < 0 and not n_cols <= j < mu), default=None
+        )
+        if entering is None:
+            return Outside(tuple(
+                (coords[j - n_cols], Fraction(-v, dens[n_rows]))
+                for j, v in sorted(objective.items()) if n_cols <= j < mu
+            ))
+        rising = [i for i in range(n_rows) if tableau[i].get(entering, 0) > 0]
+        if not rising:
+            break
+        p = min(rising, key=basis.__getitem__)
+        conelab._pivot(tableau, dens, p, entering)
+        basis[p] = entering
+    ray = {basis[i]: Fraction(-row[entering], dens[i])
+           for i, row in enumerate(tableau[:n_rows]) if entering in row}
+    ray[entering] = Fraction(1)
+    scale = ray.pop(mu)
+    return InCone(tuple((basics[j], x / scale) for j, x in sorted(ray.items())))
+
+
+@pytest.mark.parametrize(
+    "family", ["st0-rank3", "generators", "sampled-3x3", "orbit", "rank5"]
+)
+def test_multiplier_columns_match_the_dense_tableau(family, monkeypatch):
+    # the same pivots, so the same verdicts and certificates, byte for byte
+    if family == "orbit":
+        queries = [(ratio_to_vector(r), 4) for r in _orbit()]
+    elif family == "rank5":  # the rank budget lifted as in test_rank5_certificates_verify
+        monkeypatch.setattr(conelab, "MAX_RANK", 5)
+        drawn = (util.random_st0_ratio(5, random.Random(seed)) for seed in range(30))
+        queries = [(ratio_to_vector(r), 5) for r in drawn if r is not None]
+    else:
+        queries = _queries(family)
+    kinds = set()
+    for vec, rank in queries:
+        verdict = cone_membership(vec, rank)
+        assert verdict == dense_verdict(vec, rank), vec
+        kinds.add(type(verdict))
+    assert kinds == ({Outside} if family == "orbit" else {InCone} if family == "generators"
+                     else {InCone, Outside})
+
+
+def test_a_solve_leaves_the_generator_basis_as_built():
+    built = copy.deepcopy(conelab._generator_basis(4))
+    queries = [ratio_to_vector(r) for r in _orbit()] + [b.vector() for b in basic_ratios_all(4)[:20]]
+    verdicts = [cone_membership(vec, 4) for vec in queries]
+    assert copy.deepcopy(conelab._generator_basis(4)) == built
+    assert [type(v) for v in verdicts] == [Outside] * 16 + [InCone] * 20

@@ -52,18 +52,29 @@ def random_st0_ratio(rank: int, rng: random.Random) -> RatioExpr | None:
     a1 = IndexSet.of(rank, rng.sample(labels, rank))
     a2 = IndexSet.of(rank, rng.sample(labels, rank))
     pool = sorted((*a1.elements, *a2.elements))
-    splits = [
-        c
-        for c in itertools.combinations(range(2 * rank), rank)
-        if len({pool[i] for i in c}) == rank
-        and len({pool[i] for i in range(2 * rank) if i not in c}) == rank
-    ]
+    splits = st0_splits(pool)
     if not splits:
         return None
     chosen = rng.choice(splits)
     b1 = IndexSet.of(rank, [pool[i] for i in chosen])
     b2 = IndexSet.of(rank, [pool[i] for i in range(2 * rank) if i not in chosen])
     return RatioExpr.of(rank, [a1, a2], [b1, b2])
+
+
+def st0_splits(pool: list[int]) -> list[tuple[int, ...]]:
+    """The positions ``c`` of ``n`` labels in the sorted pool of ``2n``
+    labels, in lexicographic order, such that the labels at ``c`` and the
+    labels off ``c`` are each distinct: one position of each doubled label
+    and half of the single ones.  Listed directly, so the cost follows their
+    number, not ``C(2n, n)``."""
+    n = len(pool) // 2
+    doubled = [(i, i + 1) for i in range(2 * n - 1) if pool[i] == pool[i + 1]]
+    single = [i for i, label in enumerate(pool) if pool.count(label) == 1]
+    return sorted(
+        tuple(sorted((*pick, *rest)))
+        for pick in itertools.product(*doubled)
+        for rest in itertools.combinations(single, n - len(doubled))
+    )
 
 
 def random_shared_split_ratio(rank: int, rng: random.Random) -> RatioExpr:
