@@ -11,7 +11,9 @@ totally positive matrices, and backs each verdict with something checkable:
 * screened-out ratios get one-parameter totally positive families on which
   the exact value provably blows through a threshold.
 
-All arithmetic is exact rational; no floating point is used anywhere.
+All arithmetic is exact rational.  Floats appear only in displayed
+approximations (the CLI's ``value_float`` and ``(~...)`` renderings), never
+in a computation.
 """
 
 from .combinatorics import (

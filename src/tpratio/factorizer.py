@@ -13,8 +13,13 @@ The pipeline:
    pairwise-intersection blocks ``gamma1, gamma2, delta1, delta2``.
 2. While more than two indices per side are unshared (``nu >= 3``),
    `split_once` rewrites the ratio as a product of two smaller ratios, both
-   of which still pass the majorization screen.  The dispatch order between
-   the applicable rewrite rules is fixed so traces are reproducible.
+   of which still pass the majorization screen.  In block form the ratio is
+   ``[gamma1 gamma2][delta1 delta2] / [gamma1 delta2][delta1 gamma2]``, each
+   bracket with the core.  Every rule is a pair (relabelling of the blocks,
+   pivot ``P``): the left factor is the relabelled ratio with ``delta1``
+   replaced by ``P``, the right factor the same with ``gamma1`` replaced by
+   ``P``, and the brackets they insert cancel.  The dispatch order between
+   the applicable rules is fixed so traces are reproducible.
 3. Each ``nu == 2`` leaf is either trivial or an *elementary* ratio
    ``[i1,j2,c][i2,j1,c] / [i1,j1,c][i2,j2,c]`` with the four anchors in
    cyclic order; `elementary_to_basics` reduces it to basics by a two-rule
@@ -29,7 +34,7 @@ recursion does not re-check them, and the tests check every rank-4 trace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .budgets import MAX_COUNTED_RANK, MAX_LISTED_BASICS
@@ -88,6 +93,9 @@ class Decomposition:
         return self.rank - len(self.core)
 
     def ratio(self) -> RatioExpr:
+        """The block form ``[gamma1 gamma2][delta1 delta2] / [gamma1 delta2]
+        [delta1 gamma2]``, each bracket taken with ``core``: the one builder
+        of every two-over-two ratio this module emits."""
         return RatioExpr(
             self.rank,
             (
@@ -132,18 +140,9 @@ class ElementaryRatio:
         return (self.i1, self.i2, self.j1, self.j2)
 
     def expr(self) -> RatioExpr:
-        n = self.rank
-        return RatioExpr(
-            n,
-            (
-                _bracket(n, (self.i1, self.j2), self.core),
-                _bracket(n, (self.i2, self.j1), self.core),
-            ),
-            (
-                _bracket(n, (self.i1, self.j1), self.core),
-                _bracket(n, (self.i2, self.j2), self.core),
-            ),
-        )
+        return Decomposition(
+            self.rank, self.core, (self.i1,), (self.j2,), (self.i2,), (self.j1,)
+        ).ratio()
 
 
 @dataclass(frozen=True, order=True)
@@ -177,19 +176,10 @@ class BasicRatio:
         return cls(rank, i, j, tuple(sorted(core)))
 
     def expr(self) -> RatioExpr:
-        n = self.rank
-        i2, j2 = _succ(n, self.i), _succ(n, self.j)
-        return RatioExpr(
-            n,
-            (
-                _bracket(n, (self.i, j2), self.core),
-                _bracket(n, (i2, self.j), self.core),
-            ),
-            (
-                _bracket(n, (self.i, self.j), self.core),
-                _bracket(n, (i2, j2), self.core),
-            ),
-        )
+        n, i, j = self.rank, self.i, self.j
+        return Decomposition(
+            n, self.core, (i,), (_succ(n, j),), (_succ(n, i),), (j,)
+        ).ratio()
 
     def vector(self) -> ExponentVector:
         return ExponentVector.of_ratio(self.expr())
@@ -443,26 +433,15 @@ def _swap_denominators(dec: Decomposition) -> Decomposition:
 
 
 def _technical_pair(dec: Decomposition, pivot) -> tuple[RatioExpr, RatioExpr]:
-    """The shared two-factor pattern: new brackets ``pivot ∪ delta2 ∪ core``
-    and ``pivot ∪ gamma2 ∪ core`` are inserted on both sides so the product
-    collapses back to the input by exact cancellation."""
-    n, core = dec.rank, dec.core
-    g1, g2, d1, d2 = dec.gamma1, dec.gamma2, dec.delta1, dec.delta2
-    left = RatioExpr(
-        n,
-        (_bracket(n, g1, g2, core), _bracket(n, pivot, d2, core)),
-        (_bracket(n, g1, d2, core), _bracket(n, pivot, g2, core)),
-    )
-    right = RatioExpr(
-        n,
-        (_bracket(n, pivot, g2, core), _bracket(n, d1, d2, core)),
-        (_bracket(n, pivot, d2, core), _bracket(n, d1, g2, core)),
-    )
-    return left, right
+    """The split identity: the left factor is ``dec`` with ``delta1``
+    replaced by ``pivot``, the right factor is ``dec`` with ``gamma1``
+    replaced by ``pivot``, and the brackets ``pivot ∪ delta2 ∪ core`` and
+    ``pivot ∪ gamma2 ∪ core`` they insert cancel between them."""
+    return replace(dec, delta1=pivot).ratio(), replace(dec, gamma1=pivot).ratio()
 
 
-def _split_parity(dec: Decomposition) -> tuple[RatioExpr, RatioExpr]:
-    """Split along odd/even positions of ``gamma1 ∪ delta1``.
+def _parity_pivot(dec: Decomposition) -> tuple[int, ...]:
+    """Pivot of the split along odd/even positions of ``gamma1 ∪ delta1``.
 
     Applicable when those two blocks do not interlace, which guarantees all
     four sub-blocks below are non-empty.
@@ -475,7 +454,7 @@ def _split_parity(dec: Decomposition) -> tuple[RatioExpr, RatioExpr]:
     d11 = tuple(e for e in dec.delta1 if e not in odd)
     if not (g11 and g12 and d11 and d12):
         raise InvariantViolation("parity split on interlacing blocks")
-    return _technical_pair(dec, g11 + d12)
+    return g11 + d12
 
 
 def _agreeable_relabel(dec: Decomposition) -> Decomposition:
@@ -506,33 +485,19 @@ def _leading_run(positions: tuple[int, ...], inside: tuple[int, ...]) -> int:
     return count
 
 
-def _chain(n, core, first_num, first_den, second_num, second_den, hi, lo, shared):
-    """Three-bracket chain used by the degenerate splits: the pivot brackets
-    ``{hi} ∪ shared`` and ``{lo} ∪ shared`` cancel between the factors."""
-    s_hi = _bracket(n, (hi,), shared, core)
-    s_lo = _bracket(n, (lo,), shared, core)
-    left = RatioExpr(n, (first_num, s_hi), (first_den, s_lo))
-    right = RatioExpr(n, (s_lo, second_num), (s_hi, second_den))
-    return left, right
-
-
-def _split_interlaced(dec: Decomposition) -> tuple[tuple[RatioExpr, RatioExpr], str]:
-    """Split when both block pairs interlace, after agreeable relabeling.
+def _split_interlaced(dec: Decomposition) -> tuple[Decomposition, tuple[int, ...], str]:
+    """Split when both block pairs interlace, after agreeable relabeling;
+    returns the relabelled blocks, the pivot and the rule.
 
     Branches on whether the second unshared index sits in ``delta1`` or in
-    ``gamma2``; each branch peels either a leading pair or a leading block,
-    with explicit three-bracket chains for the degenerate shapes where the
-    generic peel would not shrink ``nu``.
+    ``gamma2``; each branch peels either a leading pair or a leading block.
+    In the degenerate shapes, where the generic peel would not shrink ``nu``,
+    the ``-chain`` rules pivot through a single index and a tail instead.
     """
     dec = _agreeable_relabel(dec)
-    n, core = dec.rank, dec.core
     omega = dec.omega
     odd, even = omega[0::2], omega[1::2]
     g1, g2, d1, d2 = dec.gamma1, dec.gamma2, dec.delta1, dec.delta2
-    a1 = _bracket(n, g1, g2, core)
-    a2 = _bracket(n, d1, d2, core)
-    b1 = _bracket(n, g1, d2, core)
-    b2 = _bracket(n, d1, g2, core)
 
     if omega[1] in d1:
         k = _leading_run(odd, g1)
@@ -541,40 +506,31 @@ def _split_interlaced(dec: Decomposition) -> tuple[tuple[RatioExpr, RatioExpr], 
             raise InvariantViolation(f"unexpected leading runs k={k}, l={l}")
         if l == k:
             if len(g1) == 1:
-                # g1 and d1 are singletons; peel the first two indices off via
-                # a chain through {omega[3]} ∪ (odd tail).
-                shared = (omega[3],) + odd[2:]
-                pair = _chain(
-                    n, core, a1, b2, a2, b1, hi=omega[1], lo=omega[0], shared=shared
-                )
-                return pair, "head-chain"
+                # g1 and d1 are singletons; peel the first two indices off
+                # through {omega[3]} ∪ (odd tail).
+                return _swap_denominators(dec), (omega[3],) + odd[2:], "head-chain"
             g11, d11 = (omega[0],), (omega[1],)
         else:
             g11 = odd[1:k]
             d11 = even[:l]
         d12 = tuple(e for e in d1 if e not in d11)
-        rule = "head-pair" if l == k else "head-block"
-        return _technical_pair(dec, g11 + d12), rule
+        return dec, g11 + d12, "head-pair" if l == k else "head-block"
 
     # omega[1] in g2: the third unshared index must open delta2.
     if omega[2] not in d2:
         raise InvariantViolation("expected the third unshared index in delta2")
     if len(g1) == 1:
-        # d1 is a singleton at the top; chain through {omega[2]} ∪ (even body).
-        shared = (omega[2],) + even[1:-1]
-        pair = _chain(n, core, a2, b1, a1, b2, hi=omega[0], lo=omega[-1], shared=shared)
-        return pair, "second-chain"
+        # d1 is a singleton at the top; pivot through {omega[2]} ∪ (even body).
+        return _swap_numerators(dec), (omega[2],) + even[1:-1], "second-chain"
     k = _leading_run(odd[1:], d2) + 1
     l = _leading_run(even, g2)
     if l != k - 1:
         raise InvariantViolation(f"unexpected leading runs k={k}, l={l}")
     g22 = tuple(e for e in g2 if e != omega[1])
     if not g22:
-        # g2 and d2 are singletons; chain through {omega[4]} ∪ (even tail).
-        shared = (omega[4],) + even[2:]
-        pair = _chain(n, core, a1, b1, a2, b2, hi=omega[2], lo=omega[1], shared=shared)
-        return pair, "second-chain-tail"
-    return _technical_pair(_swap_denominators(dec), (omega[2],) + g22), "second-pair"
+        # g2 and d2 are singletons; pivot through {omega[4]} ∪ (even tail).
+        return dec, (omega[4],) + even[2:], "second-chain-tail"
+    return _swap_denominators(dec), (omega[2],) + g22, "second-pair"
 
 
 def split_once(ratio: RatioExpr) -> SplitOutcome:
@@ -600,11 +556,13 @@ def split_once(ratio: RatioExpr) -> SplitOutcome:
 
 def _split(dec: Decomposition) -> SplitOutcome:
     if not interlaces(dec.gamma1, dec.delta1):
-        return SplitOutcome(*_split_parity(dec), "parity")
-    if not interlaces(dec.gamma2, dec.delta2):
-        return SplitOutcome(*_split_parity(_swap_numerators(dec)), "parity-swapped")
-    (left, right), rule = _split_interlaced(dec)
-    return SplitOutcome(left, right, rule)
+        pivot, rule = _parity_pivot(dec), "parity"
+    elif not interlaces(dec.gamma2, dec.delta2):
+        dec = _swap_numerators(dec)
+        pivot, rule = _parity_pivot(dec), "parity-swapped"
+    else:
+        dec, pivot, rule = _split_interlaced(dec)
+    return SplitOutcome(*_technical_pair(dec, pivot), rule)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Decomposition, elementary recognition, splitting, and full factorization."""
 
 import functools
+import hashlib
 import random
 
 import pytest
@@ -42,6 +43,28 @@ def ratio(n, num, den):
     )
 
 
+def trace_digest(results):
+    """SHA-256 over ``repr`` of each factorization, in order."""
+    h = hashlib.sha256()
+    for res in results:
+        h.update(repr(res).encode() + b"\n")
+    return h.hexdigest()
+
+
+# Digests of every factorization the trace tests below make, in their
+# enumeration order.  They pin the certificates byte for byte, trace steps,
+# factor order and bracket order included, so a rewrite of the split rules
+# or of the block builder that changes any factor fails here.
+TRACE_DIGESTS = {
+    3: "79b01f0df95efe4a14623485750fe4b6aa9c116e619edf7cf57137a1ee4e60b9",
+    4: "7e8f753be7dcecbc58efa529649631b95125feac32cf25dc26107beec093dd4d",
+    5: "c47b5e24939717f56f20de7ce686013ace1233b648684f289670fd2af0b0b54f",
+    6: "d6716bdd86ee141194854fff5f3b5707e16ff912a63ffe9daa4274da60c35427",
+    7: "e5e5c860378b0a32d4356a3dc52133b60dd855715c2a3b0ddb7258e5c3cf9a10",
+    8: "4c756b6aaca25b8a3cf78d76c40ed9f3759538c1497db262da9a3215b2355398",
+}
+
+
 class TestDecompose:
     def test_elementary_n2(self):
         d = decompose(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
@@ -55,6 +78,15 @@ class TestDecompose:
         assert (d.gamma1, d.gamma2, d.delta1, d.delta2) == ((1,), (4, 6), (2,), (3, 5))
         assert d.nu == 3
         assert d.ratio().numerator == (iset(3, 1, 4, 6), iset(3, 2, 3, 5))
+
+    def test_block_form_gives_back_the_brackets(self):
+        # every ratio the factorizer emits is built by Decomposition.ratio()
+        checked = 0
+        for n in (2, 3, 4):
+            for r in util.st0_ratios(n):
+                assert decompose(r).ratio().canonical() == r.canonical()
+                checked += 1
+        assert checked == 11742
 
     def test_st0_violation(self):
         with pytest.raises(St0Violation):
@@ -174,12 +206,54 @@ class TestElementaryToBasics:
             assert parent["mu"] > 0 or parent["delta"] > 4
 
 
+# One pinned split per rule, (rule, rank, input, left, right), each ratio
+# as (numerator, denominator): the first screened ratio of `util.st0_ratios`
+# that fires the rule.  `second-pair` first fires at rank 4.
+SPLIT_EXAMPLES = [
+    ("parity", 3,
+     ([(1, 2, 3), (4, 5, 6)], [(1, 2, 4), (3, 5, 6)]),
+     ([(1, 2, 3), (1, 4, 5)], [(1, 2, 4), (1, 3, 5)]),
+     ([(1, 3, 5), (4, 5, 6)], [(1, 4, 5), (3, 5, 6)])),
+    ("parity-swapped", 3,
+     ([(1, 2, 3), (4, 5, 6)], [(1, 4, 5), (2, 3, 6)]),
+     ([(4, 5, 6), (1, 2, 4)], [(1, 4, 5), (2, 4, 6)]),
+     ([(2, 4, 6), (1, 2, 3)], [(1, 2, 4), (2, 3, 6)])),
+    ("head-pair", 3,
+     ([(1, 3, 6), (2, 4, 5)], [(1, 3, 5), (2, 4, 6)]),
+     ([(1, 3, 6), (1, 4, 5)], [(1, 3, 5), (1, 4, 6)]),
+     ([(1, 4, 6), (2, 4, 5)], [(1, 4, 5), (2, 4, 6)])),
+    ("head-block", 3,
+     ([(1, 3, 4), (2, 5, 6)], [(1, 3, 5), (2, 4, 6)]),
+     ([(1, 3, 4), (3, 5, 6)], [(1, 3, 5), (3, 4, 6)]),
+     ([(3, 4, 6), (2, 5, 6)], [(3, 5, 6), (2, 4, 6)])),
+    ("head-chain", 3,
+     ([(1, 4, 6), (2, 3, 5)], [(1, 3, 5), (2, 4, 6)]),
+     ([(1, 4, 6), (2, 4, 5)], [(2, 4, 6), (1, 4, 5)]),
+     ([(1, 4, 5), (2, 3, 5)], [(2, 4, 5), (1, 3, 5)])),
+    ("second-pair", 4,
+     ([(1, 2, 4, 7), (3, 5, 6, 8)], [(1, 3, 5, 7), (2, 4, 6, 8)]),
+     ([(1, 2, 4, 7), (3, 4, 6, 8)], [(2, 4, 6, 8), (1, 3, 4, 7)]),
+     ([(1, 3, 4, 7), (3, 5, 6, 8)], [(3, 4, 6, 8), (1, 3, 5, 7)])),
+    ("second-chain", 3,
+     ([(1, 2, 4), (3, 5, 6)], [(1, 3, 5), (2, 4, 6)]),
+     ([(3, 5, 6), (1, 3, 4)], [(1, 3, 5), (3, 4, 6)]),
+     ([(3, 4, 6), (1, 2, 4)], [(1, 3, 4), (2, 4, 6)])),
+    ("second-chain-tail", 3,
+     ([(1, 2, 5), (3, 4, 6)], [(1, 3, 5), (2, 4, 6)]),
+     ([(1, 2, 5), (3, 5, 6)], [(1, 3, 5), (2, 5, 6)]),
+     ([(2, 5, 6), (3, 4, 6)], [(3, 5, 6), (2, 4, 6)])),
+]
+
+
 class TestSplitOnce:
-    def test_head_chain_example(self):
-        out = split_once(ratio(3, [(1, 4, 6), (2, 3, 5)], [(1, 3, 5), (2, 4, 6)]))
-        assert out.left == ratio(3, [(1, 4, 6), (2, 4, 5)], [(2, 4, 6), (1, 4, 5)])
-        assert out.right == ratio(3, [(1, 4, 5), (2, 3, 5)], [(2, 4, 5), (1, 3, 5)])
-        assert out.rule == "head-chain"
+    @pytest.mark.parametrize(
+        "rule, n, given, left, right", SPLIT_EXAMPLES, ids=[e[0] for e in SPLIT_EXAMPLES]
+    )
+    def test_rule_example(self, rule, n, given, left, right):
+        out = split_once(ratio(n, *given))
+        assert out.rule == rule
+        assert out.left == ratio(n, *left)
+        assert out.right == ratio(n, *right)
 
     def test_head_pair_example(self):
         out = split_once(
@@ -268,6 +342,7 @@ class TestFactorToBasics:
 
     def test_semantic_soundness_every_screened_n3_ratio(self):
         matrices = [random_tp(3, seed) for seed in range(5)]
+        results = []
         for r in util.st0_ratios(3):
             if not check_condition_m(r).holds:
                 continue
@@ -276,6 +351,8 @@ class TestFactorToBasics:
                 assert eval_ratio(m, r) == util.product_of_values(
                     eval_ratio(m, b.expr()) for b in res.basics
                 )
+            results.append(res)
+        assert trace_digest(results) == TRACE_DIGESTS[3]
 
     def test_progress_along_trace(self):
         r = ratio(4, [(1, 4, 5, 8), (2, 3, 6, 7)], [(1, 3, 5, 7), (2, 4, 6, 8)])
@@ -354,7 +431,7 @@ class TestTraceFacts:
 
     def test_exhaustive_rank4(self):
         screened = functools.cache(lambda r: check_condition_m(r).holds)
-        factored = 0
+        results = []
         for r in util.st0_ratios(4):
             if not screened(r):
                 with pytest.raises(ConditionMViolation):
@@ -365,19 +442,21 @@ class TestTraceFacts:
             res = factor_to_basics(r)
             assert res.vector_check()
             _check_trace(res, screened)
-            factored += 1
-        assert factored == 4255
+            results.append(res)
+        assert len(results) == 4255
+        assert trace_digest(results) == TRACE_DIGESTS[4]
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_seeded_higher_ranks(self, n):
         screened = functools.cache(lambda r: check_condition_m(r).holds)
         rng = random.Random(n)
-        factored = 0
-        while factored < 200:
+        results = []
+        while len(results) < 200:
             r = util.random_shared_split_ratio(n, rng)
             if screened(r):
-                _check_trace(factor_to_basics(r), screened)
-                factored += 1
+                results.append(factor_to_basics(r))
+                _check_trace(results[-1], screened)
+        assert trace_digest(results) == TRACE_DIGESTS[n]
 
 
 class TestBasicRatiosAll:

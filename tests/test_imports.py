@@ -13,7 +13,9 @@ on raises instead.  A private (``_``-prefixed) function, class or
 constant defined at module level must be read somewhere under ``src/``, so
 a helper a refactor leaves behind fails here.  So must a public function or
 class, unless a package ``__init__`` re-exports it: one that only the tests
-call belongs in the tests.
+call belongs in the tests.  Inside a function, likewise, every local name
+bound by an assignment, a loop, a ``with``, an ``except`` or a ``:=`` must
+be read, by the function or by a function nested in it; ``_`` is exempt.
 """
 
 import ast
@@ -166,3 +168,37 @@ def test_every_public_definition_is_read_or_exported():
         and node.name not in read | exported
     ]
     assert not unused, f"public definitions nothing under src/ reads or re-exports: {unused}"
+
+
+def _unused_locals(func: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, int]:
+    """Each name ``func`` binds but never reads, with its first binding line.
+    Reads in nested functions count; ``global``/``nonlocal`` names and
+    parameters are not locals bound here."""
+    bound, read, declared = {}, set(), set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            else:
+                read.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+    return {
+        name: line
+        for name, line in bound.items()
+        if name != "_" and name not in read and name not in declared
+    }
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")), ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_local(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = [
+        f"{func.name}:{line} {name}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name, line in _unused_locals(func).items()
+    ]
+    assert not unused, f"{path.name}: locals bound but never read {unused}"
