@@ -20,7 +20,6 @@ from .combinatorics import (
     Arc,
     ExponentVector,
     IndexSet,
-    MinorSpec,
     RatioExpr,
     arcs_up_to_half,
     check_condition_m,
@@ -28,9 +27,9 @@ from .combinatorics import (
     cyclic_shift,
     cyclic_shift_ratio,
     degree_gap,
+    minor_address,
     minor_to_plucker,
     m_vector,
-    plucker_to_minor,
     reversal,
     reversal_ratio,
 )

@@ -60,8 +60,9 @@ def parse_ratio(text: str, rank: int | None = None) -> RatioExpr:
     """Parse ``term+ "/" term+`` where a term is ``[i,j,...]`` or ``(rows|cols)``.
 
     In bracket notation the rank is the (common) term size; minor notation
-    needs an explicit rank to perform the conversion.  Syntax errors carry
-    the 0-based offset of the offending character.
+    needs an explicit rank to perform the conversion.  Whitespace may sit
+    between tokens but ends a label, so ``[1 0]`` is an error, not 10.
+    Syntax errors carry the 0-based offset of the offending character.
     """
     num_terms, den_terms, minor_seen = _scan_terms(text)
     if minor_seen and rank is None:
@@ -87,7 +88,7 @@ def parse_ratio(text: str, rank: int | None = None) -> RatioExpr:
                 )
             return IndexSet.of(n, payload)
         rows, cols = payload
-        return comb.minor_to_plucker(comb.MinorSpec.of(n, rows, cols))
+        return comb.minor_to_plucker(n, rows, cols)
 
     return RatioExpr.of(
         n,
@@ -141,6 +142,8 @@ def _parse_ints(text: str, pos: int, closer: str) -> tuple[list[int], int]:
     while pos < len(text):
         ch = text[pos]
         if ch.isdecimal():
+            if current and text[pos - 1].isspace():  # whitespace ended the label
+                raise RatioSyntaxError(f"expected ',' or {closer!r} after a label", pos)
             current += ch
             if len(current) > MAX_NUMBER_DIGITS:
                 raise BudgetExceeded(f"a label over {MAX_NUMBER_DIGITS} digits")

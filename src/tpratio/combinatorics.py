@@ -4,12 +4,11 @@ Conventions used throughout the library:
 
 * A rank-``n`` index set is an ``n``-element subset of ``{1, ..., 2n}``; it
   names one Plücker coordinate (maximal minor) of a ``2n x n`` matrix.
-* A minor of an ``n x n`` matrix is addressed by equal-size row and column
-  sets ``(rows | cols)``.  The empty minor has value 1 by convention.
-* The two addressings are linked by the encoding
-  ``rows ∪ {2n+1-c : c in complement of cols}``, implemented here in both
-  directions (`minor_to_plucker`, and `plucker_to_minor` over
-  `minor_address`, which bracket evaluation reads without a `MinorSpec`).
+* The index set is the one address of a minor ``(rows | cols)`` of an
+  ``n x n`` matrix, by the encoding ``rows ∪ {2n+1-c : c not in cols}``:
+  `minor_to_plucker` encodes (and validates) minor notation, and
+  `minor_address` decodes it.  The base set ``{n+1, ..., 2n}`` is the
+  empty minor, of value 1 by convention.
 * An arc is a run of consecutive labels on the ``2n``-gon.  Arcs are the
   intervals over which the majorization condition quantifies; restricting to
   arcs of length at most ``n`` loses nothing because the condition transfers
@@ -77,54 +76,24 @@ def all_index_sets(rank: int) -> list[IndexSet]:
     return [IndexSet(rank, c) for c in itertools.combinations(universe, rank)]
 
 
-@dataclass(frozen=True, order=True)
-class MinorSpec:
-    """Row and column sets of one minor of an ``n x n`` matrix.
-
-    Both sets live in ``[1, rank]`` and have equal size; both may be empty
-    (the value-1 minor).
-    """
-
-    rank: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.rank
-        if len(self.rows) != len(self.cols):
-            raise InvalidInput(
-                f"row set {self.rows!r} and column set {self.cols!r} differ in size"
-            )
-        for label, seq in (("rows", self.rows), ("cols", self.cols)):
-            if any(not 1 <= e <= n for e in seq):
-                raise InvalidInput(f"{label} outside [1, {n}]: {seq!r}")
-            if any(a >= b for a, b in zip(seq, seq[1:])):
-                raise InvalidInput(f"{label} must be strictly increasing: {seq!r}")
-
-    @classmethod
-    def of(cls, rank: int, rows: Iterable[int], cols: Iterable[int]) -> "MinorSpec":
-        return cls(rank, tuple(sorted(rows)), tuple(sorted(cols)))
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def __str__(self) -> str:
-        return (
-            "(" + ",".join(map(str, self.rows)) + "|" + ",".join(map(str, self.cols)) + ")"
-        )
-
-
-def minor_to_plucker(spec: MinorSpec) -> IndexSet:
-    """Encode a minor address as a single Plücker index set.
+def minor_to_plucker(rank: int, rows: Iterable[int], cols: Iterable[int]) -> IndexSet:
+    """Encode the minor ``(rows | cols)`` of a ``rank x rank`` matrix as its
+    index set, after sorting both sets, which must have equal size and
+    distinct labels in ``[1, rank]``.
 
     The rows survive unchanged; each column *not* selected contributes the
     mirrored label ``2n+1-c``.  The result always has exactly ``n`` elements.
     """
-    n = spec.rank
-    cols = set(spec.cols)
-    mirrored = (2 * n + 1 - c for c in range(1, n + 1) if c not in cols)
-    return IndexSet.of(n, itertools.chain(spec.rows, mirrored))
+    rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
+    if len(rows) != len(cols):
+        raise InvalidInput(f"row set {rows!r} and column set {cols!r} differ in size")
+    for label, seq in (("rows", rows), ("cols", cols)):
+        if any(not 1 <= e <= rank for e in seq):
+            raise InvalidInput(f"{label} outside [1, {rank}]: {seq!r}")
+        if any(a >= b for a, b in zip(seq, seq[1:])):
+            raise InvalidInput(f"{label} must be strictly increasing: {seq!r}")
+    mirrored = (2 * rank + 1 - c for c in range(1, rank + 1) if c not in cols)
+    return IndexSet.of(rank, itertools.chain(rows, mirrored))
 
 
 def minor_address(alpha: IndexSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -135,11 +104,6 @@ def minor_address(alpha: IndexSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     mask = alpha.mask
     rows = tuple(e for e in alpha.elements if e <= n)
     return rows, tuple(c for c in range(1, n + 1) if not mask >> (2 * n - c) & 1)
-
-
-def plucker_to_minor(alpha: IndexSet) -> MinorSpec:
-    """Invert `minor_to_plucker`: recover the (rows | cols) address."""
-    return MinorSpec(alpha.rank, *minor_address(alpha))
 
 
 def cyclic_shift(alpha: IndexSet, steps: int = 1) -> IndexSet:
@@ -243,8 +207,10 @@ class ExponentVector:
 
     def __post_init__(self):
         keys = [k for k, _ in self.entries]
-        if keys != sorted(keys):
-            raise InvalidInput("entries must be sorted by index set")
+        if any(k.rank != self.rank for k in keys):
+            raise InvalidInput(f"entries must be index sets of rank {self.rank}")
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise InvalidInput("entries must be strictly increasing by index set")
         if any(v == 0 for _, v in self.entries):
             raise InvalidInput("zero entries must be omitted")
 

@@ -125,6 +125,8 @@ class ElementaryRatio:
     def __post_init__(self):
         n = self.rank
         anchors = (self.i1, self.i2, self.j1, self.j2)
+        if any(not 1 <= e <= 2 * n for e in (*anchors, *self.core)):
+            raise InvalidInput(f"labels outside [1, {2 * n}]: {anchors}, {self.core}")
         if len(set(anchors)) != 4:
             raise InvalidInput(f"anchors must be distinct: {anchors}")
         if len(self.core) != n - 2:
@@ -160,6 +162,8 @@ class BasicRatio:
 
     def __post_init__(self):
         n = self.rank
+        if any(not 1 <= e <= 2 * n for e in (self.i, self.j, *self.core)):
+            raise InvalidInput(f"labels outside [1, {2 * n}]: {self.i}, {self.j}, {self.core}")
         if not self.i < self.j:
             raise InvalidInput("use BasicRatio.of, which canonicalizes the pair order")
         touched = {self.i, _succ(n, self.i), self.j, _succ(n, self.j)}

@@ -12,7 +12,6 @@ from .lgv import lgv_minors
 from .matrices import (
     TPMatrix,
     det,
-    minor,
     network_matrix,
     random_network,
     random_tp,
@@ -43,7 +42,6 @@ __all__ = [
     "eval_ratio",
     "falsify",
     "lgv_minors",
-    "minor",
     "network_matrix",
     "plucker_eval",
     "random_network",

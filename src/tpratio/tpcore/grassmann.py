@@ -16,12 +16,12 @@ equally many brackets.
 
 `ratio_value` multiplies a ratio out from any source of bracket values,
 reading each distinct bracket once by `IndexSet.mask`.  `eval_ratio` feeds
-it `plucker_eval`, which takes `det` of the sub-grid `minor_address` names
-(no `MinorSpec` is built); a
-caller that reads many ratios off one matrix feeds it `bracket_table`, the
-table of every bracket at once, keyed by `IndexSet.mask`: the one Laplace
-expansion of all minors, which `tpratio.tpcore.witnesses` takes over
-`Fraction` and `tpratio.polycheck.symbolic_bracket` over polynomials.
+it `plucker_eval`, the one reader of a single minor, which takes `det` of
+the sub-grid `minor_address` names; a caller that reads many ratios off
+one matrix feeds it `bracket_table`, the table of every bracket at once,
+keyed by `IndexSet.mask`: the one Laplace expansion of all minors, which
+`tpratio.tpcore.witnesses` takes over `Fraction` and
+`tpratio.polycheck.symbolic_bracket` over polynomials.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Callable
 
 from ..combinatorics import (
     IndexSet,
-    MinorSpec,
     RatioExpr,
     base_set,
     cyclic_shift,
@@ -119,7 +118,7 @@ def _relabelled(matrix: TPMatrix, relabel: Callable[[IndexSet], IndexSet]) -> TP
     ``(i, j)`` is the bracket of the one-by-one minor ``(i|j)``."""
     n = matrix.rank
     scale = plucker_eval(matrix, relabel(base_set(n)))
-    at = lambda i, j: plucker_eval(matrix, relabel(minor_to_plucker(MinorSpec(n, (i,), (j,)))))
+    at = lambda i, j: plucker_eval(matrix, relabel(minor_to_plucker(n, (i,), (j,))))
     return TPMatrix(
         n, tuple(tuple(at(i, j) / scale for j in range(1, n + 1)) for i in range(1, n + 1))
     )

@@ -1,13 +1,14 @@
-"""Minor evaluation by non-intersecting path families.
+"""Bracket evaluation by non-intersecting path families.
 
-A minor ``(rows | cols)`` of a planar-network matrix equals the sum, over
-all families of vertex-disjoint left-to-right paths joining the source
-wires ``rows`` to the sink wires ``cols``, of the product of the edge
-weights used.  Because each network layer carries at most one slant, two
+The bracket of an index set is the minor ``(rows | cols)`` that
+`minor_address` reads off it.  On a planar-network matrix that minor is
+the sum, over all families of vertex-disjoint left-to-right paths joining
+the source wires ``rows`` to the sink wires ``cols``, of the product of the
+edge weights used.  Because each network layer carries at most one slant, two
 paths of a family can never cross without sharing a vertex, so a family is
 exactly a sequence of strictly increasing wire tuples, matched in order,
 moving through the layers.  This module sums those families directly,
-giving an oracle for minors that never touches a determinant.
+giving an oracle for brackets that never touches a determinant.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from ..budgets import MAX_RANK
-from ..combinatorics import MinorSpec
+from ..combinatorics import IndexSet, minor_address
 from ..errors import BudgetExceeded, InvalidInput
 from .network import NetworkParams, chip_entries, chips, flat_weights
 
@@ -29,18 +30,17 @@ def _transitions(chip, rank: int):
     return options
 
 
-def lgv_minors(params: NetworkParams, spec: MinorSpec) -> Fraction:
-    """Sum of weights of vertex-disjoint path families from ``spec.rows``
-    to ``spec.cols``; equals the corresponding minor of the network matrix."""
+def lgv_minors(params: NetworkParams, alpha: IndexSet) -> Fraction:
+    """Sum of weights of vertex-disjoint path families from the rows to the
+    kept columns `minor_address` reads off ``alpha``; equals the bracket of
+    ``alpha`` on the network matrix."""
     n = params.rank
     if n > MAX_RANK:
         raise BudgetExceeded(f"path-family enumeration is budgeted to rank {MAX_RANK}")
-    if spec.rank != n:
-        raise InvalidInput(f"minor rank {spec.rank} vs network rank {n}")
-    if spec.size == 0:
-        return Fraction(1)
-
-    states: dict[tuple[int, ...], Fraction] = {spec.rows: Fraction(1)}
+    if alpha.rank != n:
+        raise InvalidInput(f"bracket rank {alpha.rank} vs network rank {n}")
+    rows, cols = minor_address(alpha)
+    states: dict[tuple[int, ...], Fraction] = {rows: Fraction(1)}
     for chip in chips(n, flat_weights(params)):
         options = _transitions(chip, n)
         nxt: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
@@ -60,4 +60,4 @@ def lgv_minors(params: NetworkParams, spec: MinorSpec) -> Fraction:
         for wires, weight in states.items():
             extend(0, wires, (), weight)
         states = dict(nxt)
-    return states.get(spec.cols, Fraction(0))
+    return states.get(cols, Fraction(0))

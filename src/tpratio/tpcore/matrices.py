@@ -2,12 +2,12 @@
 
 Everything in this module is exact and no floating point appears anywhere.
 Entries are `fractions.Fraction`; the one kernel inside, `det`, runs over
-Python ints.  `minor` evaluates a validated `MinorSpec`, as `verify_tp`
-does; `grassmann.plucker_eval` hands `det` the sub-grid an index set
-names directly, a determinant of at most ``n x n`` and often much
-smaller.  `det` clears one denominator per row and runs Bareiss's
-fraction-free elimination, so every division is exact and no gcd is paid
-until the one `Fraction` it returns.
+Python ints.  `verify_tp` hands it the initial minors' blocks, and
+`grassmann.plucker_eval` the sub-grid an index set names, a determinant
+of at most ``n x n`` and often much smaller.  `det` clears one
+denominator per row and runs Bareiss's fraction-free elimination, so
+every division is exact and no gcd is paid until the one `Fraction` it
+returns.
 `network_matrix` multiplies the planar network out with
 `tpratio.tpcore.network.network_product`, the one routine that multiplies
 layers, over `Fraction`.
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ..combinatorics import MinorSpec
 from ..budgets import MAX_MAGNITUDE
 from ..errors import BudgetExceeded, InvalidInput, NotTotallyPositive
 from .network import NetworkParams, chips, flat_weights, network_product
@@ -95,18 +94,6 @@ class TPMatrix:
         return [[str(x) for x in row] for row in self.entries]
 
 
-def minor(matrix: TPMatrix, spec: MinorSpec) -> Fraction:
-    """Exact minor; the empty row/column selection has value 1."""
-    if spec.rank != matrix.rank:
-        raise InvalidInput(f"minor rank {spec.rank} vs matrix rank {matrix.rank}")
-    if spec.size == 0:
-        return Fraction(1)
-    sub = [
-        [matrix.entries[r - 1][c - 1] for c in spec.cols] for r in spec.rows
-    ]
-    return det(sub)
-
-
 def verify_tp(matrix: TPMatrix) -> bool:
     """Total positivity via the n^2 initial minors.
 
@@ -119,9 +106,7 @@ def verify_tp(matrix: TPMatrix) -> bool:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             size = min(i, j)
-            rows = tuple(range(i - size + 1, i + 1))
-            cols = tuple(range(j - size + 1, j + 1))
-            if minor(matrix, MinorSpec(n, rows, cols)) <= 0:
+            if det([row[j - size : j] for row in matrix.entries[i - size : i]]) <= 0:
                 return False
     return True
 

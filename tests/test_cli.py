@@ -1,6 +1,7 @@
 """The ratio grammar, subcommand behavior, exit codes, and JSON reports."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from tpratio.budgets import MAX_DEGREE, MAX_INPUT_BYTES, MAX_MAGNITUDE, MAX_RATIO_RANK
 from tpratio.cli import main, parse_ratio
-from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
+from tpratio.combinatorics import IndexSet, RatioExpr
 from tpratio.errors import InvalidInput, RatioSyntaxError
 from tpratio.tpcore import TPMatrix, random_tp, verify_tp
 
@@ -64,14 +65,35 @@ class TestParse:
         text = "[1,4][2,3]/[1,3][2,4]"
         assert str(parse_ratio(text)) == text
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("[1 0,2]/[1,2]", 3),
+            ("[1 2][3,4]/[1,3][2,4]", 3),
+            ("[1 0,2,3,4,5][1,2,3,4,6]/[2,3,4,5,6][1,2,3,4,10]", 3),
+            ("[1,2 3]/[1,2]", 5),
+            ("[1,2]/[1,2\n\t3]", 12),
+            ("(1 2|1,2)/(|)", 3),
+            ("(1,2|1 2)/(|)", 7),
+        ],
+    )
+    def test_whitespace_ends_a_label(self, text, position):
+        with pytest.raises(RatioSyntaxError) as err:
+            parse_ratio(text)
+        assert err.value.position == position
+
     @given(st.data())
     def test_round_trip_fuzzed(self, data):
-        n = data.draw(st.integers(min_value=2, max_value=4))
-        sets = all_index_sets(n)
-        num = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=3))
-        den = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=3))
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        labels = st.lists(st.integers(1, 2 * n), min_size=n, max_size=n, unique=True)
+        sets = labels.map(lambda elems: IndexSet.of(n, elems))
+        num = data.draw(st.lists(sets, min_size=1, max_size=3))
+        den = data.draw(st.lists(sets, min_size=1, max_size=3))
         r = RatioExpr.of(n, num, den)
-        assert parse_ratio(str(r)) == r
+        tokens = re.findall(r"\d+|\S", str(r))
+        gaps = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+        spaced = "".join(data.draw(gaps) + token for token in tokens) + data.draw(gaps)
+        assert parse_ratio(spaced) == r
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -369,6 +391,8 @@ class TestBadInput:
             # values past CPython's 4,300-digit int-to-str limit printed a traceback
             ("falsify", "[1,3]" * 1200 + "[2,4]" * 1200 + "/" + "[1,4]" * 1200 + "[2,3]" * 1200),
             ("basics", "--n", "-1"),
+            # whitespace joined a label's digits: this read [2,3,4,5,10] and exited 0
+            ("check", "[1 0,2,3,4,5][1,2,3,4,6]/[2,3,4,5,6][1,2,3,4,10]"),
         ],
     )
     def test_error_line_exit_one(self, capsys, argv):

@@ -9,7 +9,6 @@ from tpratio.combinatorics import (
     Arc,
     ExponentVector,
     IndexSet,
-    MinorSpec,
     RatioExpr,
     all_index_sets,
     arcs_up_to_half,
@@ -20,11 +19,12 @@ from tpratio.combinatorics import (
     cyclic_shift_ratio,
     degree_gap,
     m_vector,
+    minor_address,
     minor_to_plucker,
-    plucker_to_minor,
     reversal,
     reversal_ratio,
 )
+from tpratio.errors import InvalidInput
 
 import util
 
@@ -66,23 +66,46 @@ class TestIndexSet:
 
 class TestMinorBridge:
     def test_minor_to_plucker_examples(self):
-        assert minor_to_plucker(MinorSpec.of(2, [1], [1])) == iset(2, 1, 3)
-        assert minor_to_plucker(MinorSpec.of(3, [1, 2, 3], [1, 2, 3])) == iset(3, 1, 2, 3)
-        assert minor_to_plucker(MinorSpec.of(2, [], [])) == iset(2, 3, 4)
+        assert minor_to_plucker(2, [1], [1]) == iset(2, 1, 3)
+        assert minor_to_plucker(3, [1, 2, 3], [1, 2, 3]) == iset(3, 1, 2, 3)
+        assert minor_to_plucker(2, [], []) == iset(2, 3, 4)
+        assert minor_to_plucker(4, [3, 1, 2], (4, 2, 3)) == iset(4, 1, 2, 3, 8)  # sorted first
 
-    def test_plucker_to_minor_examples(self):
-        assert plucker_to_minor(iset(2, 1, 3)) == MinorSpec.of(2, [1], [1])
-        assert plucker_to_minor(iset(2, 3, 4)) == MinorSpec.of(2, [], [])
-        spec = plucker_to_minor(iset(4, 1, 2, 3, 8))
-        assert spec == MinorSpec.of(4, [1, 2, 3], [2, 3, 4])
-        assert minor_to_plucker(spec) == iset(4, 1, 2, 3, 8)
+    def test_minor_address_examples(self):
+        assert minor_address(iset(2, 1, 3)) == ((1,), (1,))
+        assert minor_address(iset(2, 3, 4)) == ((), ())
+        assert minor_address(iset(4, 1, 2, 3, 8)) == ((1, 2, 3), (2, 3, 4))
+        assert minor_to_plucker(4, (1, 2, 3), (2, 3, 4)) == iset(4, 1, 2, 3, 8)
+
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            ([1, 2], [1], r"row set \(1, 2\) and column set \(1,\) differ in size"),
+            ([3], [1], r"rows outside \[1, 2\]: \(3,\)"),
+            ([0], [1], r"rows outside \[1, 2\]: \(0,\)"),
+            ([1], [3], r"cols outside \[1, 2\]: \(3,\)"),
+            ([2, 2], [1, 2], r"rows must be strictly increasing: \(2, 2\)"),
+            ([1, 2], [1, 1], r"cols must be strictly increasing: \(1, 1\)"),
+        ],
+    )
+    def test_minor_to_plucker_rejects(self, rows, cols, message):
+        with pytest.raises(InvalidInput, match=message):
+            minor_to_plucker(2, rows, cols)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_round_trip_exhaustive(self, n):
-        for spec in util.all_minor_specs(n):
-            assert plucker_to_minor(minor_to_plucker(spec)) == spec
+        labels = range(1, n + 1)
+        pairs = [
+            (rows, cols)
+            for size in range(n + 1)
+            for rows in itertools.combinations(labels, size)
+            for cols in itertools.combinations(labels, size)
+        ]
+        assert len(pairs) == len(all_index_sets(n))
+        for rows, cols in pairs:
+            assert minor_address(minor_to_plucker(n, rows, cols)) == (rows, cols)
         for alpha in all_index_sets(n):
-            assert minor_to_plucker(plucker_to_minor(alpha)) == alpha
+            assert minor_to_plucker(n, *minor_address(alpha)) == alpha
 
 
 class TestShiftAndReversal:
@@ -301,6 +324,20 @@ class TestRatioExpr:
         assert vec.as_dict() == {iset(2, 1, 2): 1, iset(2, 3, 4): -1}
         trivial = ratio(2, [(1, 2), (3, 4)], [(3, 4), (1, 2)])
         assert ExponentVector.of_ratio(trivial).is_zero
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((iset(2, 1, 2), 1), (iset(2, 1, 2), 2)), "strictly increasing"),  # a repeated key
+            (((iset(2, 1, 3), 1), (iset(2, 1, 2), 2)), "strictly increasing"),
+            (((iset(3, 1, 2, 3), 1),), "index sets of rank 2"),
+            (((iset(2, 1, 2), 1), (iset(3, 1, 2, 3), 1)), "index sets of rank 2"),
+            (((iset(2, 1, 2), 0),), "zero entries"),
+        ],
+    )
+    def test_exponent_vector_rejects(self, entries, message):
+        with pytest.raises(InvalidInput, match=message):
+            ExponentVector(2, entries)
 
     def test_vector_arithmetic(self):
         r = ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)])

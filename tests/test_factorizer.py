@@ -475,3 +475,18 @@ class TestBasicRatiosAll:
     def test_wraparound_expr(self):
         b = BasicRatio.of(2, 2, 4, ())
         assert b.expr() == ratio(2, [(1, 2), (3, 4)], [(2, 4), (1, 3)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BasicRatio.of(2, 0, 5, ()),
+        lambda: BasicRatio.of(3, 1, 4, (7,)),
+        lambda: ElementaryRatio(2, 1, 2, 3, 8, ()),
+        lambda: ElementaryRatio(3, 1, 2, 4, 6, (9,)),
+    ],
+    ids=["basic-anchors", "basic-core", "elementary-anchor", "elementary-core"],
+)
+def test_labels_outside_the_polygon_rejected(build):
+    with pytest.raises(InvalidInput, match=r"labels outside \[1, "):
+        build()

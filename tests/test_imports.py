@@ -16,6 +16,8 @@ class, unless a package ``__init__`` re-exports it: one that only the tests
 call belongs in the tests.  Inside a function, likewise, every local name
 bound by an assignment, a loop, a ``with``, an ``except`` or a ``:=`` must
 be read, by the function or by a function nested in it; ``_`` is exempt.
+`tpratio.tpcore` lists in ``__all__`` exactly the names its ``__init__``
+imports, and a star import of either package succeeds.
 """
 
 import ast
@@ -26,6 +28,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 BUDGETS = SRC / "tpratio" / "budgets.py"
+TPCORE_INIT = SRC / "tpratio" / "tpcore" / "__init__.py"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -69,6 +72,20 @@ def test_no_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_tpcore_exports_what_it_imports():
+    import tpratio.tpcore
+
+    imported = set(_imported(ast.parse(TPCORE_INIT.read_text(encoding="utf-8"))))
+    assert set(tpratio.tpcore.__all__) == imported
+
+
+@pytest.mark.parametrize("package", ["tpratio", "tpratio.tpcore"])
+def test_star_import(package):
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert "plucker_eval" in namespace
 
 
 def test_modules_found():

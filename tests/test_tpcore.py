@@ -14,14 +14,13 @@ import pytest
 from tpratio.combinatorics import (
     Arc,
     IndexSet,
-    MinorSpec,
     RatioExpr,
     all_index_sets,
+    base_set,
     check_condition_m,
     check_st0,
     cyclic_shift_ratio,
     minor_to_plucker,
-    plucker_to_minor,
     reversal_ratio,
 )
 from tpratio.errors import BudgetExceeded, InvalidInput, NotTotallyPositive
@@ -36,7 +35,6 @@ from tpratio.tpcore import (
     eval_ratio,
     falsify,
     lgv_minors,
-    minor,
     network_matrix,
     plucker_eval,
     random_network,
@@ -183,11 +181,10 @@ class TestNetwork:
 
 def _tp_by_definition(matrix):
     """Every non-empty minor is positive, each by the reference elimination."""
-    rows = matrix.entries
     return all(
-        util.fraction_det([[rows[r - 1][c - 1] for c in spec.cols] for r in spec.rows]) > 0
-        for spec in util.all_minor_specs(matrix.rank)
-        if spec.size
+        util.fraction_det(util.sub_grid(matrix, alpha)) > 0
+        for alpha in all_index_sets(matrix.rank)
+        if alpha != base_set(matrix.rank)
     )
 
 
@@ -207,12 +204,10 @@ def _nudged(matrix):
             ))
 
         lo, hi = Fraction(0), None
-        for spec in util.all_minor_specs(n):
-            if i + 1 not in spec.rows or j + 1 not in spec.cols:
+        for alpha in all_index_sets(n):
+            if i + 1 not in alpha or 2 * n - j in alpha:  # row i+1 or column j+1 is not in it
                 continue
-            value = lambda x: util.fraction_det(
-                [[with_entry(x).entries[r - 1][c - 1] for c in spec.cols] for r in spec.rows]
-            )
+            value = lambda x: util.fraction_det(util.sub_grid(with_entry(x), alpha))
             a = value(Fraction(0))
             b = value(Fraction(1)) - a
             if b > 0:
@@ -296,14 +291,14 @@ class TestGrassmann:
             m = random_tp(n, 5)
             assert plucker_eval(m, IndexSet.of(n, range(n + 1, 2 * n + 1))) == 1
             top = plucker_eval(m, IndexSet.of(n, range(1, n + 1)))
-            assert top == minor(m, MinorSpec.of(n, range(1, n + 1), range(1, n + 1)))
+            assert top == util.fraction_det(m.entries)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bridge_identity_exhaustive(self, n):
         for seed in range(3):
             m = random_tp(n, seed)
-            for spec in util.all_minor_specs(n):
-                assert minor(m, spec) == util.representative_bracket(m, minor_to_plucker(spec))
+            for alpha in all_index_sets(n):
+                assert plucker_eval(m, alpha) == util.representative_bracket(m, alpha)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_bridge_identity_arbitrary_matrices(self, n):
@@ -360,9 +355,10 @@ class TestGrassmann:
 
     def test_minor_conventions(self):
         m = TPMatrix.of([[1, 1], [1, 2]])
-        assert minor(m, MinorSpec.of(2, [], [])) == 1
-        assert minor(m, MinorSpec.of(2, [1, 2], [1, 2])) == 1
-        assert minor(m, MinorSpec.of(2, [2], [1])) == 1
+        assert plucker_eval(m, minor_to_plucker(2, [], [])) == 1
+        assert plucker_eval(m, minor_to_plucker(2, [1, 2], [1, 2])) == 1
+        assert plucker_eval(m, minor_to_plucker(2, [2], [1])) == 1
+        assert plucker_eval(m, minor_to_plucker(2, [2], [2])) == 2
 
     def test_eval_ratio_examples(self):
         m = TPMatrix.of([[1, 1], [1, 2]])
@@ -386,15 +382,17 @@ class TestGrassmann:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_plucker_eval_is_the_minor_it_names(self, n):
-        # `plucker_eval` reads the sub-grid off the index set itself; `minor`
-        # goes through the validated `MinorSpec` of `plucker_to_minor`
+        # `plucker_eval` reads the sub-grid through `minor_address`;
+        # `util.sub_grid` reads it off the labels, and `util.fraction_det`
+        # is the reference elimination
         matrices = [random_tp(n, seed, magnitude) for seed in (0, 1) for magnitude in (3, 64)]
         for s in range(1, n + 1):
             for k in range(1, s + 1):
                 matrices += [witness_family(n, s, k, t) for t in (T_LADDER[0], T_LADDER[-1])]
         for m in matrices:
             for alpha in all_index_sets(n):
-                assert plucker_eval(m, alpha) == minor(m, plucker_to_minor(alpha)), (m, alpha)
+                expected = util.fraction_det(util.sub_grid(m, alpha))
+                assert plucker_eval(m, alpha) == expected, (m, alpha)
 
     def test_plucker_eval_checks_the_rank(self):
         with pytest.raises(InvalidInput, match="bracket rank 3 vs matrix rank 2"):
@@ -587,38 +585,39 @@ class TestCounterexample:
 class TestLgv:
     def test_examples_n2(self):
         p = all_ones_params(2)
-        assert lgv_minors(p, MinorSpec.of(2, [1, 2], [1, 2])) == 1
-        assert lgv_minors(p, MinorSpec.of(2, [2], [2])) == 2
-        assert lgv_minors(p, MinorSpec.of(2, [], [])) == 1
+        assert lgv_minors(p, minor_to_plucker(2, [1, 2], [1, 2])) == 1
+        assert lgv_minors(p, minor_to_plucker(2, [2], [2])) == 2
+        assert lgv_minors(p, minor_to_plucker(2, [], [])) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_oracle_equivalence_exhaustive(self, n):
         p = random_network(n, 42, magnitude=2)
         m = network_matrix(p)
-        for spec in util.all_minor_specs(n):
-            assert lgv_minors(p, spec) == minor(m, spec)
+        for alpha in all_index_sets(n):
+            assert lgv_minors(p, alpha) == plucker_eval(m, alpha)
 
     def test_oracle_equivalence_sampled_n4(self):
         p = random_network(4, 17, magnitude=2)
         m = network_matrix(p)
         rng = random.Random(4)
-        specs = rng.sample(util.all_minor_specs(4), 50)
-        for spec in specs:
-            assert lgv_minors(p, spec) == minor(m, spec)
+        for alpha in rng.sample(all_index_sets(4), 50):
+            assert lgv_minors(p, alpha) == plucker_eval(m, alpha)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_oracle_equivalence_at_search_magnitude_n4(self, seed):
         """All 70 minors at the random search's magnitude."""
         p = random_network(4, seed, magnitude=6)
         m = network_matrix(p)
-        specs = util.all_minor_specs(4)
-        assert len(specs) == 70
-        for spec in specs:
-            assert lgv_minors(p, spec) == minor(m, spec)
+        sets = all_index_sets(4)
+        assert len(sets) == 70
+        for alpha in sets:
+            assert lgv_minors(p, alpha) == plucker_eval(m, alpha)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            lgv_minors(all_ones_params(5), MinorSpec.of(5, [1], [1]))
+            lgv_minors(all_ones_params(5), minor_to_plucker(5, [1], [1]))
+        with pytest.raises(InvalidInput, match="bracket rank 3 vs network rank 2"):
+            lgv_minors(all_ones_params(2), minor_to_plucker(3, [1], [1]))
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 
-from tpratio.combinatorics import IndexSet, MinorSpec, RatioExpr, all_index_sets
+from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
 from tpratio.tpcore import TPMatrix
 
 
@@ -91,15 +91,13 @@ def random_shared_split_ratio(rank: int, rng: random.Random) -> RatioExpr:
     return RatioExpr.of(rank, sets[:2], sets[2:])
 
 
-def all_minor_specs(rank: int) -> list[MinorSpec]:
-    """Every minor address of an ``n x n`` matrix, the empty one included."""
-    labels = range(1, rank + 1)
-    return [
-        MinorSpec(rank, rows, cols)
-        for size in range(rank + 1)
-        for rows in itertools.combinations(labels, size)
-        for cols in itertools.combinations(labels, size)
-    ]
+def sub_grid(matrix: TPMatrix, alpha: IndexSet):
+    """The sub-grid of ``matrix`` whose determinant is the bracket of
+    ``alpha``, read off the labels: ``e <= n`` is row ``e``, and ``e > n``
+    drops column ``2n+1-e``."""
+    n = matrix.rank
+    cols = [c for c in range(1, n + 1) if 2 * n + 1 - c not in alpha]
+    return [[matrix.entries[e - 1][c - 1] for c in cols] for e in alpha if e <= n]
 
 
 def majorizes(x, y) -> bool:
