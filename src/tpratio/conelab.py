@@ -20,7 +20,11 @@ multipliers, when a separating functional is read.  Both answers come with
 an independently checkable certificate in `Fraction`s: nonnegative
 coefficients that reproduce the query exactly, or a separating functional
 that is nonpositive on every generator yet positive on the query
-(`verify_certificate` re-checks either one from scratch).
+(`verify_certificate` re-checks either one from scratch).  The checker
+keeps its own per-rank copy of the generators' vectors, with the
+generators that hold each coordinate, and pairs a functional only with the
+generators that meet its support: a pairing sums over the coordinates both
+hold, so every other generator pairs to exactly 0, which passes.
 """
 
 from __future__ import annotations
@@ -85,8 +89,9 @@ def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
     coords, basics, rows, inverse, start, basis, balance = _generator_basis(rank)
     wanted = vector.as_dict()
     b = [wanted.get(c, 0) for c in coords]
-    # Verdict tuples are built from lists: tuple() of a generator shrinks its
-    # result by realloc, and CPython's tuple free lists then grow by one a call.
+    # Per-call tuples (the verdicts, and lcm's arguments in `_functional`) are
+    # built from lists: tuple() of a generator shrinks its result by realloc,
+    # and CPython's tuple free lists then grow by one a call.
     for y in balance:  # the vector leaves the generators' span
         if pairing := sum(v * b[i] for i, v in y):
             sign = 1 if pairing > 0 else -1
@@ -133,7 +138,7 @@ def _functional(objective, d, mu, inverse, start, coords):
     times the row's multiplier ``m_i / d``.  Summed over ints with one
     common denominator, one `Fraction` per coordinate."""
     terms = [(m, j - mu - 1) for j, m in objective.items() if j > mu]
-    common = lcm(*(start[i] for _, i in terms))
+    common = lcm(*[start[i] for _, i in terms])
     y: dict[int, int] = {}
     for m, i in terms:
         f = m * (common // start[i])
@@ -234,26 +239,49 @@ def _reduce(row: dict[int, int], d: int) -> int:
 def verify_certificate(
     vector: ExponentVector, verdict: ConeVerdict, rank: int
 ) -> bool:
-    """Re-check a verdict from scratch, independent of solver internals."""
+    """Re-check a verdict from scratch, independent of solver internals.
+
+    `InCone`: every coefficient is nonnegative and the combination of the
+    terms' vectors is the query, entry for entry (a term that is not one of
+    the rank's generators is read from its own vector).  `Outside`: the
+    functional ``y`` names each coordinate once, is positive on the query
+    and nonpositive on every generator.  A generator's pairing with ``y``
+    sums over the coordinates both hold, so a generator that holds no
+    coordinate of ``supp(y)`` pairs to exactly 0 and passes: pairing only
+    the generators that meet ``supp(y)`` checks every generator.  All
+    arithmetic is exact.
+    """
     _check_rank(vector, rank)
+    vectors, generators, holders = _generator_vectors(rank)
     if isinstance(verdict, InCone):
         if any(coeff < 0 for _, coeff in verdict.coefficients):
             return False
         total: dict[IndexSet, Fraction] = {}
         for b, coeff in verdict.coefficients:
-            for key, val in b.vector().as_dict().items():
-                total[key] = total.get(key, Fraction(0)) + coeff * val
-        reached = {k: v for k, v in total.items() if v != 0}
-        return reached == {k: Fraction(v) for k, v in vector.as_dict().items()}
+            entries = vectors.get(b)
+            for key, val in b.vector().entries if entries is None else entries:
+                total[key] = total.get(key, 0) + coeff * val
+        return {k: v for k, v in total.items() if v != 0} == vector.as_dict()
     y = dict(verdict.certificate)
-    pairing = lambda items: sum((y.get(k, Fraction(0)) * v for k, v in items), Fraction(0))
-    if pairing(vector.as_dict().items()) <= 0:
+    if len(y) != len(verdict.certificate):  # the printed functional is not the one checked
         return False
-    return all(pairing(items) <= 0 for items in _generator_vectors(rank))
+    pairing = lambda entries: sum(y[k] * v for k, v in entries if k in y)
+    if pairing(vector.entries) <= 0:
+        return False
+    met = {g for k in y for g in holders.get(k, ())}
+    return all(pairing(generators[g]) <= 0 for g in met)
 
 
 @cache
-def _generator_vectors(rank: int) -> tuple[tuple[tuple[IndexSet, int], ...], ...]:
-    """The basic ratios' sparse exponent vectors, built once per rank: the
-    checker's own copy, so that it shares nothing with the solver."""
-    return tuple(tuple(b.vector().as_dict().items()) for b in basic_ratios_all(rank))
+def _generator_vectors(rank: int):
+    """The basic ratios' sparse exponent vectors, by basic ratio and in
+    generator order, and for each coordinate the generators that hold it,
+    built once per rank: the checker's own copy, so that it shares nothing
+    with the solver."""
+    basics = basic_ratios_all(rank)
+    generators = tuple(b.vector().entries for b in basics)
+    holders: dict[IndexSet, list[int]] = {}
+    for g, entries in enumerate(generators):
+        for key, _ in entries:
+            holders.setdefault(key, []).append(g)
+    return dict(zip(basics, generators)), generators, holders

@@ -61,7 +61,9 @@ def _pack(nvars: int, exponents: Exponents) -> int:
 def _unpack(nvars: int, key: int) -> Exponents:
     """The exponent tuple of a packed key."""
     field = (1 << _WIDTH) - 1
-    return tuple(key >> _WIDTH * i & field for i in range(nvars))
+    # from a list: tuple() of a generator shrinks its result by realloc, and
+    # CPython's tuple free lists then grow by one a call
+    return tuple([key >> _WIDTH * i & field for i in range(nvars)])
 
 
 @dataclass(frozen=True, order=False)

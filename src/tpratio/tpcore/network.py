@@ -25,7 +25,6 @@ path families instead, an independent oracle for the product's minors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,9 +34,10 @@ from ..errors import InvalidInput
 
 def staircase_word(rank: int) -> tuple[int, ...]:
     """Wire indices of the lower bidiagonal factors, in product order."""
-    return tuple(
-        itertools.chain.from_iterable(range(m, 0, -1) for m in range(1, rank))
-    )
+    # Tuples built per call here and below come from lists: tuple() of a
+    # generator shrinks its result by realloc, and CPython's tuple free
+    # lists then grow by one a call.
+    return tuple([w for m in range(1, rank) for w in range(m, 0, -1)])
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def chips(rank: int, weights: Sequence) -> list[Chip]:
     word = staircase_word(rank)
     flat = iter(weights)
     lower = [Chip("lower", w, (next(flat),)) for w in word]
-    diag = Chip("diag", 0, tuple(next(flat) for _ in range(rank)))
+    diag = Chip("diag", 0, tuple([next(flat) for _ in range(rank)]))
     upper = [Chip("upper", w, (next(flat),)) for w in word]
     return [*lower, diag, *reversed(upper)]
 
@@ -134,7 +134,7 @@ def network_product(rank: int, layers: Sequence[Chip], zero, one) -> tuple[tuple
         weight = chip.weights[0]
         for row in grid:
             row[dst] = row[dst] + row[src] * weight
-    return tuple(tuple(row) for row in grid)
+    return tuple([tuple(row) for row in grid])
 
 
 def flat_weights(params: NetworkParams) -> tuple[Fraction, ...]:

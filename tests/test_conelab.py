@@ -2,14 +2,16 @@
 
 import copy
 import functools
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpratio import conelab
+from tpratio import cli, conelab, polycheck
 from tpratio.combinatorics import (
     ExponentVector,
     IndexSet,
@@ -33,7 +35,7 @@ from tpratio.factorizer import (
     elementary_to_basics,
     factor_to_basics,
 )
-from tpratio.tpcore import eval_ratio, random_tp
+from tpratio.tpcore import eval_ratio, random_tp, witness_family
 
 import util
 
@@ -206,6 +208,17 @@ class TestVerification:
         b = BasicRatio.of(2, 1, 3, ())
         bad = InCone(((b, Fraction(-1)),))
         assert not verify_certificate(-b.vector(), bad, 2)
+
+    def test_repeated_functional_key_rejected(self):
+        # dict() of the pairs keeps the last, so the functional checked
+        # would not be the one printed
+        vec = ratio_to_vector(UNBOUNDED)
+        verdict = cone_membership(vec, 4)
+        assert isinstance(verdict, Outside)
+        first_key = verdict.certificate[0][0]
+        repeated = Outside(((first_key, Fraction(10**6)), *verdict.certificate))
+        assert util.reference_verify_certificate(vec, repeated, 4)
+        assert not verify_certificate(vec, repeated, 4)
 
 
 class TestCoherenceWithFactorizer:
@@ -476,3 +489,103 @@ def test_a_solve_leaves_the_generator_basis_as_built():
     verdicts = [cone_membership(vec, 4) for vec in queries]
     assert copy.deepcopy(conelab._generator_basis(4)) == built
     assert [type(v) for v in verdicts] == [Outside] * 16 + [InCone] * 20
+
+
+# ---------------------------------------------------------------------------
+# the checker against the reference checker, on verdicts and mutations
+
+
+def _checked_queries():
+    """The orbit, every rank-4 pool ratio and every rank-3 ST0 two-over-two
+    ratio, as (vector, rank) pairs."""
+    ratios = [*_orbit(), *(cli.parse_ratio(text) for _, _, text in util.rank4_pool())]
+    ratios += util.st0_ratios(3)
+    return [(ratio_to_vector(r), r.rank) for r in ratios]
+
+
+def _mutations(verdict, rank):
+    """Certificates near ``verdict``: some still valid, most not."""
+    if isinstance(verdict, Outside):
+        y = verdict.certificate
+        yield Outside(tuple((k, -v) for k, v in y))
+        yield Outside(y[1:])
+        # raise one entry until a generator holding it with a positive
+        # exponent pairs to 1
+        values = dict(y)
+        for i, (k, yk) in enumerate(y):
+            for items in util.basic_ratio_vectors(rank):
+                v = dict(items).get(k, 0)
+                if v > 0:
+                    pairing = sum(values.get(c, 0) * e for c, e in items)
+                    raised = (k, yk + (1 - pairing) / v)
+                    yield Outside((*y[:i], raised, *y[i + 1:]))
+                    return
+        return
+    terms = verdict.coefficients
+    other = basic_ratios_all(rank + 1)[0]
+    yield InCone(terms + ((other, Fraction(0)),))  # not cached at this rank, adds 0
+    if terms:
+        (b, c), *rest = terms
+        yield InCone(((b, -c), *rest))
+        yield InCone(tuple(rest))
+        yield InCone(((other, c), *rest))
+
+
+def test_checker_agrees_with_the_reference_checker():
+    answers = {True: 0, False: 0}
+    for vec, rank in _checked_queries():
+        verdict = cone_membership(vec, rank)
+        assert verify_certificate(vec, verdict, rank), vec
+        assert util.reference_verify_certificate(vec, verdict, rank), vec
+        for mutated in _mutations(verdict, rank):
+            expected = util.reference_verify_certificate(vec, mutated, rank)
+            assert verify_certificate(vec, mutated, rank) == expected, (vec, mutated)
+            answers[expected] += 1
+    assert answers[False] > answers[True] > 0, answers  # the mutations bite
+
+
+# ---------------------------------------------------------------------------
+# memory held across calls
+
+
+def _allocated_blocks_per_call(step, count):
+    """``sys.getallocatedblocks()`` growth per call over ``count`` calls.
+
+    A full collection empties CPython's free lists, so after it one more
+    pass refills them before the count starts, with the collector off so
+    that nothing is freed in between."""
+    for i in range(count):
+        step(i)
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(count):
+            step(i)
+        before = sys.getallocatedblocks()
+        for i in range(count):
+            step(i)
+        return (sys.getallocatedblocks() - before) / count
+    finally:
+        gc.enable()
+
+
+def test_repeated_calls_hold_no_memory():
+    # tuple() of a generator reallocs its result, and CPython's tuple free
+    # lists keep each such tuple, up to 2,000 per size.  Building each
+    # per-call tuple from a list holds both loops under 0.03 blocks a call;
+    # building any one of them from a generator again gives 0.19 or more.
+    ratios = [*_orbit(), *(cli.parse_ratio(text) for _, _, text in util.rank4_pool())]
+    queries = [(r, ratio_to_vector(r)) for r in ratios]
+
+    def cone_step(i):
+        r, vec = queries[i % len(queries)]
+        verdict = cone_membership(vec, 4)
+        verify_certificate(vec, verdict, 4)
+        if isinstance(verdict, Outside):
+            polycheck.is_subtraction_free(polycheck.ratio_difference_poly(r))
+
+    def family_build(i):
+        witness_family(4, 1 + i % 4, 1, Fraction(i + 2))
+
+    assert _allocated_blocks_per_call(cone_step, 500) < 0.1
+    assert _allocated_blocks_per_call(family_build, 500) < 0.1

@@ -5,19 +5,27 @@ against the library internals, so the tests keep their value as oracles:
 the degree fitter uses divided differences, ratio enumeration works from
 raw index counting, exponent bookkeeping is redone with dictionaries,
 determinants use plain `Fraction` elimination, polynomials are dicts keyed
-by exponent tuples, majorization compares prefix sums, and brackets and their symmetries are read off the ``2n x n``
-representative.
+by exponent tuples, majorization compares prefix sums, brackets and their symmetries are read off the ``2n x n``
+representative, and cone certificates are re-checked against every
+coordinate of every generator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
-from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
+from tpratio.combinatorics import ExponentVector, IndexSet, RatioExpr, all_index_sets
+from tpratio.conelab import InCone
+from tpratio.errors import InvalidInput
+from tpratio.factorizer import basic_ratios_all
 from tpratio.tpcore import TPMatrix
+
+RANK4_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "rank4_pool.tsv"
 
 
 def st0_pairs_by_profile(rank: int):
@@ -265,3 +273,39 @@ def shift_oracle(matrix: TPMatrix) -> TPMatrix:
 def reverse_oracle(matrix: TPMatrix) -> TPMatrix:
     """Reverse the representative's rows and restandardize."""
     return _restandardize(matrix.rank, tuple(reversed(representative(matrix))))
+
+
+def rank4_pool() -> list[tuple[str, str, str]]:
+    """The committed rank-4 benchmark pool: (arity, cone verdict, ratio
+    text) per line."""
+    return [tuple(line.split("\t")) for line in RANK4_POOL.read_text().splitlines()]
+
+
+@functools.cache
+def basic_ratio_vectors(rank: int):
+    """Each basic ratio's sparse exponent vector as ``(index set, exponent)``
+    pairs, in `basic_ratios_all` order; built once per rank."""
+    return tuple(tuple(b.vector().as_dict().items()) for b in basic_ratios_all(rank))
+
+
+def reference_verify_certificate(vector: ExponentVector, verdict, rank: int) -> bool:
+    """The cone checker as first written: an `InCone` combination rebuilt
+    from each basic ratio's own vector, and an `Outside` functional paired
+    with every coordinate of every generator, a coordinate it does not name
+    read as 0.  Keeps the last of a repeated functional key."""
+    if rank != vector.rank:
+        raise InvalidInput(f"rank {rank} does not match the vector's rank {vector.rank}")
+    if isinstance(verdict, InCone):
+        if any(coeff < 0 for _, coeff in verdict.coefficients):
+            return False
+        total: dict[IndexSet, Fraction] = {}
+        for b, coeff in verdict.coefficients:
+            for key, val in b.vector().as_dict().items():
+                total[key] = total.get(key, Fraction(0)) + coeff * val
+        reached = {k: v for k, v in total.items() if v != 0}
+        return reached == {k: Fraction(v) for k, v in vector.as_dict().items()}
+    y = dict(verdict.certificate)
+    pairing = lambda items: sum((y.get(k, Fraction(0)) * v for k, v in items), Fraction(0))
+    if pairing(vector.as_dict().items()) <= 0:
+        return False
+    return all(pairing(items) <= 0 for items in basic_ratio_vectors(rank))
