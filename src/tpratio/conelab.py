@@ -236,16 +236,21 @@ def _reduce(row: dict[int, int], d: int) -> int:
     return d // g
 
 
+_EXACT = (int, Fraction)  # the values a certificate may hold: exact rationals
+
+
 def verify_certificate(
     vector: ExponentVector, verdict: ConeVerdict, rank: int
 ) -> bool:
     """Re-check a verdict from scratch, independent of solver internals.
 
-    `InCone`: every coefficient is nonnegative and the combination of the
-    terms' vectors is the query, entry for entry (a term that is not one of
-    the rank's generators is read from its own vector).  `Outside`: the
-    functional ``y`` names each coordinate once, is positive on the query
-    and nonpositive on every generator.  A generator's pairing with ``y``
+    Every coefficient and functional value must be an exact rational (an
+    ``int`` or a `Fraction`).  `InCone`: every coefficient is nonnegative
+    and the combination of the terms' vectors is the query, entry for entry
+    (a term that is not one of the rank's generators is read from its own
+    vector).  `Outside`: the functional ``y`` names each coordinate once,
+    every one an index set of ``rank``, and is positive on the query and
+    nonpositive on every generator.  A generator's pairing with ``y``
     sums over the coordinates both hold, so a generator that holds no
     coordinate of ``supp(y)`` pairs to exactly 0 and passes: pairing only
     the generators that meet ``supp(y)`` checks every generator.  All
@@ -254,7 +259,7 @@ def verify_certificate(
     _check_rank(vector, rank)
     vectors, generators, holders = _generator_vectors(rank)
     if isinstance(verdict, InCone):
-        if any(coeff < 0 for _, coeff in verdict.coefficients):
+        if any(not isinstance(c, _EXACT) or c < 0 for _, c in verdict.coefficients):
             return False
         total: dict[IndexSet, Fraction] = {}
         for b, coeff in verdict.coefficients:
@@ -265,6 +270,9 @@ def verify_certificate(
     y = dict(verdict.certificate)
     if len(y) != len(verdict.certificate):  # the printed functional is not the one checked
         return False
+    if not all(isinstance(k, IndexSet) and k.rank == rank and isinstance(v, _EXACT)
+               for k, v in y.items()):
+        return False  # a key that pairs with nothing, or inexact arithmetic
     pairing = lambda entries: sum(y[k] * v for k, v in entries if k in y)
     if pairing(vector.entries) <= 0:
         return False

@@ -5,7 +5,9 @@ and the arc-majorization screen (`check_condition_m`) is bounded by 1, and
 this module produces the constructive certificate: a multiset of *basic*
 ratios whose product equals the input.  `factor_to_basics` runs the two
 screens once, on its input, and checks the certificate once, by exact
-exponent-vector cancellation (`FactorizationResult.vector_check`).
+exponent-vector cancellation (`FactorizationResult.vector_check`).  A
+failing screen's verdict becomes its witnessed exception in one place
+(`_require_st0`, `_require_condition_m`).
 
 The pipeline:
 
@@ -13,7 +15,8 @@ The pipeline:
    pairwise-intersection blocks ``gamma1, gamma2, delta1, delta2``.
 2. While more than two indices per side are unshared (``nu >= 3``),
    `split_once` rewrites the ratio as a product of two smaller ratios, both
-   of which still pass the majorization screen.  In block form the ratio is
+   of which still pass the majorization screen, and returns the `TraceStep`
+   the pipeline records for that node.  In block form the ratio is
    ``[gamma1 gamma2][delta1 delta2] / [gamma1 delta2][delta1 gamma2]``, each
    bracket with the core.  Every rule is a pair (relabelling of the blocks,
    pivot ``P``): the left factor is the relabelled ratio with ``delta1``
@@ -23,7 +26,8 @@ The pipeline:
 3. Each ``nu == 2`` leaf is either trivial or an *elementary* ratio
    ``[i1,j2,c][i2,j1,c] / [i1,j1,c][i2,j2,c]`` with the four anchors in
    cyclic order; `elementary_to_basics` reduces it to basics by a two-rule
-   rewrite that strictly shrinks the measure ``(mu, delta)``.
+   rewrite that strictly shrinks the measure ``(mu, delta)``, and returns
+   the rewrite as a `FactorizationResult` of its own.
 
 Every step is recorded as a `TraceStep` so certificates can be audited.
 That split factors pass the screen, shrink ``nu`` and multiply back, and
@@ -123,17 +127,9 @@ class ElementaryRatio:
     core: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.rank
-        anchors = (self.i1, self.i2, self.j1, self.j2)
-        if any(not 1 <= e <= 2 * n for e in (*anchors, *self.core)):
-            raise InvalidInput(f"labels outside [1, {2 * n}]: {anchors}, {self.core}")
-        if len(set(anchors)) != 4:
-            raise InvalidInput(f"anchors must be distinct: {anchors}")
-        if len(self.core) != n - 2:
-            raise InvalidInput(f"core must have {n - 2} elements, got {self.core!r}")
-        if set(self.core) & set(anchors):
-            raise InvalidInput("core must avoid the anchors")
-        offs = [(a - self.i1) % (2 * n) for a in anchors]
+        anchors = self.anchors
+        _check_anchors(self.rank, anchors, self.core)
+        offs = [(a - self.i1) % (2 * self.rank) for a in anchors]
         if not (offs[0] < offs[1] < offs[2] < offs[3]):
             raise InvalidInput(f"anchors not in cyclic order: {anchors}")
 
@@ -161,18 +157,10 @@ class BasicRatio:
     core: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.rank
-        if any(not 1 <= e <= 2 * n for e in (self.i, self.j, *self.core)):
-            raise InvalidInput(f"labels outside [1, {2 * n}]: {self.i}, {self.j}, {self.core}")
-        if not self.i < self.j:
+        n, i, j = self.rank, self.i, self.j
+        _check_anchors(n, (i, _succ(n, i), j, _succ(n, j)), self.core)
+        if not i < j:
             raise InvalidInput("use BasicRatio.of, which canonicalizes the pair order")
-        touched = {self.i, _succ(n, self.i), self.j, _succ(n, self.j)}
-        if len(touched) != 4:
-            raise InvalidInput(f"adjacent pairs overlap: i={self.i}, j={self.j}")
-        if len(self.core) != n - 2:
-            raise InvalidInput(f"core must have {n - 2} elements, got {self.core!r}")
-        if set(self.core) & touched:
-            raise InvalidInput("core must avoid i, i+1, j, j+1")
 
     @classmethod
     def of(cls, rank: int, i: int, j: int, core: tuple[int, ...] | frozenset[int]) -> "BasicRatio":
@@ -228,6 +216,21 @@ def _succ(rank: int, e: int) -> int:
     return e % (2 * rank) + 1
 
 
+def _check_anchors(rank: int, anchors: tuple[int, ...], core: tuple[int, ...]) -> None:
+    """The facts an elementary or basic ratio shares: labels in ``[1, 2n]``,
+    four distinct anchors, and a core of ``n - 2`` labels avoiding them."""
+    labels = (*anchors, *core)
+    if min(labels) < 1 or max(labels) > 2 * rank:
+        raise InvalidInput(f"labels outside [1, {2 * rank}]: {anchors}, {core}")
+    touched = set(anchors)
+    if len(touched) != 4:
+        raise InvalidInput(f"anchors must be distinct: {anchors}")
+    if len(core) != rank - 2:
+        raise InvalidInput(f"core must have {rank - 2} elements, got {core!r}")
+    if touched.intersection(core):
+        raise InvalidInput("core must avoid the anchors")
+
+
 def _bracket(rank: int, *parts) -> IndexSet:
     return IndexSet.of(rank, itertools.chain.from_iterable(parts))
 
@@ -268,13 +271,23 @@ def decompose(ratio: RatioExpr) -> Decomposition:
     g1, g2, d1, d2 = dec.gamma1, dec.gamma2, dec.delta1, dec.delta2
     reassembles = b1 & b2 == core and {*g1, *g2} | core == a1 and {*d1, *d2} | core == a2
     if not reassembles or len(g1) != len(d1) or len(g2) != len(d2):
-        verdict = check_st0(ratio)
-        if verdict.holds:
-            raise InvariantViolation("counting screen passed but the blocks do not reassemble")
-        raise St0Violation(
-            verdict.witness, verdict.numerator_count, verdict.denominator_count
-        )
+        _require_st0(ratio)
+        raise InvariantViolation("counting screen passed but the blocks do not reassemble")
     return dec
+
+
+def _require_st0(ratio: RatioExpr) -> None:
+    """Run the counting screen; raise its witnessed violation if it fails."""
+    verdict = check_st0(ratio)
+    if not verdict.holds:
+        raise St0Violation(verdict.witness, verdict.numerator_count, verdict.denominator_count)
+
+
+def _require_condition_m(ratio: RatioExpr) -> None:
+    """Run the majorization screen; raise its witnessed violation if it fails."""
+    verdict = check_condition_m(ratio)
+    if not verdict.holds:
+        raise ConditionMViolation(verdict.witness, verdict.m_numerator, verdict.m_denominator)
 
 
 def is_trivial(ratio: RatioExpr) -> bool:
@@ -355,10 +368,9 @@ def _as_basic(elem: ElementaryRatio) -> BasicRatio | None:
     return None
 
 
-def elementary_to_basics(
-    elem: ElementaryRatio,
-) -> tuple[tuple[BasicRatio, ...], tuple[TraceStep, ...]]:
-    """Reduce an elementary ratio to a product of basic ratios.
+def elementary_to_basics(elem: ElementaryRatio) -> FactorizationResult:
+    """Reduce an elementary ratio to a product of basic ratios: the result's
+    ratio is ``elem.expr()``, its basics sorted and its trace the rewrite.
 
     Two rewrite rules, each replacing the ratio by two factors whose
     exponent vectors sum to the original:
@@ -375,7 +387,7 @@ def elementary_to_basics(
     basics: list[BasicRatio] = []
     trace: list[TraceStep] = []
     _reduce_elementary(elem, basics, trace)
-    return tuple(basics), tuple(trace)
+    return FactorizationResult(elem.expr(), tuple(sorted(basics)), tuple(trace))
 
 
 def _reduce_elementary(elem, basics, trace):
@@ -413,15 +425,6 @@ def _reduce_elementary(elem, basics, trace):
 
 # ---------------------------------------------------------------------------
 # splitting ratios with nu >= 3
-
-
-@dataclass(frozen=True)
-class SplitOutcome:
-    """The two factors produced by one split, plus the rule that fired."""
-
-    left: RatioExpr
-    right: RatioExpr
-    rule: str
 
 
 def _swap_numerators(dec: Decomposition) -> Decomposition:
@@ -537,9 +540,10 @@ def _split_interlaced(dec: Decomposition) -> tuple[Decomposition, tuple[int, ...
     return _swap_denominators(dec), (omega[2],) + g22, "second-pair"
 
 
-def split_once(ratio: RatioExpr) -> SplitOutcome:
+def split_once(ratio: RatioExpr) -> TraceStep:
     """Rewrite a screened ratio with ``nu >= 3`` as a product of two screened
-    ratios with strictly smaller ``nu``.
+    ratios with strictly smaller ``nu``: the `TraceStep` that
+    `factor_to_basics` records for this node, its factors the two ratios.
 
     Dispatch order is fixed: the parity split on ``gamma1/delta1`` first,
     then on ``gamma2/delta2`` (after swapping numerator labels), then the
@@ -548,17 +552,13 @@ def split_once(ratio: RatioExpr) -> SplitOutcome:
     rules guarantee, and the tests check it on every split at rank 4.
     """
     dec = decompose(ratio)
-    verdict = check_condition_m(ratio)
-    if not verdict.holds:
-        raise ConditionMViolation(
-            verdict.witness, verdict.m_numerator, verdict.m_denominator
-        )
+    _require_condition_m(ratio)
     if dec.nu < 3:
         raise InvalidInput(f"split_once needs nu >= 3, got {dec.nu}")
-    return _split(dec)
+    return _split(ratio, dec)
 
 
-def _split(dec: Decomposition) -> SplitOutcome:
+def _split(ratio: RatioExpr, dec: Decomposition) -> TraceStep:
     if not interlaces(dec.gamma1, dec.delta1):
         pivot, rule = _parity_pivot(dec), "parity"
     elif not interlaces(dec.gamma2, dec.delta2):
@@ -566,7 +566,7 @@ def _split(dec: Decomposition) -> SplitOutcome:
         pivot, rule = _parity_pivot(dec), "parity-swapped"
     else:
         dec, pivot, rule = _split_interlaced(dec)
-    return SplitOutcome(*_technical_pair(dec, pivot), rule)
+    return TraceStep(rule, ratio, (("nu", dec.nu),), _technical_pair(dec, pivot))
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +583,8 @@ def factor_to_basics(ratio: RatioExpr) -> FactorizationResult:
         ratio = RatioExpr(
             ratio.rank, ratio.numerator + (pad,), ratio.denominator + (pad,)
         )
-    st0 = check_st0(ratio)
-    if not st0.holds:
-        raise St0Violation(st0.witness, st0.numerator_count, st0.denominator_count)
-    verdict = check_condition_m(ratio)
-    if not verdict.holds:
-        raise ConditionMViolation(
-            verdict.witness, verdict.m_numerator, verdict.m_denominator
-        )
+    _require_st0(ratio)
+    _require_condition_m(ratio)
     basics: list[BasicRatio] = []
     trace: list[TraceStep] = []
     _factor(ratio, basics, trace)
@@ -613,16 +607,12 @@ def _factor(ratio: RatioExpr, basics, trace):
         if elem is None:
             raise InvariantViolation("screened nu == 2 ratio is not elementary")
         trace.append(TraceStep("elementary", ratio, measures, (elem.expr(),)))
-        got, subtrace = elementary_to_basics(elem)
-        basics.extend(got)
-        trace.extend(subtrace)
+        _reduce_elementary(elem, basics, trace)
         return
-    outcome = _split(dec)
-    trace.append(
-        TraceStep(outcome.rule, ratio, measures, (outcome.left, outcome.right))
-    )
-    _factor(outcome.left, basics, trace)
-    _factor(outcome.right, basics, trace)
+    step = _split(ratio, dec)
+    trace.append(step)
+    for factor in step.factors:
+        _factor(factor, basics, trace)
 
 
 def basic_ratio_count(rank: int) -> int:

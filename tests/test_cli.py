@@ -39,6 +39,31 @@ class TestParse:
             parse_ratio("[1,4][2,3/")
         assert err.value.position == 9
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("[1,2]/[1,3]/[2,4]", "unexpected second '/'", 11),
+            ("[1,2]x/[1,3]", "expected '[' or '(', found 'x'", 5),
+            ("[1,a]/[1,2]", "unexpected character 'a'", 3),
+            ("[1,,2]/[1,2]", "expected a number before ','", 3),
+            ("[1,]/[1,2]", "expected a number before ']'", 3),
+            ("[1,2]/[1,3", "unterminated term, expected ']'", 10),
+        ],
+        ids=[
+            "second-slash",
+            "character-between-terms",
+            "character-in-term",
+            "empty-label-before-comma",
+            "empty-label-before-closer",
+            "unterminated-term",
+        ],
+    )
+    def test_syntax_error_message(self, text, message, position):
+        with pytest.raises(RatioSyntaxError) as err:
+            parse_ratio(text)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at offset {position})"
+
     def test_missing_slash(self):
         with pytest.raises(RatioSyntaxError):
             parse_ratio("[1,2][3,4]")
@@ -132,6 +157,23 @@ class TestCommands:
         assert report["input"] == "[1,3][2,4]/[1,4][2,3]"
         assert report["st0"]["holds"] is True
         assert report["condition_m"]["witness"] == [2, 3]
+
+    def test_check_counting_screen_fails(self, capsys):
+        code, out, _ = run(capsys, "check", "[1,2]/[3,4]")
+        assert code == 0
+        assert out.splitlines() == [
+            "ratio: [1,2]/[3,4]",
+            "ST0: fails at index 1 (1 vs 0)",
+            "(M): fails, witness L={1} with m(num)=[1], m(den)=[0]",
+        ]
+        code, out, _ = run(capsys, "check", "[1,2]/[3,4]", "--json")
+        assert code == 0
+        assert json.loads(out)["st0"] == {
+            "holds": False,
+            "witness": 1,
+            "numerator_count": 1,
+            "denominator_count": 0,
+        }
 
     def test_factor_reports_basics(self, capsys):
         code, out, _ = run(capsys, "factor", "[1,4,6][2,3,5]/[1,3,5][2,4,6]", "--json")
@@ -430,6 +472,7 @@ class TestBadInput:
             [[float("inf"), 1], [1, 1]],
             [["1e5000", "1"], ["1", "1"]],
             [[True, 1], [1, 2]],  # was read as 1
+            random_tp(3, 3).to_strings(),  # totally positive, but of rank 3
         ],
     )
     def test_bad_matrix_file(self, capsys, tmp_path, rows):

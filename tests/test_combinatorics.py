@@ -205,6 +205,19 @@ class TestArcs:
         assert Arc(2, 4, 2).members == (1, 4)
         assert Arc(2, 2, 2).members == (2, 3)
 
+    @pytest.mark.parametrize(
+        "start, length, message",
+        [
+            (0, 2, r"start outside \[1, 4\]: 0"),
+            (5, 2, r"start outside \[1, 4\]: 5"),
+            (1, 0, r"length outside \[1, 3\]: 0"),
+            (1, 4, r"length outside \[1, 3\]: 4"),
+        ],
+    )
+    def test_range_checks(self, start, length, message):
+        with pytest.raises(InvalidInput, match=message):
+            Arc(2, start, length)
+
     @pytest.mark.parametrize("n, count", [(2, 8), (3, 18), (4, 32)])
     def test_counts(self, n, count):
         arcs = arcs_up_to_half(n)
@@ -317,6 +330,18 @@ class TestRatioExpr:
         assert r.denominator == (base_set(2),)
         r2 = RatioExpr.of(2, [iset(2, 1, 2), iset(2, 1, 3)], [iset(2, 1, 4)])
         assert r2.denominator == (iset(2, 1, 4), base_set(2))
+
+    @pytest.mark.parametrize(
+        "numerator, denominator, message",
+        [
+            ((iset(2, 1, 2),), (iset(3, 1, 2, 3),), "mixed ranks: expected 2, got 3"),
+            ((iset(2, 1, 2), iset(2, 1, 3)), (iset(2, 1, 4),), "lengths differ; use RatioExpr.of"),
+        ],
+        ids=["mixed-ranks", "side-lengths"],
+    )
+    def test_ratio_expr_rejects(self, numerator, denominator, message):
+        with pytest.raises(InvalidInput, match=message):
+            RatioExpr(2, numerator, denominator)
 
     def test_exponent_vector_cancellation(self):
         r = ratio(2, [(1, 2), (1, 2)], [(1, 2), (3, 4)])

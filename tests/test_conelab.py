@@ -90,8 +90,7 @@ class TestMembership:
             (BasicRatio.of(3, 1, 4, (3,)), Fraction(1)),
             (BasicRatio.of(3, 1, 5, (3,)), Fraction(1)),
         )
-        basics, _ = elementary_to_basics(e)
-        alternative = InCone(tuple((b, Fraction(1)) for b in sorted(basics)))
+        alternative = InCone(tuple((b, Fraction(1)) for b in elementary_to_basics(e).basics))
         assert verify_certificate(vec, alternative, 3)
 
     def test_bland_rule_picks_the_combination(self):
@@ -219,6 +218,32 @@ class TestVerification:
         repeated = Outside(((first_key, Fraction(10**6)), *verdict.certificate))
         assert util.reference_verify_certificate(vec, repeated, 4)
         assert not verify_certificate(vec, repeated, 4)
+
+    def test_functional_key_of_another_rank_rejected(self):
+        # a rank-3 key pairs with no rank-4 coordinate, so the functional
+        # checked would not be the one printed
+        vec = ratio_to_vector(UNBOUNDED)
+        verdict = cone_membership(vec, 4)
+        stray = Outside(((IndexSet(3, (1, 2, 3)), Fraction(1)),) + verdict.certificate)
+        assert util.reference_verify_certificate(vec, stray, 4)
+        assert not verify_certificate(vec, stray, 4)
+
+    def test_float_functional_rejected(self):
+        vec = ratio_to_vector(UNBOUNDED)
+        verdict = cone_membership(vec, 4)
+        floats = Outside(tuple((k, float(v)) for k, v in verdict.certificate))
+        assert util.reference_verify_certificate(vec, floats, 4)
+        assert not verify_certificate(vec, floats, 4)
+
+    def test_float_coefficient_rejected(self):
+        e = ElementaryRatio(3, 1, 2, 4, 6, (3,))
+        vec = ExponentVector.of_ratio(e.expr())
+        verdict = cone_membership(vec, 3)
+        assert isinstance(verdict, InCone)
+        floats = InCone(tuple((b, float(c)) for b, c in verdict.coefficients))
+        assert util.reference_verify_certificate(vec, floats, 3)
+        assert not verify_certificate(vec, floats, 3)
+        assert verify_certificate(vec, InCone(tuple((b, int(c)) for b, c in verdict.coefficients)), 3)
 
 
 class TestCoherenceWithFactorizer:

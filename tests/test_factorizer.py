@@ -169,37 +169,32 @@ class TestComplexityMeasures:
 
 class TestElementaryToBasics:
     def test_already_basic(self):
-        basics, trace = elementary_to_basics(ElementaryRatio(2, 1, 2, 3, 4, ()))
-        assert basics == (BasicRatio.of(2, 1, 3, ()),)
-        assert [s.rule for s in trace] == ["basic"]
+        e = ElementaryRatio(2, 1, 2, 3, 4, ())
+        res = elementary_to_basics(e)
+        assert res.ratio == e.expr()
+        assert res.basics == (BasicRatio.of(2, 1, 3, ()),)
+        assert [s.rule for s in res.trace] == ["basic"]
+        assert res.vector_check()
 
     def test_step_anchor_case(self):
         e = ElementaryRatio(3, 1, 2, 4, 6, (3,))
-        basics, trace = elementary_to_basics(e)
-        assert sorted(basics) == [BasicRatio.of(3, 1, 4, (3,)), BasicRatio.of(3, 1, 5, (3,))]
-        total = ExponentVector.zero(3)
-        for b in basics:
-            total = total + b.vector()
-        assert total == ExponentVector.of_ratio(e.expr())
+        res = elementary_to_basics(e)
+        assert res.basics == (BasicRatio.of(3, 1, 4, (3,)), BasicRatio.of(3, 1, 5, (3,)))
+        assert res.vector_check()
         for seed in range(10):
             m = random_tp(3, seed)
             assert eval_ratio(m, e.expr()) == util.product_of_values(
-                eval_ratio(m, b.expr()) for b in basics
+                eval_ratio(m, b.expr()) for b in res.basics
             )
 
     def test_pull_core_case(self):
-        e = ElementaryRatio(3, 1, 3, 5, 6, (2,))
-        basics, trace = elementary_to_basics(e)
-        assert trace[0].rule == "pull-core"
-        total = ExponentVector.zero(3)
-        for b in basics:
-            total = total + b.vector()
-        assert total == ExponentVector.of_ratio(e.expr())
+        res = elementary_to_basics(ElementaryRatio(3, 1, 3, 5, 6, (2,)))
+        assert res.trace[0].rule == "pull-core"
+        assert res.vector_check()
 
     def test_measures_strictly_decrease(self):
         e = ElementaryRatio(4, 1, 4, 5, 8, (2, 6))
-        _, trace = elementary_to_basics(e)
-        for step in trace:
+        for step in elementary_to_basics(e).trace:
             if not step.factors:
                 continue
             parent = dict(step.measures)
@@ -250,22 +245,30 @@ class TestSplitOnce:
         "rule, n, given, left, right", SPLIT_EXAMPLES, ids=[e[0] for e in SPLIT_EXAMPLES]
     )
     def test_rule_example(self, rule, n, given, left, right):
-        out = split_once(ratio(n, *given))
-        assert out.rule == rule
-        assert out.left == ratio(n, *left)
-        assert out.right == ratio(n, *right)
+        step = split_once(ratio(n, *given))
+        assert step.rule == rule
+        assert step.ratio == ratio(n, *given)
+        assert step.factors == (ratio(n, *left), ratio(n, *right))
 
     def test_head_pair_example(self):
-        out = split_once(
+        step = split_once(
             ratio(4, [(1, 4, 5, 8), (2, 3, 6, 7)], [(1, 3, 5, 7), (2, 4, 6, 8)])
         )
-        assert out.left == ratio(
-            4, [(1, 4, 5, 8), (1, 3, 6, 7)], [(1, 3, 5, 7), (1, 4, 6, 8)]
+        assert step.factors == (
+            ratio(4, [(1, 4, 5, 8), (1, 3, 6, 7)], [(1, 3, 5, 7), (1, 4, 6, 8)]),
+            ratio(4, [(1, 4, 6, 8), (2, 3, 6, 7)], [(1, 3, 6, 7), (2, 4, 6, 8)]),
         )
-        assert out.right == ratio(
-            4, [(1, 4, 6, 8), (2, 3, 6, 7)], [(1, 3, 6, 7), (2, 4, 6, 8)]
-        )
-        assert out.rule == "head-pair"
+        assert step.rule == "head-pair"
+        assert step.measures == (("nu", 4),)
+
+    def test_wrapper_gives_the_recorded_step(self):
+        """`split_once` returns the very step `factor_to_basics` records, on
+        every split node of every rank-4 trace, and every rule fires."""
+        rules = {e[0] for e in SPLIT_EXAMPLES}
+        splits = [s for res in _rank4_factorizations() for s in res.trace if s.rule in rules]
+        assert {s.rule for s in splits} == rules
+        for step in splits:
+            assert split_once(step.ratio) == step
 
     def test_nu2_rejected(self):
         with pytest.raises(InvalidInput, match="split_once needs nu >= 3, got 2"):
@@ -285,11 +288,11 @@ class TestSplitOnce:
             d = decompose(r)
             if d.nu < 3 or is_trivial(r):
                 continue
-            out = split_once(r)
-            for part in (out.left, out.right):
+            left, right = split_once(r).factors
+            for part in (left, right):
                 assert check_condition_m(part).holds
                 assert decompose(part).nu < d.nu
-            total = ExponentVector.of_ratio(out.left) + ExponentVector.of_ratio(out.right)
+            total = ExponentVector.of_ratio(left) + ExponentVector.of_ratio(right)
             assert total == ExponentVector.of_ratio(r)
             seen += 1
 
@@ -390,6 +393,14 @@ class TestFactorToBasics:
         assert calls == {"check_condition_m": 1, "check_st0": 1}
 
 
+@functools.cache
+def _rank4_factorizations():
+    """`factor_to_basics` of every rank-4 ST0 two-over-two ratio that passes
+    condition M, in `util.st0_ratios` order; built once, read by the trace
+    tests and the split tests."""
+    return tuple(factor_to_basics(r) for r in util.st0_ratios(4) if check_condition_m(r).holds)
+
+
 def _check_trace(res, screened):
     """Check, on one factorization trace, the lemmas the recursion does not
     re-check: each split's two factors pass condition M, have smaller nu and
@@ -431,18 +442,16 @@ class TestTraceFacts:
 
     def test_exhaustive_rank4(self):
         screened = functools.cache(lambda r: check_condition_m(r).holds)
-        results = []
         for r in util.st0_ratios(4):
             if not screened(r):
                 with pytest.raises(ConditionMViolation):
                     factor_to_basics(r)
                 if decompose(r).nu == 2:
                     assert classify_elementary(r) is None
-                continue
-            res = factor_to_basics(r)
+        results = _rank4_factorizations()
+        for res in results:
             assert res.vector_check()
             _check_trace(res, screened)
-            results.append(res)
         assert len(results) == 4255
         assert trace_digest(results) == TRACE_DIGESTS[4]
 
@@ -489,4 +498,36 @@ class TestBasicRatiosAll:
 )
 def test_labels_outside_the_polygon_rejected(build):
     with pytest.raises(InvalidInput, match=r"labels outside \[1, "):
+        build()
+
+
+# Every other rejection of the anchor check `ElementaryRatio` and
+# `BasicRatio` share, and the one check each keeps for itself.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ElementaryRatio(2, 1, 1, 3, 4, ()), r"anchors must be distinct: \(1, 1, 3, 4\)"),
+        (lambda: ElementaryRatio(3, 1, 2, 4, 5, ()), r"core must have 1 elements, got \(\)"),
+        (lambda: ElementaryRatio(3, 1, 2, 4, 5, (2,)), "core must avoid the anchors"),
+        (lambda: ElementaryRatio(2, 1, 3, 2, 4, ()), r"anchors not in cyclic order: \(1, 3, 2, 4\)"),
+        (lambda: BasicRatio.of(3, 1, 2, (4,)), r"anchors must be distinct: \(1, 2, 2, 3\)"),
+        (lambda: BasicRatio.of(3, 1, 6, (3,)), r"anchors must be distinct: \(1, 2, 6, 1\)"),
+        (lambda: BasicRatio.of(3, 1, 4, ()), r"core must have 1 elements, got \(\)"),
+        (lambda: BasicRatio.of(3, 1, 4, (5,)), "core must avoid the anchors"),
+        (lambda: BasicRatio(3, 5, 1, (3,)), "use BasicRatio.of"),
+    ],
+    ids=[
+        "elementary-repeated-anchor",
+        "elementary-core-size",
+        "elementary-core-meets-anchor",
+        "elementary-cyclic-order",
+        "basic-adjacent-pairs-overlap",
+        "basic-wraparound-overlap",
+        "basic-core-size",
+        "basic-core-meets-anchor",
+        "basic-pair-order",
+    ],
+)
+def test_anchor_rejections(build, message):
+    with pytest.raises(InvalidInput, match=message):
         build()

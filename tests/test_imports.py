@@ -17,7 +17,9 @@ call belongs in the tests.  Inside a function, likewise, every local name
 bound by an assignment, a loop, a ``with``, an ``except`` or a ``:=`` must
 be read, by the function or by a function nested in it; ``_`` is exempt.
 `tpratio.tpcore` lists in ``__all__`` exactly the names its ``__init__``
-imports, and a star import of either package succeeds.
+imports, and a star import of either package succeeds.  Each screen's
+violation (`St0Violation`, `ConditionMViolation`) is constructed at one
+site under ``src/``, so a failing verdict's fields are copied into it once.
 """
 
 import ast
@@ -219,3 +221,15 @@ def test_no_unused_local(path):
         for name, line in _unused_locals(func).items()
     ]
     assert not unused, f"{path.name}: locals bound but never read {unused}"
+
+
+@pytest.mark.parametrize("error", ["St0Violation", "ConditionMViolation"])
+def test_screen_violation_built_at_one_site(error):
+    sites = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and error in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(sites) == 1, f"{error} constructed at {sites}"

@@ -677,6 +677,19 @@ class TestFalsify:
                 failing += 1
         assert failing > 0
 
+    def test_random_search_route(self):
+        # rank 5 has no counterexample family, and this ratio's degree-gap
+        # ladder stays under the threshold; seed 14 of the random search
+        # crosses it, and the evidence carries the largest value found
+        r = ratio(5, [(3, 5, 6, 7, 10), (3, 4, 5, 6, 8)], [(3, 5, 6, 8, 10), (3, 4, 5, 6, 7)])
+        out = falsify(r)
+        assert isinstance(out, Evidence)
+        assert out.family == "random-search"
+        assert out.detail == (("trials", witnesses.RANDOM_TRIALS),)
+        values = [eval_ratio(random_tp(5, s, magnitude=6), r) for s in range(witnesses.RANDOM_TRIALS)]
+        assert out.trace == ((Fraction(14), max(values)),)
+        assert out.peak == max(values) > witnesses.THRESHOLD
+
     def test_bounded_ratio_inconclusive(self):
         out = falsify(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
         assert isinstance(out, Inconclusive)
