@@ -9,22 +9,26 @@ Membership is decided by an exact homogeneous simplex with Bland's rule (so
 it terminates and is deterministic), warm-started from a basis of the
 generators' span that is built once per rank; the rows left out of that
 basis are the index-balance relations, which reject a query outside the
-span before any pivot.  The tableau is sparse and integral: each row holds
-the integer numerators of its nonzero entries over one positive
-denominator.  It never holds the warm-start inverse ``B0^-1``, 80% of the
-starting rows' nonzeros at ranks 4 and 5, whose columns never enter the
-basis: each row carries instead its multipliers of the warm-start rows,
-as in the product form of the inverse (Dantzig and Orchard-Hays, 1954),
-and the cached ``B0^-1`` rows are applied once, to the objective row's
-multipliers, when a separating functional is read.  Both answers come with
-an independently checkable certificate in `Fraction`s: nonnegative
-coefficients that reproduce the query exactly, or a separating functional
-that is nonpositive on every generator yet positive on the query
-(`verify_certificate` re-checks either one from scratch).  The checker
-keeps its own per-rank copy of the generators' vectors, with the
-generators that hold each coordinate, and pairs a functional only with the
-generators that meet its support: a pairing sums over the coordinates both
-hold, so every other generator pairs to exactly 0, which passes.
+span before any pivot.  A solve starts from the query's support: its
+entries are placed through a per-rank coordinate map, and its column of the
+starting tableau sums the ``B0^-1`` columns of its nonzeros only.  The
+tableau is sparse and integral: each row holds the integer numerators of
+its nonzero entries over one positive denominator.  It never holds the
+warm-start inverse ``B0^-1``, 80% of the starting rows' nonzeros at ranks 4
+and 5, whose columns never enter the basis: each row carries instead its
+multipliers of the warm-start rows, as in the product form of the inverse
+(Dantzig and Orchard-Hays, 1954), and the cached ``B0^-1`` rows are applied
+once, to the objective row's multipliers, when a separating functional is
+read.  Both answers come with an independently checkable certificate in
+`Fraction`s: nonnegative coefficients that reproduce the query exactly, or
+a separating functional that is nonpositive on every generator yet
+positive on the query (`verify_certificate` re-checks either one from
+scratch).  The checker keeps its own per-rank copy of the generators'
+vectors, with the generators that hold each coordinate and their
+exponents there, and pairs a functional by coordinate: walking its support
+once, it adds each entry's share to the pairing of every generator holding
+that coordinate.  A pairing sums over the coordinates both hold, so a
+generator the walk never meets pairs to exactly 0, which passes.
 """
 
 from __future__ import annotations
@@ -81,14 +85,21 @@ def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
     ``start[i]``): every later row is the sum of the starting rows times
     its multipliers, plus the cost ``-mu`` in the objective row.  Only the
     generators and ``mu`` enter, so the pivots are those of the full
-    ``[B0^-1 A | B0^-1]`` tableau.
+    ``[B0^-1 A | B0^-1]`` tableau.  The query's entries are read once each:
+    its ``mu`` column sums the ``B0^-1`` columns of its nonzeros.
     """
     _check_rank(vector, rank)
     if rank > MAX_RANK:
         raise BudgetExceeded(f"cone membership is budgeted to rank {MAX_RANK}")
     coords, basics, rows, inverse, start, basis, balance = _generator_basis(rank)
-    wanted = vector.as_dict()
-    b = [wanted.get(c, 0) for c in coords]
+    position, columns = _inverse_columns(rank)
+    n_cols, n_rows = len(basics), len(rows)
+    b, column = [0] * len(coords), [0] * n_rows  # the query, and B0^-1 @ query
+    for c, v in vector.entries:
+        k = position[c]
+        b[k] = v
+        for i, w in zip(*columns[k]):
+            column[i] += w * v
     # Per-call tuples (the verdicts, and lcm's arguments in `_functional`) are
     # built from lists: tuple() of a generator shrinks its result by realloc,
     # and CPython's tuple free lists then grow by one a call.
@@ -97,13 +108,11 @@ def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
             sign = 1 if pairing > 0 else -1
             return Outside(tuple([(coords[i], Fraction(sign * v)) for i, v in y]))
 
-    n_cols, n_rows = len(basics), len(rows)
     mu = n_cols  # the query's column; column mu + 1 + i holds 1 x starting row i
-    query = [(i, v) for i, v in enumerate(b) if v]
     tableau = []
-    for i, (part, inv) in enumerate(zip(rows, inverse)):
+    for i, part in enumerate(rows):
         row = dict(part)
-        if x := sum(inv.get(k, 0) * v for k, v in query):  # mu's column is -B0^-1 @ vector
+        if x := column[i]:  # mu's column is -B0^-1 @ vector
             row[mu] = -x
         row[mu + 1 + i] = start[i]
         tableau.append(row)
@@ -193,6 +202,24 @@ def _generator_basis(rank: int):
             tuple(dens[i] for i in kept), tuple(basis[i] for i in kept), balance)
 
 
+@cache
+def _inverse_columns(rank: int):
+    """Each coordinate's position in `_generator_basis`'s coordinates, and
+    the cached ``B0^-1`` by column: for each coordinate index, the rows of
+    its nonzero entries and their numerators, as two tuples, so that a
+    query's ``B0^-1 @ vector`` reads only the columns of its nonzeros.
+    Built on first use, once per rank; never mutated."""
+    coords, _, _, inverse, _, _, _ = _generator_basis(rank)
+    rows: list[list[int]] = [[] for _ in coords]
+    numerators: list[list[int]] = [[] for _ in coords]
+    for i, inv in enumerate(inverse):
+        for k, w in inv.items():
+            rows[k].append(i)
+            numerators[k].append(w)
+    columns = tuple((tuple(r), tuple(w)) for r, w in zip(rows, numerators))
+    return {c: k for k, c in enumerate(coords)}, columns
+
+
 def _pivot(tableau: list[dict[int, int]], dens: list[int], p: int, e: int) -> None:
     """Pivot on row ``p``, column ``e``, in place.
 
@@ -205,15 +232,16 @@ def _pivot(tableau: list[dict[int, int]], dens: list[int], p: int, e: int) -> No
     pivot_row = tableau[p]
     d_p = _reduce(pivot_row, pivot_row[e])
     dens[p] = d_p
+    pivot_items = pivot_row.items()
     for i, row in enumerate(tableau):
-        if i == p or e not in row:
+        f = row.get(e)  # entries are never 0
+        if f is None or i == p:
             continue
-        # row - row[e] * pivot_row  =  (row * d_p - row[e] * pivot_row) / (d * d_p)
-        f = row[e]
+        # row - f * pivot_row  =  (row * d_p - f * pivot_row) / (d * d_p)
         if d_p != 1:
             for j in row:
                 row[j] *= d_p
-        for j, v in pivot_row.items():
+        for j, v in pivot_items:
             x = row.get(j, 0) - f * v
             if x:
                 row[j] = x
@@ -245,51 +273,53 @@ def verify_certificate(
     """Re-check a verdict from scratch, independent of solver internals.
 
     Every coefficient and functional value must be an exact rational (an
-    ``int`` or a `Fraction`).  `InCone`: every coefficient is nonnegative
-    and the combination of the terms' vectors is the query, entry for entry
-    (a term that is not one of the rank's generators is read from its own
-    vector).  `Outside`: the functional ``y`` names each coordinate once,
-    every one an index set of ``rank``, and is positive on the query and
-    nonpositive on every generator.  A generator's pairing with ``y``
-    sums over the coordinates both hold, so a generator that holds no
-    coordinate of ``supp(y)`` pairs to exactly 0 and passes: pairing only
-    the generators that meet ``supp(y)`` checks every generator.  All
-    arithmetic is exact.
+    ``int`` or a `Fraction`).  `InCone`: every term is one of the rank's
+    generators with a nonnegative coefficient, and the combination of their
+    vectors is the query, entry for entry.  `Outside`: the functional ``y``
+    names each coordinate once, every one an index set of ``rank``, and is
+    positive on the query and nonpositive on every generator.  A
+    generator's pairing with ``y`` sums over the coordinates both hold, so
+    it is accumulated while walking ``supp(y)``, coordinate by coordinate;
+    a generator that holds no coordinate of ``supp(y)`` pairs to exactly 0
+    and passes.  All arithmetic is exact.
     """
     _check_rank(vector, rank)
-    vectors, generators, holders = _generator_vectors(rank)
+    vectors, holding = _generator_vectors(rank)
     if isinstance(verdict, InCone):
-        if any(not isinstance(c, _EXACT) or c < 0 for _, c in verdict.coefficients):
-            return False
         total: dict[IndexSet, Fraction] = {}
         for b, coeff in verdict.coefficients:
             entries = vectors.get(b)
-            for key, val in b.vector().entries if entries is None else entries:
+            if entries is None or not isinstance(coeff, _EXACT) or coeff < 0:
+                return False  # not a generator of the rank, or not a nonnegative rational
+            for key, val in entries:
                 total[key] = total.get(key, 0) + coeff * val
         return {k: v for k, v in total.items() if v != 0} == vector.as_dict()
     y = dict(verdict.certificate)
     if len(y) != len(verdict.certificate):  # the printed functional is not the one checked
         return False
-    if not all(isinstance(k, IndexSet) and k.rank == rank and isinstance(v, _EXACT)
-               for k, v in y.items()):
-        return False  # a key that pairs with nothing, or inexact arithmetic
-    pairing = lambda entries: sum(y[k] * v for k, v in entries if k in y)
-    if pairing(vector.entries) <= 0:
+    pairings: dict[int, Fraction] = {}
+    for k, yk in y.items():
+        if not (isinstance(k, IndexSet) and k.rank == rank and isinstance(yk, _EXACT)):
+            return False  # a key that pairs with nothing, or inexact arithmetic
+        for g, v in zip(*holding.get(k, ((), ()))):  # held by no generator at rank 1
+            pairings[g] = pairings.get(g, 0) + yk * v
+    if sum(y[k] * v for k, v in vector.entries if k in y) <= 0:
         return False
-    met = {g for k in y for g in holders.get(k, ())}
-    return all(pairing(generators[g]) <= 0 for g in met)
+    return all(s <= 0 for s in pairings.values())
 
 
 @cache
 def _generator_vectors(rank: int):
-    """The basic ratios' sparse exponent vectors, by basic ratio and in
-    generator order, and for each coordinate the generators that hold it,
-    built once per rank: the checker's own copy, so that it shares nothing
-    with the solver."""
-    basics = basic_ratios_all(rank)
-    generators = tuple(b.vector().entries for b in basics)
-    holders: dict[IndexSet, list[int]] = {}
-    for g, entries in enumerate(generators):
-        for key, _ in entries:
-            holders.setdefault(key, []).append(g)
-    return dict(zip(basics, generators)), generators, holders
+    """The basic ratios' sparse exponent vectors, by basic ratio, and for
+    each coordinate the generators that hold it and their exponents there,
+    as two tuples, so that a functional is paired coordinate by coordinate
+    over its own support.  Built once per rank: the checker's own copy, so
+    that it shares nothing with the solver."""
+    vectors = {b: b.vector().entries for b in basic_ratios_all(rank)}
+    holding: dict[IndexSet, tuple[list[int], list[int]]] = {}
+    for g, entries in enumerate(vectors.values()):
+        for key, v in entries:
+            generators, exponents = holding.setdefault(key, ([], []))
+            generators.append(g)
+            exponents.append(v)
+    return vectors, {k: (tuple(g), tuple(v)) for k, (g, v) in holding.items()}

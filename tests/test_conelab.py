@@ -3,6 +3,7 @@
 import copy
 import functools
 import gc
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -396,6 +397,13 @@ def _random_3over3(rng: random.Random) -> RatioExpr:
 def _queries(family):
     if family == "st0-rank3":
         return [(ratio_to_vector(r), 3) for r in util.st0_ratios(3)]
+    if family == "orbit":
+        return [(ratio_to_vector(r), 4) for r in _orbit()]
+    if family == "rank4-pool":
+        return [(ratio_to_vector(cli.parse_ratio(text)), 4) for _, _, text in util.rank4_pool()]
+    if family == "rank5":  # past the rank budget: lift MAX_RANK first
+        drawn = (util.random_st0_ratio(5, random.Random(seed)) for seed in range(30))
+        return [(ratio_to_vector(r), 5) for r in drawn if r is not None]
     if family == "generators":
         return [(b.vector(), rank) for rank in (2, 3, 4) for b in basic_ratios_all(rank)]
     if family == "unbounded-orbit":  # the two fastest of 16 for the oracle
@@ -435,6 +443,27 @@ def test_integer_rows_match_the_fraction_solver(family):
         assert type(verdict) is type(expected), vec
         assert verify_certificate(vec, verdict, rank), vec
         assert verify_certificate(vec, expected, rank), vec
+
+
+# Digests of every verdict the families below get, in their enumeration
+# order.  They pin the certificates byte for byte, coefficient and functional
+# order included, so a change to the pivots or to the functional's reading
+# fails here, even in `_pivot`, which the dense tableau below shares.
+CONE_DIGESTS = {
+    "orbit": "cead6d6851a11715513206baf854468ab1abf04bdc32203e99b7bb20cbfff28e",
+    "rank4-pool": "ed8a9192c7ddd5424999b0472234cdb4e84e635437c3bff2c392bd3152b7a3d1",
+    "st0-rank3": "47b8cd856993aed130cdaadf3d7adc2b54e0e6e66cfc10470b6bfe7236ce4d42",
+    "rank5": "c71608d06fdd8be73febb101c0cb8a6a1ebb4be035328bcce8eb461fcca6b0b5",
+}
+
+
+@pytest.mark.parametrize("family", CONE_DIGESTS)
+def test_cone_certificates_are_pinned(family, monkeypatch):
+    monkeypatch.setattr(conelab, "MAX_RANK", 5)  # reached by the rank-5 family only
+    h = hashlib.sha256()
+    for vec, rank in _queries(family):
+        h.update(repr(cone_membership(vec, rank)).encode() + b"\n")
+    assert h.hexdigest() == CONE_DIGESTS[family]
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +538,10 @@ def test_multiplier_columns_match_the_dense_tableau(family, monkeypatch):
 
 
 def test_a_solve_leaves_the_generator_basis_as_built():
-    built = copy.deepcopy(conelab._generator_basis(4))
+    built = copy.deepcopy((conelab._generator_basis(4), conelab._inverse_columns(4)))
     queries = [ratio_to_vector(r) for r in _orbit()] + [b.vector() for b in basic_ratios_all(4)[:20]]
     verdicts = [cone_membership(vec, 4) for vec in queries]
-    assert copy.deepcopy(conelab._generator_basis(4)) == built
+    assert copy.deepcopy((conelab._generator_basis(4), conelab._inverse_columns(4))) == built
     assert [type(v) for v in verdicts] == [Outside] * 16 + [InCone] * 20
 
 
@@ -548,7 +577,6 @@ def _mutations(verdict, rank):
         return
     terms = verdict.coefficients
     other = basic_ratios_all(rank + 1)[0]
-    yield InCone(terms + ((other, Fraction(0)),))  # not cached at this rank, adds 0
     if terms:
         (b, c), *rest = terms
         yield InCone(((b, -c), *rest))
@@ -567,6 +595,25 @@ def test_checker_agrees_with_the_reference_checker():
             assert verify_certificate(vec, mutated, rank) == expected, (vec, mutated)
             answers[expected] += 1
     assert answers[False] > answers[True] > 0, answers  # the mutations bite
+
+
+def test_zero_coefficient_term_of_another_rank_rejected():
+    # it adds 0 to the combination, so the reference checker accepts it, but
+    # the printed combination would name a ratio that is not a generator
+    e = ElementaryRatio(3, 1, 2, 4, 6, (3,))
+    vec = ExponentVector.of_ratio(e.expr())
+    verdict = cone_membership(vec, 3)
+    stray = InCone(verdict.coefficients + ((BasicRatio.of(4, 1, 3, (5, 6)), Fraction(0)),))
+    assert util.reference_verify_certificate(vec, stray, 3)
+    assert not verify_certificate(vec, stray, 3)
+    checked = 0
+    for vec, rank in _checked_queries():
+        verdict = cone_membership(vec, rank)
+        if isinstance(verdict, InCone):
+            other = basic_ratios_all(rank + 1)[0]
+            assert not verify_certificate(vec, InCone(verdict.coefficients + ((other, Fraction(0)),)), rank)
+            checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

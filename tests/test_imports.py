@@ -20,6 +20,10 @@ be read, by the function or by a function nested in it; ``_`` is exempt.
 imports, and a star import of either package succeeds.  Each screen's
 violation (`St0Violation`, `ConditionMViolation`) is constructed at one
 site under ``src/``, so a failing verdict's fields are copied into it once.
+The cone checker `verify_certificate`, and every module-level name it
+reaches, reaches none of the private names the solver `cone_membership`
+reaches, past the rank check both make: the checker shares no code with
+the solver it re-checks.
 """
 
 import ast
@@ -233,3 +237,56 @@ def test_screen_violation_built_at_one_site(error):
         and error in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert len(sites) == 1, f"{error} constructed at {sites}"
+
+
+CONELAB = SRC / "tpratio" / "conelab.py"
+
+
+def _reachable(tree: ast.Module, root: str) -> set[str]:
+    """The module-level names reached from the definition of ``root``: the
+    names it loads, then the names the module-level definitions of those
+    load, and so on."""
+    definitions = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            definitions[node.name] = node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    definitions[target.id] = node
+    reached, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in definitions:
+            continue
+        reached.add(name)
+        todo += _loaded(definitions[name])
+    return reached
+
+
+def _solver_names_the_checker_reaches(tree: ast.Module) -> set[str]:
+    """The private names reached from both `cone_membership` and
+    `verify_certificate`, past the rank check they share."""
+    solver = {n for n in _reachable(tree, "cone_membership") if n.startswith("_")}
+    assert {"_generator_basis", "_inverse_columns", "_pivot", "_reduce", "_functional"} <= solver
+    return solver & _reachable(tree, "verify_certificate") - {"_check_rank"}
+
+
+def test_checker_shares_nothing_with_the_solver():
+    # the trust model: `verify_certificate` and its cache re-check a verdict
+    # without reading the solver's cached basis or its pivoting helpers
+    tree = ast.parse(CONELAB.read_text(encoding="utf-8"))
+    assert "_generator_vectors" in _reachable(tree, "verify_certificate")
+    shared = _solver_names_the_checker_reaches(tree)
+    assert not shared, f"verify_certificate reaches the solver's {sorted(shared)}"
+
+
+def test_checker_independence_rule_bites():
+    # the same rule on a copy of the module whose checker reads the solver's basis
+    tree = ast.parse(CONELAB.read_text(encoding="utf-8"))
+    checker = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "verify_certificate"
+    )
+    checker.body.insert(0, ast.parse("_generator_basis(rank)").body[0])
+    # reached through the basis: the pivots that build it
+    assert _solver_names_the_checker_reaches(tree) == {"_generator_basis", "_pivot", "_reduce"}
