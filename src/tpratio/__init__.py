@@ -71,7 +71,6 @@ from .tpcore import (
     counterexample_matrix,
     eval_ratio,
     falsify,
-    lgv_minors,
     network_matrix,
     plucker_eval,
     random_tp,

@@ -3,15 +3,14 @@ instead of starting work that would outgrow memory or patience.  No flag
 or parameter lifts a budget."""
 
 MAX_RANK = 4
-"""Largest rank for the exact cone simplex, the symbolic polynomials and the
-path-family oracle.  With it patched to 5 (2-CPU machine, CPython 3.11):
-the warm-started cone simplex builds its per-rank basis in 0.04 s and then
-solves 100 seeded two-over-two ST0 queries in a median of 1.4 ms, the
-slowest in 0.024 s (72 pivots), all 100 in 0.26 s; the symbolic bracket
-table, built once per rank, takes 0.11-0.14 s (252 brackets of at most 195
-terms), against 4.4-4.7 ms at rank 4 (three fresh processes each; 0.84-0.87
-s and 15 ms with exponent-tuple keys).  The path-family oracle has not been
-re-timed at rank 5."""
+"""Largest rank for the exact cone simplex and the symbolic polynomials.
+With it patched to 5 (2-CPU machine, CPython 3.11): the warm-started cone
+simplex builds its per-rank basis in 0.04 s and then solves 100 seeded
+two-over-two ST0 queries in a median of 1.4 ms, the slowest in 0.024 s (72
+pivots), all 100 in 0.26 s; the symbolic bracket table, built once per
+rank, takes 0.11-0.14 s (252 brackets of at most 195 terms), against
+4.4-4.7 ms at rank 4 (three fresh processes each; 0.84-0.87 s and 15 ms
+with exponent-tuple keys)."""
 
 MAX_RATIO_RANK = 8
 """Largest rank of a ratio `parse_ratio` reads, checked before any index set

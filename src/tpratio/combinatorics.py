@@ -39,8 +39,11 @@ class IndexSet:
             raise InvalidInput(f"rank must be positive, got {n}")
         if len(elems) != n:
             raise InvalidInput(f"rank {n} set needs {n} elements, got {elems!r}")
-        if any(not 1 <= e <= 2 * n for e in elems):
-            raise InvalidInput(f"elements outside [1, {2 * n}]: {elems!r}")
+        for e in elems:
+            if type(e) is not int:  # exactly int: no float, bool or Fraction label
+                raise InvalidInput(f"elements must be integers: {elems!r}")
+            if not 1 <= e <= 2 * n:
+                raise InvalidInput(f"elements outside [1, {2 * n}]: {elems!r}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise InvalidInput(f"elements must be strictly increasing: {elems!r}")
 
@@ -211,8 +214,11 @@ class ExponentVector:
             raise InvalidInput(f"entries must be index sets of rank {self.rank}")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise InvalidInput("entries must be strictly increasing by index set")
-        if any(v == 0 for _, v in self.entries):
-            raise InvalidInput("zero entries must be omitted")
+        for _, v in self.entries:
+            if type(v) is not int:  # exactly int: no float, bool or Fraction exponent
+                raise InvalidInput("entries must be integers")
+            if v == 0:
+                raise InvalidInput("zero entries must be omitted")
 
     @classmethod
     def zero(cls, rank: int) -> "ExponentVector":
@@ -237,20 +243,6 @@ class ExponentVector:
     @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def __add__(self, other: "ExponentVector") -> "ExponentVector":
-        if self.rank != other.rank:
-            raise InvalidInput("cannot add vectors of different ranks")
-        counts = dict(self.entries)
-        for k, v in other.entries:
-            counts[k] = counts.get(k, 0) + v
-        return ExponentVector.from_counts(self.rank, counts)
-
-    def __neg__(self) -> "ExponentVector":
-        return ExponentVector(self.rank, tuple((k, -v) for k, v in self.entries))
-
-    def __sub__(self, other: "ExponentVector") -> "ExponentVector":
-        return self + (-other)
 
 
 @dataclass(frozen=True, order=True)

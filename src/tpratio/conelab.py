@@ -7,28 +7,30 @@ nonnegative real powers of basics, hence bounded by 1.
 
 Membership is decided by an exact homogeneous simplex with Bland's rule (so
 it terminates and is deterministic), warm-started from a basis of the
-generators' span that is built once per rank; the rows left out of that
-basis are the index-balance relations, which reject a query outside the
-span before any pivot.  A solve starts from the query's support: its
-entries are placed through a per-rank coordinate map, and its column of the
-starting tableau sums the ``B0^-1`` columns of its nonzeros only.  The
-tableau is sparse and integral: each row holds the integer numerators of
-its nonzero entries over one positive denominator.  It never holds the
-warm-start inverse ``B0^-1``, 80% of the starting rows' nonzeros at ranks 4
-and 5, whose columns never enter the basis: each row carries instead its
-multipliers of the warm-start rows, as in the product form of the inverse
-(Dantzig and Orchard-Hays, 1954), and the cached ``B0^-1`` rows are applied
-once, to the objective row's multipliers, when a separating functional is
-read.  Both answers come with an independently checkable certificate in
-`Fraction`s: nonnegative coefficients that reproduce the query exactly, or
-a separating functional that is nonpositive on every generator yet
-positive on the query (`verify_certificate` re-checks either one from
-scratch).  The checker keeps its own per-rank copy of the generators'
-vectors, with the generators that hold each coordinate and their
-exponents there, and pairs a functional by coordinate: walking its support
-once, it adds each entry's share to the pairing of every generator holding
-that coordinate.  A pairing sums over the coordinates both hold, so a
-generator the walk never meets pairs to exactly 0, which passes.
+generators' span, built once per rank into one record.  It keeps ``B0^-1``
+for every row of the pivoted ``[A | I]``, by row and by column, the basis
+rows first and the rows left out of the basis last: those last rows are the
+index-balance relations.  A solve reads the query once, through the
+``B0^-1`` columns of its nonzeros: a nonzero in a balance row rejects a
+query outside the span before any pivot, and the basis rows' entries are
+the query's column of the starting tableau.  The tableau is sparse and
+integral: each row holds the integer numerators of its nonzero entries over
+one positive denominator.  It never holds the warm-start inverse ``B0^-1``,
+80% of the starting rows' nonzeros at ranks 4 and 5, whose columns never
+enter the basis: each row carries instead its multipliers of the warm-start
+rows, as in the product form of the inverse (Dantzig and Orchard-Hays,
+1954), and the cached ``B0^-1`` rows are applied once, to the objective
+row's multipliers, when a separating functional is read.  Both answers come
+with an independently checkable certificate in `Fraction`s: nonnegative
+coefficients that reproduce the query exactly, or a separating functional
+that is nonpositive on every generator yet positive on the query
+(`verify_certificate` re-checks either one from scratch).  The checker
+keeps its own per-rank copy of the generators' vectors, with the generators
+that hold each coordinate and their exponents there, and pairs a functional
+by coordinate: walking its support once, it adds each entry's share to the
+pairing of every generator holding that coordinate.  A pairing sums over
+the coordinates both hold, so a generator the walk never meets pairs to
+exactly 0, which passes.
 """
 
 from __future__ import annotations
@@ -85,28 +87,27 @@ def cone_membership(vector: ExponentVector, rank: int) -> ConeVerdict:
     ``start[i]``): every later row is the sum of the starting rows times
     its multipliers, plus the cost ``-mu`` in the objective row.  Only the
     generators and ``mu`` enter, so the pivots are those of the full
-    ``[B0^-1 A | B0^-1]`` tableau.  The query's entries are read once each:
-    its ``mu`` column sums the ``B0^-1`` columns of its nonzeros.
+    ``[B0^-1 A | B0^-1]`` tableau.  The query's entries are read once each,
+    into ``B0^-1 @ vector`` over every row of the cached basis: a nonzero
+    in a balance row is an index-balance relation the query breaks, and
+    the basis rows' entries are its ``mu`` column.
     """
     _check_rank(vector, rank)
     if rank > MAX_RANK:
         raise BudgetExceeded(f"cone membership is budgeted to rank {MAX_RANK}")
-    coords, basics, rows, inverse, start, basis, balance = _generator_basis(rank)
-    position, columns = _inverse_columns(rank)
+    coords, position, basics, rows, inverse, columns, start, basis = _generator_basis(rank)
     n_cols, n_rows = len(basics), len(rows)
-    b, column = [0] * len(coords), [0] * n_rows  # the query, and B0^-1 @ query
+    column = [0] * len(coords)  # B0^-1 @ vector, the balance rows last
     for c, v in vector.entries:
-        k = position[c]
-        b[k] = v
-        for i, w in zip(*columns[k]):
+        for i, w in zip(*columns[position[c]]):
             column[i] += w * v
     # Per-call tuples (the verdicts, and lcm's arguments in `_functional`) are
     # built from lists: tuple() of a generator shrinks its result by realloc,
     # and CPython's tuple free lists then grow by one a call.
-    for y in balance:  # the vector leaves the generators' span
-        if pairing := sum(v * b[i] for i, v in y):
-            sign = 1 if pairing > 0 else -1
-            return Outside(tuple([(coords[i], Fraction(sign * v)) for i, v in y]))
+    for i in range(n_rows, len(coords)):  # the vector leaves the generators' span
+        if x := column[i]:
+            sign, y = 1 if x > 0 else -1, inverse[i].items()
+            return Outside(tuple([(coords[k], Fraction(sign * v)) for k, v in y]))
 
     mu = n_cols  # the query's column; column mu + 1 + i holds 1 x starting row i
     tableau = []
@@ -159,28 +160,31 @@ def _functional(objective, d, mu, inverse, start, coords):
 
 @cache
 def _generator_basis(rank: int):
-    """The rank's coordinates and basic ratios, a basis ``B0`` of the
-    generators' span, and the index-balance relations.
+    """The rank's coordinates, their positions, the basic ratios, and a
+    basis ``B0`` of the generators' span with its inverse over every row.
 
     Pivots the integer tableau ``[A | I]`` (one row per coordinate, one
     column per basic ratio, then the identity) in generator order: each
     generator enters the first row without a basis column that holds a
-    nonzero entry in its column.  Returns each basis row split in two, its
-    ``B0^-1 A`` part (by generator) and its ``B0^-1`` part (by coordinate
-    index), both over the row's denominator, with the denominators and basis
-    columns; and each row left over as its ``(coordinate index, y)`` pairs:
-    its ``A`` part is 0, so ``y @ A = 0``.  A solve copies the ``B0^-1 A``
-    parts only and reads the ``B0^-1`` parts twice: for the query's column,
-    and for the functional of an `Outside` verdict.  Built on first use,
-    once per rank; never mutated.
+    nonzero entry in its column.  Orders the rows with the basis rows first
+    and the rows left over last, each part ascending; a row left over has
+    ``A`` part 0, so its ``B0^-1`` part ``y`` is an index-balance relation,
+    ``y @ A = 0``.  Returns each basis row's ``B0^-1 A`` part (by
+    generator, over the row's denominator); every row's ``B0^-1`` part, by
+    row (by coordinate index, in coordinate order) and by column (for each
+    coordinate index, the rows of its nonzero entries and their numerators,
+    as two tuples); and the basis rows' denominators and basis columns.  A
+    solve copies the ``B0^-1 A`` parts only, reads the query through the
+    columns, and reads a ``B0^-1`` row for the functional of an `Outside`
+    verdict.  Built on first use, once per rank; never mutated.
     """
     coords, basics = tuple(all_index_sets(rank)), tuple(basic_ratios_all(rank))
     n_cols = len(basics)
-    index_of = {c: i for i, c in enumerate(coords)}
+    position = {c: i for i, c in enumerate(coords)}
     tableau: list[dict[int, int]] = [{n_cols + i: 1} for i in range(len(coords))]
     for j, b in enumerate(basics):
         for key, val in b.vector().as_dict().items():
-            tableau[index_of[key]][j] = val
+            tableau[position[key]][j] = val
     dens = [1] * len(coords)
     basis: list[int | None] = [None] * len(coords)
     for j in range(n_cols):
@@ -192,32 +196,19 @@ def _generator_basis(rank: int):
         _pivot(tableau, dens, p, j)
         basis[p] = j
     kept = [i for i in range(len(coords)) if basis[i] is not None]
-    balance = tuple(
-        tuple((k - n_cols, v) for k, v in sorted(tableau[i].items()))
-        for i in range(len(coords)) if basis[i] is None
+    order = kept + [i for i in range(len(coords)) if basis[i] is None]
+    inverse = tuple(
+        {k - n_cols: v for k, v in sorted(tableau[i].items()) if k >= n_cols} for i in order
     )
-    return (coords, basics,
-            tuple({k: v for k, v in tableau[i].items() if k < n_cols} for i in kept),
-            tuple({k - n_cols: v for k, v in tableau[i].items() if k >= n_cols} for i in kept),
-            tuple(dens[i] for i in kept), tuple(basis[i] for i in kept), balance)
-
-
-@cache
-def _inverse_columns(rank: int):
-    """Each coordinate's position in `_generator_basis`'s coordinates, and
-    the cached ``B0^-1`` by column: for each coordinate index, the rows of
-    its nonzero entries and their numerators, as two tuples, so that a
-    query's ``B0^-1 @ vector`` reads only the columns of its nonzeros.
-    Built on first use, once per rank; never mutated."""
-    coords, _, _, inverse, _, _, _ = _generator_basis(rank)
-    rows: list[list[int]] = [[] for _ in coords]
-    numerators: list[list[int]] = [[] for _ in coords]
+    columns: list[tuple[list[int], list[int]]] = [([], []) for _ in coords]
     for i, inv in enumerate(inverse):
         for k, w in inv.items():
-            rows[k].append(i)
-            numerators[k].append(w)
-    columns = tuple((tuple(r), tuple(w)) for r, w in zip(rows, numerators))
-    return {c: k for k, c in enumerate(coords)}, columns
+            columns[k][0].append(i)
+            columns[k][1].append(w)
+    return (coords, position, basics,
+            tuple({k: v for k, v in tableau[i].items() if k < n_cols} for i in kept),
+            inverse, tuple((tuple(r), tuple(w)) for r, w in columns),
+            tuple(dens[i] for i in kept), tuple(basis[i] for i in kept))
 
 
 def _pivot(tableau: list[dict[int, int]], dens: list[int], p: int, e: int) -> None:

@@ -202,10 +202,15 @@ class FactorizationResult:
     trace: tuple[TraceStep, ...]
 
     def vector_check(self) -> bool:
-        total = ExponentVector.zero(self.ratio.rank)
-        for b in self.basics:
-            total = total + b.vector()
-        return total == ExponentVector.of_ratio(self.ratio)
+        """The basics' product, one ratio of all their brackets, has the
+        exponent vector of ``ratio``."""
+        exprs = [b.expr() for b in self.basics]
+        product = RatioExpr(
+            self.ratio.rank,
+            tuple([s for e in exprs for s in e.numerator]),
+            tuple([s for e in exprs for s in e.denominator]),
+        )
+        return ExponentVector.of_ratio(product) == ExponentVector.of_ratio(self.ratio)
 
 
 # ---------------------------------------------------------------------------

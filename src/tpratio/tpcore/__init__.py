@@ -1,6 +1,6 @@
 """Exact totally positive matrices: construction from planar networks,
 brackets read as the minors they name, the rotation and mirror as bracket
-relabellings, path-family minors, and the falsifier's witnesses."""
+relabellings, and the falsifier's witnesses."""
 
 from .grassmann import (
     eval_ratio,
@@ -8,7 +8,6 @@ from .grassmann import (
     reverse_matrix,
     shift_matrix,
 )
-from .lgv import lgv_minors
 from .matrices import (
     TPMatrix,
     det,
@@ -17,7 +16,7 @@ from .matrices import (
     random_tp,
     verify_tp,
 )
-from .network import NetworkParams, all_ones_params, staircase_word, variable_names
+from .network import NetworkParams, staircase_word, variable_names
 from .witnesses import (
     THRESHOLD,
     T_LADDER,
@@ -36,12 +35,10 @@ __all__ = [
     "Inconclusive",
     "NetworkParams",
     "TPMatrix",
-    "all_ones_params",
     "counterexample_matrix",
     "det",
     "eval_ratio",
     "falsify",
-    "lgv_minors",
     "network_matrix",
     "plucker_eval",
     "random_network",

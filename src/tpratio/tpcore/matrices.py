@@ -90,9 +90,6 @@ class TPMatrix:
         grid = as_grid(rows)
         return cls(len(grid), grid)
 
-    def to_strings(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.entries]
-
 
 def verify_tp(matrix: TPMatrix) -> bool:
     """Total positivity via the n^2 initial minors.

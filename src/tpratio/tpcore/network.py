@@ -19,8 +19,6 @@ layers, runs over any ring, one column operation per layer:
 `Fraction`, and `tpratio.polycheck.symbolic_network_matrix` over
 polynomials.  The product's brackets come from the other ring-generic
 kernel, `tpratio.tpcore.grassmann.bracket_table`, over the same two rings.
-`tpratio.tpcore.lgv` reads the same layers through `chip_entries` and sums
-path families instead, an independent oracle for the product's minors.
 """
 
 from __future__ import annotations
@@ -70,12 +68,6 @@ class NetworkParams:
         return cls(rank, as_fr(lower), as_fr(diag), as_fr(upper))
 
 
-def all_ones_params(rank: int) -> NetworkParams:
-    k = rank * (rank - 1) // 2
-    one = Fraction(1)
-    return NetworkParams(rank, (one,) * k, (one,) * rank, (one,) * k)
-
-
 @dataclass(frozen=True)
 class Chip:
     """One layer of the network: a lower or upper slant on ``wire``, or the
@@ -96,21 +88,6 @@ def chips(rank: int, weights: Sequence) -> list[Chip]:
     diag = Chip("diag", 0, tuple([next(flat) for _ in range(rank)]))
     upper = [Chip("upper", w, (next(flat),)) for w in word]
     return [*lower, diag, *reversed(upper)]
-
-
-def chip_entries(chip: Chip, rank: int):
-    """Nonzero entries of the chip's transfer matrix as ((row, col), weight),
-    1-based.  Row is the incoming wire, column the outgoing wire."""
-    one = Fraction(1)
-    if chip.kind == "diag":
-        return [((a, a), chip.weights[a - 1]) for a in range(1, rank + 1)]
-    entries = [((a, a), one) for a in range(1, rank + 1)]
-    k = chip.wire
-    if chip.kind == "lower":
-        entries.append(((k + 1, k), chip.weights[0]))
-    else:
-        entries.append(((k, k + 1), chip.weights[0]))
-    return entries
 
 
 def network_product(rank: int, layers: Sequence[Chip], zero, one) -> tuple[tuple, ...]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpratio.budgets import MAX_DEGREE, MAX_INPUT_BYTES, MAX_MAGNITUDE, MAX_RATIO_RANK
-from tpratio.cli import main, parse_ratio
+from tpratio.cli import _entries, main, parse_ratio
 from tpratio.combinatorics import IndexSet, RatioExpr
 from tpratio.errors import InvalidInput, RatioSyntaxError
 from tpratio.tpcore import TPMatrix, random_tp, verify_tp
@@ -198,7 +198,7 @@ class TestCommands:
 
     def test_eval_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "matrix.json"
-        path.write_text(json.dumps(random_tp(2, 3).to_strings()))
+        path.write_text(json.dumps(_entries(random_tp(2, 3))))
         code, out, _ = run(
             capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", str(path), "--json"
         )
@@ -256,13 +256,13 @@ class TestCommands:
 
     def test_reverse_matrix(self, capsys, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(random_tp(2, 1).to_strings()))
+        path.write_text(json.dumps(_entries(random_tp(2, 1))))
         code, out, _ = run(capsys, "reverse", "--matrix", str(path), "--json")
         assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
 
     def test_shift_matrix(self, capsys, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(random_tp(3, 2).to_strings()))
+        path.write_text(json.dumps(_entries(random_tp(3, 2))))
         code, out, _ = run(capsys, "shift", "--matrix", str(path), "--json")
         assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
 
@@ -357,7 +357,7 @@ def test_readme_example_text(capsys, tmp_path, argv, expected):
     """The exact text of each README command example.  The README shows two
     of them with ``--json``; the text of the same query is pinned here."""
     path = tmp_path / "matrix.json"
-    path.write_text(json.dumps(random_tp(2, 3).to_strings()))
+    path.write_text(json.dumps(_entries(random_tp(2, 3))))
     code, out, err = run(capsys, *(a.replace("{matrix}", str(path)) for a in argv))
     assert (code, out, err) == (0, expected.replace("{matrix}", str(path)), "")
 
@@ -472,7 +472,7 @@ class TestBadInput:
             [[float("inf"), 1], [1, 1]],
             [["1e5000", "1"], ["1", "1"]],
             [[True, 1], [1, 2]],  # was read as 1
-            random_tp(3, 3).to_strings(),  # totally positive, but of rank 3
+            _entries(random_tp(3, 3)),  # totally positive, but of rank 3
         ],
     )
     def test_bad_matrix_file(self, capsys, tmp_path, rows):
@@ -574,7 +574,7 @@ class TestLargestReports:
     @pytest.mark.parametrize("command", ["reverse", "shift"])
     def test_matrix_file_at_rank_budget(self, capsys, tmp_path, command):
         path = tmp_path / "matrix.json"
-        path.write_text(json.dumps(random_tp(MAX_RATIO_RANK, 0).to_strings()))
+        path.write_text(json.dumps(_entries(random_tp(MAX_RATIO_RANK, 0))))
         code, out, err = run(capsys, command, "--matrix", str(path), "--json")
         assert (code, err) == (0, "")
         assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))

@@ -106,7 +106,7 @@ class TestMembership:
         )
 
     def test_negated_basic_outside(self):
-        vec = -BasicRatio.of(2, 1, 3, ()).vector()
+        vec = util.negated(BasicRatio.of(2, 1, 3, ()).vector())
         verdict = cone_membership(vec, 2)
         assert isinstance(verdict, Outside)
         assert verify_certificate(vec, verdict, 2)
@@ -198,7 +198,7 @@ class TestVerification:
         assert not verify_certificate(vec, tampered, 3)
 
     def test_tampered_functional_rejected(self):
-        vec = -BasicRatio.of(2, 1, 3, ()).vector()
+        vec = util.negated(BasicRatio.of(2, 1, 3, ()).vector())
         verdict = cone_membership(vec, 2)
         assert isinstance(verdict, Outside)
         flipped = Outside(tuple((s, -c) for s, c in verdict.certificate))
@@ -207,7 +207,7 @@ class TestVerification:
     def test_negative_coefficient_rejected(self):
         b = BasicRatio.of(2, 1, 3, ())
         bad = InCone(((b, Fraction(-1)),))
-        assert not verify_certificate(-b.vector(), bad, 2)
+        assert not verify_certificate(util.negated(b.vector()), bad, 2)
 
     def test_repeated_functional_key_rejected(self):
         # dict() of the pairs keeps the last, so the functional checked
@@ -474,13 +474,13 @@ def dense_verdict(vec, rank):
     """The solver as it was before the multiplier columns: every row carries
     its full ``[B0^-1 A | B0^-1]``, merged here from the split cache rows,
     and the functional is read off the objective row's ``B0^-1`` columns."""
-    coords, basics, rows, inverse, dens, basis, balance = conelab._generator_basis(rank)
+    coords, _, basics, rows, inverse, _, dens, basis = conelab._generator_basis(rank)
     wanted = vec.as_dict()
     b = [wanted.get(c, 0) for c in coords]
-    for y in balance:
-        if pairing := sum(v * b[i] for i, v in y):
+    for y in inverse[len(rows):]:  # the balance relations, paired densely
+        if pairing := sum(v * b[i] for i, v in y.items()):
             sign = 1 if pairing > 0 else -1
-            return Outside(tuple((coords[i], Fraction(sign * v)) for i, v in y))
+            return Outside(tuple((coords[i], Fraction(sign * v)) for i, v in y.items()))
     n_cols, n_rows = len(basics), len(rows)
     mu = n_cols + len(coords)
     query = [(n_cols + i, v) for i, v in enumerate(b) if v]
@@ -538,10 +538,10 @@ def test_multiplier_columns_match_the_dense_tableau(family, monkeypatch):
 
 
 def test_a_solve_leaves_the_generator_basis_as_built():
-    built = copy.deepcopy((conelab._generator_basis(4), conelab._inverse_columns(4)))
+    built = copy.deepcopy(conelab._generator_basis(4))
     queries = [ratio_to_vector(r) for r in _orbit()] + [b.vector() for b in basic_ratios_all(4)[:20]]
     verdicts = [cone_membership(vec, 4) for vec in queries]
-    assert copy.deepcopy((conelab._generator_basis(4), conelab._inverse_columns(4))) == built
+    assert copy.deepcopy(conelab._generator_basis(4)) == built
     assert [type(v) for v in verdicts] == [Outside] * 16 + [InCone] * 20
 
 

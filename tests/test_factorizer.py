@@ -292,8 +292,8 @@ class TestSplitOnce:
             for part in (left, right):
                 assert check_condition_m(part).holds
                 assert decompose(part).nu < d.nu
-            total = ExponentVector.of_ratio(left) + ExponentVector.of_ratio(right)
-            assert total == ExponentVector.of_ratio(r)
+            total = util.vector_sum(ExponentVector.of_ratio(part) for part in (left, right))
+            assert total == ExponentVector.of_ratio(r).as_dict()
             seen += 1
 
 
@@ -322,10 +322,8 @@ class TestFactorToBasics:
         for r in util.st0_ratios(3):
             if check_condition_m(r).holds:
                 res = factor_to_basics(r)
-                total = ExponentVector.zero(3)
-                for b in res.basics:
-                    total = total + b.vector()
-                assert total == ExponentVector.of_ratio(r)
+                total = util.vector_sum(b.vector() for b in res.basics)
+                assert total == ExponentVector.of_ratio(r).as_dict()
                 factored += 1
             else:
                 with pytest.raises(ConditionMViolation):
@@ -422,8 +420,8 @@ def _check_trace(res, screened):
             assert dict(step.measures)["nu"] == 2 and screened(step.ratio)
             assert classify_elementary(step.ratio).expr() == step.factors[0]
         elif len(children) == 2:
-            left, right = children
-            assert vector(left.ratio) + vector(right.ratio) == vector(step.ratio)
+            total = util.vector_sum(vector(child.ratio) for child in children)
+            assert total == vector(step.ratio).as_dict()
             if "nu" in dict(step.measures):
                 for child in children:
                     assert screened(child.ratio)

@@ -268,7 +268,7 @@ def _solver_names_the_checker_reaches(tree: ast.Module) -> set[str]:
     """The private names reached from both `cone_membership` and
     `verify_certificate`, past the rank check they share."""
     solver = {n for n in _reachable(tree, "cone_membership") if n.startswith("_")}
-    assert {"_generator_basis", "_inverse_columns", "_pivot", "_reduce", "_functional"} <= solver
+    assert {"_generator_basis", "_pivot", "_reduce", "_functional"} <= solver
     return solver & _reachable(tree, "verify_certificate") - {"_check_rank"}
 
 

@@ -19,7 +19,6 @@ from tpratio.polycheck import (
     symbolic_network_matrix,
 )
 from tpratio.tpcore import (
-    lgv_minors,
     network_matrix,
     plucker_eval,
     random_network,
@@ -97,7 +96,7 @@ class TestMinorEvaluators:
     kernel the falsifier's rung tables run over `Fraction`, so they are
     held to the two evaluators that share no code with it: the Bareiss
     determinant behind `plucker_eval` and the path-family oracle
-    `lgv_minors`."""
+    `util.lgv_minors`."""
 
     def test_three_evaluators_agree(self):
         for n in range(1, 5):
@@ -106,7 +105,7 @@ class TestMinorEvaluators:
                 m, values = network_matrix(p), flat_weights(p)
                 for alpha in all_index_sets(n):
                     exact = plucker_eval(m, alpha)
-                    assert lgv_minors(p, alpha) == exact, (n, seed, alpha)
+                    assert util.lgv_minors(p, alpha) == exact, (n, seed, alpha)
                     assert symbolic_bracket(n, alpha).evaluate(values) == exact, (n, seed, alpha)
 
 

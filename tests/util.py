@@ -5,8 +5,9 @@ against the library internals, so the tests keep their value as oracles:
 the degree fitter uses divided differences, ratio enumeration works from
 raw index counting, exponent bookkeeping is redone with dictionaries,
 determinants use plain `Fraction` elimination, polynomials are dicts keyed
-by exponent tuples, majorization compares prefix sums, brackets and their symmetries are read off the ``2n x n``
-representative, and cone certificates are re-checked against every
+by exponent tuples, majorization compares prefix sums, brackets and their symmetries are read
+off the ``2n x n`` representative, brackets of a network matrix are summed
+over path families, and cone certificates are re-checked against every
 coordinate of every generator.
 """
 
@@ -19,11 +20,18 @@ from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
-from tpratio.combinatorics import ExponentVector, IndexSet, RatioExpr, all_index_sets
+from tpratio.combinatorics import (
+    ExponentVector,
+    IndexSet,
+    RatioExpr,
+    all_index_sets,
+    minor_address,
+)
 from tpratio.conelab import InCone
 from tpratio.errors import InvalidInput
 from tpratio.factorizer import basic_ratios_all
-from tpratio.tpcore import TPMatrix
+from tpratio.tpcore import NetworkParams, TPMatrix
+from tpratio.tpcore.network import chips, flat_weights
 
 RANK4_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "rank4_pool.tsv"
 
@@ -97,6 +105,21 @@ def random_shared_split_ratio(rank: int, rng: random.Random) -> RatioExpr:
     b1, b2 = (a1 & a2) | half, (a1 & a2) | (set(unshared) - half)
     sets = [IndexSet.of(rank, s) for s in (a1, a2, b1, b2)]
     return RatioExpr.of(rank, sets[:2], sets[2:])
+
+
+def vector_sum(vectors) -> dict[IndexSet, int]:
+    """The entrywise sum of exponent vectors, as a dict of its nonzero
+    entries."""
+    total: dict[IndexSet, int] = {}
+    for vec in vectors:
+        for key, v in vec.entries:
+            total[key] = total.get(key, 0) + v
+    return {k: v for k, v in total.items() if v}
+
+
+def negated(vec: ExponentVector) -> ExponentVector:
+    """The vector of the reciprocal ratio."""
+    return ExponentVector(vec.rank, tuple((k, -v) for k, v in vec.entries))
 
 
 def sub_grid(matrix: TPMatrix, alpha: IndexSet):
@@ -273,6 +296,73 @@ def shift_oracle(matrix: TPMatrix) -> TPMatrix:
 def reverse_oracle(matrix: TPMatrix) -> TPMatrix:
     """Reverse the representative's rows and restandardize."""
     return _restandardize(matrix.rank, tuple(reversed(representative(matrix))))
+
+
+# The path-family oracle: brackets of a network matrix summed over families
+# of vertex-disjoint paths, never through a determinant.
+
+
+def all_ones_params(rank: int) -> NetworkParams:
+    k = rank * (rank - 1) // 2
+    one = Fraction(1)
+    return NetworkParams(rank, (one,) * k, (one,) * rank, (one,) * k)
+
+
+def chip_entries(chip, rank: int):
+    """Nonzero entries of the chip's transfer matrix as ((row, col), weight),
+    1-based.  Row is the incoming wire, column the outgoing wire."""
+    one = Fraction(1)
+    if chip.kind == "diag":
+        return [((a, a), chip.weights[a - 1]) for a in range(1, rank + 1)]
+    entries = [((a, a), one) for a in range(1, rank + 1)]
+    k = chip.wire
+    if chip.kind == "lower":
+        entries.append(((k + 1, k), chip.weights[0]))
+    else:
+        entries.append(((k, k + 1), chip.weights[0]))
+    return entries
+
+
+def _transitions(chip, rank: int):
+    """Outgoing options per wire: {incoming: [(outgoing, weight), ...]}."""
+    options: dict[int, list[tuple[int, Fraction]]] = defaultdict(list)
+    for (r, c), w in chip_entries(chip, rank):
+        options[r].append((c, w))
+    return options
+
+
+def lgv_minors(params: NetworkParams, alpha: IndexSet) -> Fraction:
+    """Sum of weights of vertex-disjoint path families from the rows to the
+    kept columns `minor_address` reads off ``alpha``; equals the bracket of
+    ``alpha`` on the network matrix.
+
+    Each network layer carries at most one slant, so two paths of a family
+    can never cross without sharing a vertex: a family is a sequence of
+    strictly increasing wire tuples, matched in order, moving through the
+    layers."""
+    n = params.rank
+    rows, cols = minor_address(alpha)
+    states: dict[tuple[int, ...], Fraction] = {rows: Fraction(1)}
+    for chip in chips(n, flat_weights(params)):
+        options = _transitions(chip, n)
+        nxt: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+
+        def extend(idx: int, wires: tuple[int, ...], built: tuple[int, ...], weight):
+            if idx == len(wires):
+                nxt[built] += weight
+                return
+            for target, w in options[wires[idx]]:
+                # Strictly increasing targets keep the paths vertex-disjoint
+                # (and order-preserving, which is the only way disjoint paths
+                # can run in a planar layered network).
+                if built and target <= built[-1]:
+                    continue
+                extend(idx + 1, wires, built + (target,), weight * w)
+
+        for wires, weight in states.items():
+            extend(0, wires, (), weight)
+        states = dict(nxt)
+    return states.get(cols, Fraction(0))
 
 
 def rank4_pool() -> list[tuple[str, str, str]]:
