@@ -35,8 +35,10 @@ class IndexSet:
     def __post_init__(self):
         n = self.rank
         elems = self.elements
-        if n < 1:
-            raise InvalidInput(f"rank must be positive, got {n}")
+        if type(n) is not int or n < 1:  # exactly int: 2.0 and True would hash as 2 and 1
+            raise InvalidInput(f"rank must be a positive integer, got {n!r}")
+        if type(elems) is not tuple:  # hashed and compared with other index sets
+            raise InvalidInput(f"elements must be a tuple, got {elems!r}")
         if len(elems) != n:
             raise InvalidInput(f"rank {n} set needs {n} elements, got {elems!r}")
         for e in elems:
@@ -209,12 +211,17 @@ class ExponentVector:
     entries: tuple[tuple[IndexSet, int], ...]
 
     def __post_init__(self):
-        keys = [k for k, _ in self.entries]
-        if any(k.rank != self.rank for k in keys):
+        entries = self.entries
+        if type(self.rank) is not int:  # as for `IndexSet`: 2.0 would equal 2
+            raise InvalidInput(f"rank must be an integer, got {self.rank!r}")
+        if type(entries) is not tuple or any(type(e) is not tuple or len(e) != 2 for e in entries):
+            raise InvalidInput("entries must be a tuple of (index set, exponent) pairs")
+        keys = [k for k, _ in entries]
+        if any(type(k) is not IndexSet or k.rank != self.rank for k in keys):
             raise InvalidInput(f"entries must be index sets of rank {self.rank}")
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise InvalidInput("entries must be strictly increasing by index set")
-        for _, v in self.entries:
+        for _, v in entries:
             if type(v) is not int:  # exactly int: no float, bool or Fraction exponent
                 raise InvalidInput("entries must be integers")
             if v == 0:

@@ -10,7 +10,16 @@ it terminates and is deterministic), warm-started from a basis of the
 generators' span, built once per rank into one record.  It keeps ``B0^-1``
 for every row of the pivoted ``[A | I]``, by row and by column, the basis
 rows first and the rows left out of the basis last: those last rows are the
-index-balance relations.  A solve reads the query once, through the
+index-balance relations (each label as often upstairs as downstairs).  Each
+generator enters the basis in the free row whose coordinate the fewest
+generators hold, ties broken by coordinate order.  That choice leaves the
+basis columns, every pivot of a solve and every `InCone` certificate as
+they would be in any other row order; it moves only the rows left out.
+Every generator satisfies the balance relations, so a Farkas functional is
+free up to them, and the one the simplex reads, a combination of basis
+rows of ``B0^-1``, is 0 on every coordinate whose row is left out: its free
+part is fixed at the coordinates many generators hold, where each of its
+terms would cost the check most.  A solve reads the query once, through the
 ``B0^-1`` columns of its nonzeros: a nonzero in a balance row rejects a
 query outside the span before any pivot, and the basis rows' entries are
 the query's column of the starting tableau.  The tableau is sparse and
@@ -165,18 +174,25 @@ def _generator_basis(rank: int):
 
     Pivots the integer tableau ``[A | I]`` (one row per coordinate, one
     column per basic ratio, then the identity) in generator order: each
-    generator enters the first row without a basis column that holds a
-    nonzero entry in its column.  Orders the rows with the basis rows first
-    and the rows left over last, each part ascending; a row left over has
-    ``A`` part 0, so its ``B0^-1`` part ``y`` is an index-balance relation,
-    ``y @ A = 0``.  Returns each basis row's ``B0^-1 A`` part (by
-    generator, over the row's denominator); every row's ``B0^-1`` part, by
-    row (by coordinate index, in coordinate order) and by column (for each
-    coordinate index, the rows of its nonzero entries and their numerators,
-    as two tuples); and the basis rows' denominators and basis columns.  A
-    solve copies the ``B0^-1 A`` parts only, reads the query through the
-    columns, and reads a ``B0^-1`` row for the functional of an `Outside`
-    verdict.  Built on first use, once per rank; never mutated.
+    generator enters, among the rows without a basis column that hold a
+    nonzero entry in its column, the one whose coordinate the fewest
+    generators hold (counted once, in ``A`` before any pivot), the first in
+    coordinate order on a tie.  A row never pivoted on keeps its
+    coordinate's ``B0^-1`` column to itself, so a functional combined from
+    the basis rows is 0 there; the rule leaves out the coordinates many
+    generators hold, which makes the functionals cheap to check, while the
+    basis columns, and with them every pivot of a solve, are those of any
+    row choice.  Orders the rows with the basis rows first and the rows
+    left over last, each part ascending; a row left over has ``A`` part 0,
+    so its ``B0^-1`` part ``y`` is an index-balance relation, ``y @ A = 0``.
+    Returns each basis row's ``B0^-1 A`` part (by generator, over the row's
+    denominator); every row's ``B0^-1`` part, by row (by coordinate index,
+    in coordinate order) and by column (for each coordinate index, the rows
+    of its nonzero entries and their numerators, as two tuples); and the
+    basis rows' denominators and basis columns.  A solve copies the
+    ``B0^-1 A`` parts only, reads the query through the columns, and reads
+    a ``B0^-1`` row for the functional of an `Outside` verdict.  Built on
+    first use, once per rank; never mutated.
     """
     coords, basics = tuple(all_index_sets(rank)), tuple(basic_ratios_all(rank))
     n_cols = len(basics)
@@ -185,10 +201,13 @@ def _generator_basis(rank: int):
     for j, b in enumerate(basics):
         for key, val in b.vector().as_dict().items():
             tableau[position[key]][j] = val
+    # rows by how many generators hold their coordinate (each row also holds
+    # its identity entry); sorted() is stable, so ties stay in coordinate order
+    held = sorted(range(len(coords)), key=lambda i: len(tableau[i]))
     dens = [1] * len(coords)
     basis: list[int | None] = [None] * len(coords)
     for j in range(n_cols):
-        p = next((i for i, row in enumerate(tableau) if basis[i] is None and j in row), None)
+        p = next((i for i in held if basis[i] is None and j in tableau[i]), None)
         if p is None:
             continue
         if tableau[p][j] < 0:

@@ -223,6 +223,16 @@ class TestCommands:
         assert report["verdict"] == "in-cone"
         assert report["certificate_verified"] is True
 
+    def test_cone_json_outside(self, capsys):
+        # the paper's screen-passing unbounded ratio: its functional has 17
+        # terms, the warm start having fixed its balance part where the fewest
+        # generators hold a coordinate (20 when fixed by coordinate order)
+        text = "[1,2,3,8][2,3,4,5][4,6,7,8]/[1,4,6,8][2,3,4,8][2,3,5,7]"
+        code, out, _ = run(capsys, "cone", text, "--json")
+        report = json.loads(out)
+        assert (code, report["verdict"], report["certificate_verified"]) == (0, "outside-cone", True)
+        assert len(report["certificate"]) == 17
+
     def test_cone_at_rank_one(self, capsys):
         # rank 1 has no basic ratios: the cone is {0}
         code, out, _ = run(capsys, "cone", "[1]/[1]", "--json")

@@ -59,6 +59,17 @@ class TestIndexSet:
             with pytest.raises(InvalidInput, match="must be integers"):
                 IndexSet(2, elements)
 
+    @pytest.mark.parametrize("rank, elements", [(2.0, (1, 3)), (True, (1,)), (Fraction(2), (1, 3))])
+    def test_rank_must_be_exactly_int(self, rank, elements):
+        # 2.0 == 2 and True == 1, so such a set would equal and hash as an int-rank one
+        with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+            IndexSet(rank, elements)
+
+    def test_elements_must_be_a_tuple(self):
+        # a list would build, then fail to hash with a bare TypeError
+        with pytest.raises(InvalidInput, match="elements must be a tuple"):
+            IndexSet(2, [1, 3])
+
     def test_ordering_and_hash(self):
         a, b = iset(2, 1, 3), iset(2, 1, 3)
         assert a == b and hash(a) == hash(b)
@@ -366,8 +377,16 @@ class TestRatioExpr:
             (((iset(2, 1, 2), 2.0),), "must be integers"),
             (((iset(2, 1, 2), Fraction(1, 2)),), "must be integers"),
             (((iset(2, 1, 2), True),), "must be integers"),
+            ((((1, 3), 1),), "index sets of rank 2"),  # a bare tuple key
+            ([(iset(2, 1, 3), 1)], r"a tuple of \(index set, exponent\) pairs"),  # a list
+            (([iset(2, 1, 3), 1],), r"a tuple of \(index set, exponent\) pairs"),  # a list entry
+            (((iset(2, 1, 3), 1, 2),), r"a tuple of \(index set, exponent\) pairs"),  # not a pair
         ],
     )
     def test_exponent_vector_rejects(self, entries, message):
         with pytest.raises(InvalidInput, match=message):
             ExponentVector(2, entries)
+
+    def test_exponent_vector_rank_must_be_exactly_int(self):
+        with pytest.raises(InvalidInput, match="rank must be an integer"):
+            ExponentVector(2.0, ())

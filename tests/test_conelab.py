@@ -445,25 +445,42 @@ def test_integer_rows_match_the_fraction_solver(family):
         assert verify_certificate(vec, expected, rank), vec
 
 
-# Digests of every verdict the families below get, in their enumeration
-# order.  They pin the certificates byte for byte, coefficient and functional
-# order included, so a change to the pivots or to the functional's reading
-# fails here, even in `_pivot`, which the dense tableau below shares.
+# Digests of the verdicts of each kind the families below get, in their
+# enumeration order.  They pin the certificates byte for byte, coefficient
+# and functional order included, so a change to the pivots or to the
+# functional's reading fails here, even in `_pivot`, which the dense tableau
+# below shares.  The two kinds are pinned apart because the warm-start rows
+# fix only the functionals: they choose which rows are left out of the basis,
+# and so the balance part of every `Outside` functional, while the basis
+# columns, the pivots and every `InCone` certificate stay the same.
 CONE_DIGESTS = {
-    "orbit": "cead6d6851a11715513206baf854468ab1abf04bdc32203e99b7bb20cbfff28e",
-    "rank4-pool": "ed8a9192c7ddd5424999b0472234cdb4e84e635437c3bff2c392bd3152b7a3d1",
-    "st0-rank3": "47b8cd856993aed130cdaadf3d7adc2b54e0e6e66cfc10470b6bfe7236ce4d42",
-    "rank5": "c71608d06fdd8be73febb101c0cb8a6a1ebb4be035328bcce8eb461fcca6b0b5",
+    "orbit": {
+        Outside: "0d30c73db7700794b161c530c438f8e079938a7e0b0eed8d71514013bd4737d1",
+    },
+    "rank4-pool": {
+        InCone: "51ef43d185383ef8494a67ee627bf8bebabc698eb858e8a6dd17fcabaf746769",
+        Outside: "f4d506284923fd66c3deedfef42aa3660f0a35a49d70f93105555e2663f28282",
+    },
+    "st0-rank3": {
+        InCone: "ba39945d46b99fa6cefbc7cd3a46b9d2fc096684706b40b6fd4027c13994a7b3",
+        Outside: "e976da5a8267f595644802d9d0378f3a9723bd3642a25f3af6f6f88832890dc7",
+    },
+    "rank5": {
+        InCone: "88b44e0688fc7f928c185e76403c7a25ff0415de2464ac435ebe795c4c884345",
+        Outside: "64e5c129beffa43611a0c97165ed120b39ca70e3348d10d197f6973ef03128d0",
+    },
 }
 
 
 @pytest.mark.parametrize("family", CONE_DIGESTS)
 def test_cone_certificates_are_pinned(family, monkeypatch):
     monkeypatch.setattr(conelab, "MAX_RANK", 5)  # reached by the rank-5 family only
-    h = hashlib.sha256()
+    hashes = {kind: hashlib.sha256() for kind in CONE_DIGESTS[family]}
     for vec, rank in _queries(family):
-        h.update(repr(cone_membership(vec, rank)).encode() + b"\n")
-    assert h.hexdigest() == CONE_DIGESTS[family]
+        verdict = cone_membership(vec, rank)
+        assert type(verdict) in hashes, (family, vec)  # a verdict kind the family never gets
+        hashes[type(verdict)].update(repr(verdict).encode() + b"\n")
+    assert {kind: h.hexdigest() for kind, h in hashes.items()} == CONE_DIGESTS[family]
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +560,62 @@ def test_a_solve_leaves_the_generator_basis_as_built():
     verdicts = [cone_membership(vec, 4) for vec in queries]
     assert copy.deepcopy(conelab._generator_basis(4)) == built
     assert [type(v) for v in verdicts] == [Outside] * 16 + [InCone] * 20
+
+
+@functools.cache
+def _rank5_ratios():
+    """The two-over-two ST0 ratios that seeds 0-99 draw at rank 5."""
+    drawn = (util.random_st0_ratio(5, random.Random(seed)) for seed in range(100))
+    return [r for r in drawn if r is not None]
+
+
+def _left_over_coordinates(rank):
+    """The coordinates whose rows `_generator_basis` leaves out of the basis.
+
+    Such a row is never a pivot row, so its coordinate's ``B0^-1`` column
+    is nonzero in that row alone, one of the last; every other coordinate's
+    column meets a basis row, since the basis rows of the invertible
+    ``B0^-1`` are independent."""
+    coords, _, _, rows, _, columns, _, _ = conelab._generator_basis(rank)
+    left = {coords[k] for k, (held, _) in enumerate(columns) if min(held) >= len(rows)}
+    assert len(left) == len(coords) - len(rows) == 2 * rank  # one balance relation per label
+    return left
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_outside_functionals_vanish_on_the_left_over_coordinates(rank, monkeypatch):
+    # a functional the simplex reads is a combination of basis rows of
+    # B0^-1, so it is 0 on every left-over coordinate; a balance relation,
+    # read for a vector outside the span, is one left-over row, and meets
+    # its own coordinate there and no other
+    monkeypatch.setattr(conelab, "MAX_RANK", 5)
+    if rank == 4:
+        ratios = [*_orbit(), *(cli.parse_ratio(text) for _, _, text in util.rank4_pool())]
+    elif rank == 5:
+        ratios = _rank5_ratios()
+    else:
+        ratios = util.st0_ratios(rank)
+    in_span = [(ratio_to_vector(r), 0) for r in ratios]
+    off_span = [(ExponentVector(rank, ((c, 1),)), 1) for c in all_index_sets(rank)]
+    left, checked = _left_over_coordinates(rank), {0: 0, 1: 0}
+    for vec, met in in_span + off_span:
+        verdict = cone_membership(vec, rank)
+        if isinstance(verdict, Outside):
+            assert len(left.intersection(k for k, _ in verdict.certificate)) == met, vec
+            checked[met] += 1
+    assert all(checked.values()), checked
+
+
+def test_outside_functionals_stay_sparse(monkeypatch):
+    # each generator enters the warm start in the row whose coordinate the
+    # fewest generators hold, so the functionals' free balance part is
+    # fixed where the check costs most; coordinate order alone gave the 16
+    # orbit functionals 476 terms and the rank-5 ones 4,474
+    monkeypatch.setattr(conelab, "MAX_RANK", 5)
+    orbit = [cone_membership(ratio_to_vector(r), 4) for r in _orbit()]
+    rank5 = [cone_membership(ratio_to_vector(r), 5) for r in _rank5_ratios()]
+    assert sum(len(v.certificate) for v in orbit) <= 340
+    assert sum(len(v.certificate) for v in rank5 if isinstance(v, Outside)) <= 3555
 
 
 # ---------------------------------------------------------------------------
