@@ -14,16 +14,15 @@ with exponent-tuple keys)."""
 
 MAX_RATIO_RANK = 8
 """Largest rank of a ratio `parse_ratio` reads, checked before any index set
-is built, and of a matrix file the command line reads, checked before any
+is built, and of a matrix file `eval --matrix` reads, checked before any
 entry is parsed.  The slowest legal query at rank 8 is `basics --n 8`,
 0.5 s as a fresh process (median of 5; 2-CPU machine, CPython 3.11); of
 the ratio queries, `falsify` on a screen-passing two-over-two ratio, which
-ends after its 20 random trials, takes 0.16 s, and `factor`, `eval
---magnitude 64` and `check` 0.19 s or less.  `shift --matrix` and
-`reverse --matrix` on a rank-8 matrix take 0.16 s each; in process,
-`shift_matrix` and `reverse_matrix` take 10-16 and 13-16 ms there.  One
-random trial costs 1.3-1.9 ms at rank 8 and 1.7-2.5 ms at rank 9.
-Unbudgeted, `check` at rank 100,000 was still running after 10 s."""
+ends after its 20 random trials, takes 0.16 s, `factor`, `eval
+--magnitude 64` and `check` 0.19 s or less, and `eval --matrix` on a
+rank-8 matrix file 0.09 s.  One random trial costs 1.3-1.9 ms at rank 8
+and 1.7-2.5 ms at rank 9.  Unbudgeted, `check` at rank 100,000 was still
+running after 10 s."""
 
 MAX_LISTED_BASICS = 100_000
 """Most basic ratios `basic_ratios_all` will list: rank 8 has 96,096 and

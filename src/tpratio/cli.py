@@ -6,10 +6,11 @@ terms are converted to brackets on input, so one pipeline serves both.
 
 Every report has one envelope, written by `main` alone.  A subcommand
 returns its verdict fields and its text lines; `main` adds ``schema``,
-``command`` and, when a ratio was given, ``input`` (its canonical form) and
-``n``, and prints either the text, led by a ``ratio:`` line, or, with
-``--json``, one `tpratio.report/2` object.  Exact values become text only
-through `_exact`, as "num/den" strings, so nothing is ever rounded.
+``command`` and, for every subcommand but ``basics``, ``input`` (the
+ratio's canonical form) and ``n``, and prints either the text, led by a
+``ratio:`` line, or, with ``--json``, one `tpratio.report/2` object.
+Exact values become text only through `_exact`, as "num/den" strings, so
+nothing is ever rounded.
 
 Exit codes: 0 for any decided verdict (including "unbounded" and screen
 failures), 2 for an inconclusive falsification, 1 for bad input, usage
@@ -39,15 +40,7 @@ from .errors import (
 )
 from .factorizer import basic_ratio_count, basic_ratios_all, factor_to_basics
 from .polycheck import is_subtraction_free, ratio_difference_poly
-from .tpcore import (
-    Evidence,
-    TPMatrix,
-    eval_ratio,
-    falsify,
-    random_tp,
-    reverse_matrix,
-    shift_matrix,
-)
+from .tpcore import Evidence, TPMatrix, eval_ratio, falsify, random_tp
 
 SCHEMA = "tpratio.report/2"
 
@@ -240,14 +233,15 @@ def _load_matrix(path: str) -> TPMatrix:
 
 
 def _ratio_argument(args) -> RatioExpr | None:
+    """The ratio of every subcommand but ``basics``, which takes none."""
+    if args.command == "basics":
+        return None
     if args.file:
         text = _read_file(args.file).strip()
     elif args.ratio:
         text = args.ratio
-    elif args.ratio_required:
-        raise InvalidInput("no ratio given (argument or --file)")
     else:
-        return None
+        raise InvalidInput("no ratio given (argument or --file)")
     return parse_ratio(text, args.n)
 
 
@@ -401,17 +395,8 @@ def _cmd_basics(args, ratio):
 
 
 def _cmd_transform(args, ratio):
-    fields: dict = {}
-    lines = []
-    if ratio is not None:
-        fields["ratio"] = str(args.ratio_op(ratio))
-        lines.append(f"ratio: {fields['ratio']}")
-    if args.matrix:
-        fields["matrix"] = _entries(args.matrix_op(_load_matrix(args.matrix)))
-        lines += ["matrix rows:", *("  " + " ".join(row) for row in fields["matrix"])]
-    if not lines:
-        raise InvalidInput("nothing to transform: give a ratio or --matrix")
-    return fields, lines
+    moved = str(args.ratio_op(ratio))
+    return {"ratio": moved}, [f"{args.moved}: {moved}"]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--n", type=int, help="rank (required for minor notation, inferred for brackets)"
         )
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.set_defaults(func=func, ratio_required=True)
+        p.set_defaults(func=func)
         return p
 
     add("check", _cmd_check, "run the counting and majorization screens")
@@ -464,16 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", action="store_true", help="print only the count")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_basics, ratio=None, file=None, ratio_required=False)
+    p.set_defaults(func=_cmd_basics)
 
-    for name, rop, mop in (
-        ("shift", comb.cyclic_shift_ratio, shift_matrix),
-        ("reverse", comb.reversal_ratio, reverse_matrix),
+    for name, moved, op in (
+        ("shift", "shifted", comb.cyclic_shift_ratio),
+        ("reverse", "reversed", comb.reversal_ratio),
     ):
-        p = add(name, _cmd_transform, f"apply the {name} operator to a ratio and/or matrix")
-        p.add_argument("--matrix", help="JSON matrix file to transform as well")
-        # the ratio is optional, and the text shows the moved ratio instead
-        p.set_defaults(ratio_op=rop, matrix_op=mop, ratio_required=False)
+        p = add(name, _cmd_transform, f"apply the {name} operator to a ratio")
+        p.set_defaults(ratio_op=op, moved=moved)
 
     return parser
 
@@ -486,7 +469,6 @@ def main(argv: list[str] | None = None) -> int:
         report = {"schema": SCHEMA, "command": args.command}
         if ratio is not None:
             report.update(input=str(ratio.canonical()), n=ratio.rank)
-        if args.ratio_required:
             lines.insert(0, f"ratio: {ratio.canonical()}")
         print(json.dumps({**report, **fields}, indent=2) if args.json else "\n".join(lines))
     except (TpratioError, OSError) as exc:

@@ -124,6 +124,11 @@ def reversal(alpha: IndexSet) -> IndexSet:
     return IndexSet.of(alpha.rank, (n2 + 1 - e for e in alpha))
 
 
+def _check_rank(rank) -> None:
+    if type(rank) is not int or rank < 1:  # as for `IndexSet`: 2.0 would equal 2
+        raise InvalidInput(f"rank must be a positive integer, got {rank!r}")
+
+
 @dataclass(frozen=True)
 class RatioExpr:
     """A ratio of products of Plücker coordinates.
@@ -138,9 +143,15 @@ class RatioExpr:
     denominator: tuple[IndexSet, ...]
 
     def __post_init__(self):
+        n = self.rank
+        _check_rank(n)
+        if type(self.numerator) is not tuple or type(self.denominator) is not tuple:
+            raise InvalidInput("numerator and denominator must be tuples of index sets")
         for s in (*self.numerator, *self.denominator):
-            if s.rank != self.rank:
-                raise InvalidInput(f"mixed ranks: expected {self.rank}, got {s.rank}")
+            if type(s) is not IndexSet:
+                raise InvalidInput(f"ratio terms must be index sets, got {s!r}")
+            if s.rank != n:
+                raise InvalidInput(f"mixed ranks: expected {n}, got {s.rank}")
         if len(self.numerator) != len(self.denominator):
             raise InvalidInput("numerator and denominator lengths differ; use RatioExpr.of")
 
@@ -151,6 +162,7 @@ class RatioExpr:
         numerator: Iterable[IndexSet],
         denominator: Iterable[IndexSet],
     ) -> "RatioExpr":
+        _check_rank(rank)  # before `base_set` builds the pad
         num = list(numerator)
         den = list(denominator)
         pad = base_set(rank)

@@ -584,10 +584,8 @@ def factor_to_basics(ratio: RatioExpr) -> FactorizationResult:
     if ratio.p > 2:
         raise InvalidInput(f"factorization handles at most two sets per side, got {ratio.p}")
     if ratio.p < 2:
-        pad = base_set(ratio.rank)
-        ratio = RatioExpr(
-            ratio.rank, ratio.numerator + (pad,), ratio.denominator + (pad,)
-        )
+        pads = (base_set(ratio.rank),) * (2 - ratio.p)
+        ratio = RatioExpr(ratio.rank, ratio.numerator + pads, ratio.denominator + pads)
     _require_st0(ratio)
     _require_condition_m(ratio)
     basics: list[BasicRatio] = []

@@ -9,11 +9,12 @@ positive weights then give ``p <= q``.
 Polynomials are dicts from packed monomials to nonzero integer
 coefficients: one int per monomial, each exponent in its own fixed-width
 bit field and the total degree in the field above them, so a monomial
-product is one int addition (`Polynomial`).  `Monomial`, the exponent
-tuple, is the reporting type, decoded only where a term is read: by
-`Polynomial.evaluate` and for the witness of `is_subtraction_free`.  The
-monomial order is graded lexicographic over the fixed variable order
-above; it only matters for reporting deterministic witnesses.
+product is one int addition (`Polynomial`).  The first variable sits in
+the most significant field under the degree, so the int order of the keys
+is the graded lexicographic order over the fixed variable order above;
+it only matters for reporting deterministic witnesses.  `Monomial`, the
+exponent tuple, is the reporting type, decoded only where a term is read:
+by `Polynomial.evaluate` and for the witness of `is_subtraction_free`.
 
 The symbolic network matrix is
 `tpratio.tpcore.network.network_product` taken over polynomials, with
@@ -53,7 +54,7 @@ def _pack(nvars: int, exponents: Exponents) -> int:
     if degree > MAX_DEGREE:
         raise BudgetExceeded(f"monomial degree {degree} exceeds {MAX_DEGREE}")
     key = degree
-    for e in reversed(exponents):
+    for e in exponents:
         key = key << _WIDTH | e
     return key
 
@@ -63,7 +64,7 @@ def _unpack(nvars: int, key: int) -> Exponents:
     field = (1 << _WIDTH) - 1
     # from a list: tuple() of a generator shrinks its result by realloc, and
     # CPython's tuple free lists then grow by one a call
-    return tuple([key >> _WIDTH * i & field for i in range(nvars)])
+    return tuple([key >> _WIDTH * i & field for i in range(nvars - 1, -1, -1)])
 
 
 @dataclass(frozen=True, order=False)
@@ -72,21 +73,11 @@ class Monomial:
 
     exponents: Exponents
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def grlex_key(self) -> tuple[int, Exponents]:
-        return (self.degree, self.exponents)
-
-    def as_map(self, rank: int) -> dict[str, int]:
-        names = variable_names(rank)
-        return {n: e for n, e in zip(names, self.exponents) if e}
-
     def format(self, rank: int) -> str:
         parts = [
             name if e == 1 else f"{name}^{e}"
-            for name, e in self.as_map(rank).items()
+            for name, e in zip(variable_names(rank), self.exponents)
+            if e
         ]
         return "*".join(parts) if parts else "1"
 
@@ -95,10 +86,10 @@ class Polynomial:
     """Sparse polynomial with exact integer coefficients.
 
     ``terms`` maps a packed monomial to its nonzero coefficient: exponent
-    ``i`` sits in the `_WIDTH`-bit field ``i`` of an int, and field
-    ``nvars`` holds the total degree, so multiplying two monomials is one
-    int addition and the largest key has the largest degree.  No total
-    degree passes `MAX_DEGREE`, so no field carries into the next.
+    ``i`` sits in the `_WIDTH`-bit field ``nvars - 1 - i`` of an int, and
+    field ``nvars`` holds the total degree, so multiplying two monomials is
+    one int addition and keys compare in graded lexicographic order.  No
+    total degree passes `MAX_DEGREE`, so no field carries into the next.
     Canonical: no zero coefficients are stored, so equality is dict
     equality.  Instances are treated as immutable.
     """
@@ -250,13 +241,9 @@ class SubtractionFreeVerdict:
 
 def is_subtraction_free(poly: Polynomial) -> SubtractionFreeVerdict:
     """No negative coefficients?  The zero polynomial counts as free; on
-    failure the graded-lex-least negative monomial is the witness."""
-    worst = None
-    for key, coeff in poly.terms.items():
-        if coeff < 0:
-            m = Monomial(_unpack(poly.nvars, key))
-            if worst is None or m.grlex_key() < worst[0].grlex_key():
-                worst = (m, coeff)
-    if worst is None:
+    failure the graded-lex-least negative monomial, the least negative
+    key, is the witness."""
+    key = min((k for k, c in poly.terms.items() if c < 0), default=None)
+    if key is None:
         return SubtractionFreeVerdict(True)
-    return SubtractionFreeVerdict(False, worst[0], worst[1])
+    return SubtractionFreeVerdict(False, Monomial(_unpack(poly.nvars, key)), poly.terms[key])

@@ -2,6 +2,8 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from tpratio.budgets import MAX_DEGREE, MAX_INPUT_BYTES, MAX_MAGNITUDE, MAX_RATI
 from tpratio.cli import _entries, main, parse_ratio
 from tpratio.combinatorics import IndexSet, RatioExpr
 from tpratio.errors import InvalidInput, RatioSyntaxError
-from tpratio.tpcore import TPMatrix, random_tp, verify_tp
+from tpratio.tpcore import random_tp
 
 
 def iset(n, *elems):
@@ -264,17 +266,15 @@ class TestCommands:
         assert code == 0
         assert "[1,2][3,4]/[2,4][1,3]" in out
 
-    def test_reverse_matrix(self, capsys, tmp_path):
+    def test_transforms_take_no_matrix(self, capsys, tmp_path):
+        # the symmetries act on ratios; `eval --matrix` is the one matrix reader
         path = tmp_path / "m.json"
         path.write_text(json.dumps(_entries(random_tp(2, 1))))
-        code, out, _ = run(capsys, "reverse", "--matrix", str(path), "--json")
-        assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
-
-    def test_shift_matrix(self, capsys, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(_entries(random_tp(3, 2))))
-        code, out, _ = run(capsys, "shift", "--matrix", str(path), "--json")
-        assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
+        for argv in (("shift", "--matrix", str(path), "[1,4][2,3]/[1,3][2,4]"),
+                     ("reverse", "--matrix", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_ratio_from_file(self, capsys, tmp_path):
         path = tmp_path / "ratio.txt"
@@ -350,10 +350,13 @@ README_EXAMPLES = [
         "  t=10000: value 60029003/1000 (~60029)\n",
     ),
     (("basics", "--n", "3", "--count"), "18\n"),
-    (("shift", "[1,4][2,3]/[1,3][2,4]"), "ratio: [1,2][3,4]/[2,4][1,3]\n"),
     (
-        ("reverse", "--matrix", "{matrix}"),
-        "matrix rows:\n  17/32 1/8\n  1/8 1/2\n",
+        ("shift", "[1,4][2,3]/[1,3][2,4]"),
+        "ratio: [1,4][2,3]/[1,3][2,4]\nshifted: [1,2][3,4]/[2,4][1,3]\n",
+    ),
+    (
+        ("reverse", "[1,4,6][2,3,5]/[1,3,5][2,4,6]"),
+        "ratio: [1,4,6][2,3,5]/[1,3,5][2,4,6]\nreversed: [1,3,6][2,4,5]/[2,4,6][1,3,5]\n",
     ),
 ]
 
@@ -370,6 +373,23 @@ def test_readme_example_text(capsys, tmp_path, argv, expected):
     path.write_text(json.dumps(_entries(random_tp(2, 3))))
     code, out, err = run(capsys, *(a.replace("{matrix}", str(path)) for a in argv))
     assert (code, out, err) == (0, expected.replace("{matrix}", str(path)), "")
+
+
+def test_readme_examples_are_pinned():
+    """Every ``tpratio`` line in the README's fenced blocks, read as a shell
+    would and without ``--json``, is one of `README_EXAMPLES`."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    fenced = False
+    commands = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("tpratio "):
+            argv = shlex.split(line)[1:]
+            commands.append(tuple("{matrix}" if a == "matrix.json" else a
+                                  for a in argv if a != "--json"))
+    pinned = {argv for argv, _ in README_EXAMPLES}
+    assert commands and [argv for argv in commands if argv not in pinned] == []
 
 
 @pytest.mark.parametrize(
@@ -457,7 +477,7 @@ class TestBadInput:
         "argv, line",
         [
             (("check",), "error: no ratio given (argument or --file)\n"),
-            (("reverse",), "error: nothing to transform: give a ratio or --matrix\n"),
+            (("reverse",), "error: no ratio given (argument or --file)\n"),
         ],
         ids=["check", "reverse"],
     )
@@ -492,22 +512,20 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error: ")
 
-    @pytest.mark.parametrize("command", ["reverse", "shift"])
     @pytest.mark.parametrize(
         "rows, cols", [(MAX_RATIO_RANK + 1,) * 2, (30, 30), (2, MAX_RATIO_RANK + 1)]
     )
-    def test_matrix_file_over_rank_budget(self, capsys, tmp_path, command, rows, cols):
+    def test_matrix_file_over_rank_budget(self, capsys, tmp_path, rows, cols):
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps([["1"] * cols] * rows))
-        code, out, err = run(capsys, command, "--matrix", str(path))
+        code, out, err = run(capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {path}: matrices are budgeted to rank {MAX_RATIO_RANK}\n"
 
-    @pytest.mark.parametrize("command", ["reverse", "shift"])
-    def test_empty_matrix_file(self, capsys, tmp_path, command):
+    def test_empty_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "matrix.json"
         path.write_text("[]")  # raised IndexError
-        code, out, err = run(capsys, command, "--matrix", str(path))
+        code, out, err = run(capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -516,7 +534,7 @@ class TestBadInput:
         [
             ("check", "--file"),
             ("eval", "[1,4][2,3]/[1,3][2,4]", "--matrix"),
-            ("reverse", "--matrix"),
+            ("reverse", "--file"),
         ],
         ids=lambda argv: argv[0],
     )
@@ -581,13 +599,15 @@ class TestLargestReports:
         assert (code, err) == (0, "")
         assert json.loads(out)["matrix"].endswith(f"magnitude={MAX_MAGNITUDE})")
 
-    @pytest.mark.parametrize("command", ["reverse", "shift"])
-    def test_matrix_file_at_rank_budget(self, capsys, tmp_path, command):
+    def test_matrix_file_at_rank_budget(self, capsys, tmp_path):
+        n = MAX_RATIO_RANK
+        entries = _entries(random_tp(n, 0))
         path = tmp_path / "matrix.json"
-        path.write_text(json.dumps(_entries(random_tp(MAX_RATIO_RANK, 0))))
-        code, out, err = run(capsys, command, "--matrix", str(path), "--json")
+        path.write_text(json.dumps(entries))
+        ratio = str(RatioExpr.of(n, [IndexSet.of(n, range(1, n + 1))], []))  # the determinant
+        code, out, err = run(capsys, "eval", ratio, "--matrix", str(path), "--json")
         assert (code, err) == (0, "")
-        assert verify_tp(TPMatrix.of(json.loads(out)["matrix"]))
+        assert json.loads(out)["matrix_entries"] == entries
 
     def test_input_file_at_size_budget(self, capsys, tmp_path):
         path = tmp_path / "ratio.txt"

@@ -26,6 +26,7 @@ from tpratio.combinatorics import (
     reversal_ratio,
 )
 from tpratio.errors import InvalidInput
+from tpratio.polycheck import is_subtraction_free, ratio_difference_poly
 
 import util
 
@@ -338,6 +339,26 @@ class TestConditionM:
                 assert check_condition_m(cyclic_shift_ratio(r)).holds == v
                 assert check_condition_m(reversal_ratio(r)).holds == v
 
+    def test_agrees_with_temperley_lieb_matchings(self):
+        # a second route to the paper's theorem that shares no code with the
+        # screens: every two-over-two ST0 ratio at ranks 2-4, then 300 seeded
+        # draws at each rank 5-8; about 1.5 s
+        for n, count, bounded in ((2, 27, 23), (3, 480, 285), (4, 11_235, 4_255)):
+            ratios = util.st0_ratios(n)
+            verdicts = [util.tl_bounded(r) for r in ratios]
+            assert (len(ratios), sum(verdicts)) == (count, bounded)
+            assert verdicts == [check_condition_m(r).holds for r in ratios]
+            if n == 3:  # the edge rule: each TL immanant is subtraction free
+                free = [is_subtraction_free(ratio_difference_poly(r)).subtraction_free
+                        for r in ratios]
+                assert verdicts == free
+        for n, bounded in ((5, 136), (6, 89), (7, 72), (8, 51)):
+            rng = random.Random(n)
+            ratios = [util.random_st0_ratio(n, rng) for _ in range(300)]
+            verdicts = [util.tl_bounded(r) for r in ratios]
+            assert sum(verdicts) == bounded
+            assert verdicts == [check_condition_m(r).holds for r in ratios]
+
 
 class TestRatioExpr:
     def test_padding(self):
@@ -351,12 +372,27 @@ class TestRatioExpr:
         [
             ((iset(2, 1, 2),), (iset(3, 1, 2, 3),), "mixed ranks: expected 2, got 3"),
             ((iset(2, 1, 2), iset(2, 1, 3)), (iset(2, 1, 4),), "lengths differ; use RatioExpr.of"),
+            # lists built, then failed to hash with a bare TypeError
+            ([iset(2, 1, 3)], [iset(2, 2, 4)], "must be tuples of index sets"),
+            # raised AttributeError: 'tuple' object has no attribute 'rank'
+            (((1, 3),), (iset(2, 2, 4),), "ratio terms must be index sets"),
         ],
-        ids=["mixed-ranks", "side-lengths"],
+        ids=["mixed-ranks", "side-lengths", "list-sides", "tuple-term"],
     )
     def test_ratio_expr_rejects(self, numerator, denominator, message):
         with pytest.raises(InvalidInput, match=message):
             RatioExpr(2, numerator, denominator)
+
+    @pytest.mark.parametrize(
+        "rank", [2.0, True, Fraction(2), 0], ids=["float", "bool", "fraction", "zero"]
+    )
+    def test_ratio_expr_rank_must_be_a_positive_int(self, rank):
+        # 2.0 built and equalled the rank-2 ratio; `of` raised a bare TypeError
+        a, b = iset(2, 1, 3), iset(2, 2, 4)
+        with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+            RatioExpr(rank, (a,), (b,))
+        with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+            RatioExpr.of(rank, [a], [b])
 
     def test_exponent_vector_cancellation(self):
         r = ratio(2, [(1, 2), (1, 2)], [(1, 2), (3, 4)])

@@ -317,6 +317,13 @@ class TestFactorToBasics:
         res = factor_to_basics(RatioExpr.of(2, [iset(2, 1, 3)], [iset(2, 1, 3)]))
         assert res.basics == ()
 
+    def test_empty_sides_are_padded(self):
+        # the ratio 1 passes both screens; it was padded to one set a side
+        # and refused with "need exactly two sets per side"
+        res = factor_to_basics(RatioExpr(2, (), ()))
+        assert (res.basics, [s.rule for s in res.trace]) == ((), ["trivial"])
+        assert res.ratio.p == 2 and res.vector_check()
+
     def test_factorization_iff_screens_exhaustive_n3(self):
         factored = 0
         for r in util.st0_ratios(3):

@@ -289,12 +289,12 @@ class TestMonomialOrder:
         verdict = is_subtraction_free(poly)
         assert verdict.witness == Monomial((0, 0, 0, 1))
 
-    def test_grlex_witness_is_not_the_least_key(self):
-        # within one degree the least key puts the most weight on the first
-        # variable, graded lex the least
+    def test_grlex_witness_is_the_least_key(self):
+        # the first variable sits in the most significant field under the
+        # degree, so the least key is the graded-lex least monomial
         x, y, z = var(4, 0), var(4, 1), var(4, 2)
         poly = z * z * z - x * y - y * z - x * x * z
-        assert polycheck._unpack(4, min(k for k, c in poly.terms.items() if c < 0)) == (1, 1, 0, 0)
+        assert polycheck._unpack(4, min(k for k, c in poly.terms.items() if c < 0)) == (0, 1, 1, 0)
         verdict = is_subtraction_free(poly)
         assert verdict.witness == Monomial((0, 1, 1, 0))
         assert verdict.witness_coefficient == -1

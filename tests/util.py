@@ -7,8 +7,9 @@ raw index counting, exponent bookkeeping is redone with dictionaries,
 determinants use plain `Fraction` elimination, polynomials are dicts keyed
 by exponent tuples, majorization compares prefix sums, brackets and their symmetries are read
 off the ``2n x n`` representative, brackets of a network matrix are summed
-over path families, and cone certificates are re-checked against every
-coordinate of every generator.
+over path families, cone certificates are re-checked against every
+coordinate of every generator, and two-over-two boundedness is decided by
+Temperley-Lieb matchings.
 """
 
 from __future__ import annotations
@@ -399,3 +400,38 @@ def reference_verify_certificate(vector: ExponentVector, verdict, rank: int) -> 
     if pairing(vector.as_dict().items()) <= 0:
         return False
     return all(pairing(items) <= 0 for items in basic_ratio_vectors(rank))
+
+
+def _tl_matchings(first: frozenset, points: tuple[int, ...]) -> frozenset:
+    """The non-crossing perfect matchings of the increasing ``points`` whose
+    every edge joins a label in ``first`` to one outside it, each a
+    frozenset of ``(low, high)`` edges.  The lowest point is matched to a
+    point that leaves an even number between them, so neither side of the
+    edge has a point it could only reach by crossing it."""
+    if not points:
+        return frozenset([frozenset()])
+    head = points[0]
+    out = set()
+    for j in range(1, len(points), 2):
+        if (head in first) != (points[j] in first):
+            for inner in _tl_matchings(first, points[1:j]):
+                for outer in _tl_matchings(first, points[j + 1:]):
+                    out.add(inner | outer | {(head, points[j])})
+    return frozenset(out)
+
+
+def tl_bounded(ratio: RatioExpr) -> bool:
+    """The Temperley-Lieb matching test for a two-over-two ratio
+    ``D_I1 D_I2 / D_J1 D_J2`` (Rhoades-Skandera 2005; Lam 2015).  A product
+    ``D_I D_J`` is the sum of the TL immanants of the non-crossing perfect
+    matchings of ``I ^ J`` whose every edge joins a label of ``I`` to one
+    outside it, and each immanant is nonnegative on totally positive
+    matrices; so the ratio is bounded when the numerator's matchings are
+    among the denominator's.  Shares no code with the screens."""
+
+    def matchings(a: IndexSet, b: IndexSet) -> frozenset:
+        a, b = set(a), set(b)
+        return _tl_matchings(frozenset(a - b), tuple(sorted(a ^ b)))
+
+    (i1, i2), (j1, j2) = ratio.numerator, ratio.denominator
+    return matchings(i1, i2) <= matchings(j1, j2)
