@@ -146,6 +146,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def moved(capsys, command, ratio):
+    """``ratio`` as the ``shift`` or ``reverse`` subcommand moves it."""
+    code, out, err = run(capsys, command, ratio, "--json")
+    assert (code, err) == (0, "")
+    return json.loads(out)["ratio"]
+
+
 class TestCommands:
     def test_check_decided(self, capsys):
         code, out, _ = run(capsys, "check", "[1,3][2,4]/[1,4][2,3]")
@@ -266,15 +273,20 @@ class TestCommands:
         assert code == 0
         assert "[1,2][3,4]/[2,4][1,3]" in out
 
-    def test_transforms_take_no_matrix(self, capsys, tmp_path):
-        # the symmetries act on ratios; `eval --matrix` is the one matrix reader
+    # the symmetries act on ratios; `eval --matrix` is the one matrix reader
+    def test_reverse_matrix(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(_entries(random_tp(2, 1))))
-        for argv in (("shift", "--matrix", str(path), "[1,4][2,3]/[1,3][2,4]"),
-                     ("reverse", "--matrix", str(path))):
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (1, "")
-            assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run(capsys, "reverse", "--matrix", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_shift_matrix(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(_entries(random_tp(3, 2))))
+        code, out, err = run(capsys, "shift", "--matrix", str(path), "[1,4][2,3]/[1,3][2,4]")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_ratio_from_file(self, capsys, tmp_path):
         path = tmp_path / "ratio.txt"
@@ -512,20 +524,25 @@ class TestBadInput:
         assert code == 1
         assert err.startswith("error: ")
 
+    # a moved ratio reaches a matrix through `eval --matrix`
+    @pytest.mark.parametrize("command", ["reverse", "shift"])
     @pytest.mark.parametrize(
         "rows, cols", [(MAX_RATIO_RANK + 1,) * 2, (30, 30), (2, MAX_RATIO_RANK + 1)]
     )
-    def test_matrix_file_over_rank_budget(self, capsys, tmp_path, rows, cols):
+    def test_matrix_file_over_rank_budget(self, capsys, tmp_path, command, rows, cols):
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps([["1"] * cols] * rows))
-        code, out, err = run(capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", str(path))
+        ratio = moved(capsys, command, "[1,4][2,3]/[1,3][2,4]")
+        code, out, err = run(capsys, "eval", ratio, "--matrix", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {path}: matrices are budgeted to rank {MAX_RATIO_RANK}\n"
 
-    def test_empty_matrix_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["reverse", "shift"])
+    def test_empty_matrix_file(self, capsys, tmp_path, command):
         path = tmp_path / "matrix.json"
         path.write_text("[]")  # raised IndexError
-        code, out, err = run(capsys, "eval", "[1,4][2,3]/[1,3][2,4]", "--matrix", str(path))
+        ratio = moved(capsys, command, "[1,4][2,3]/[1,3][2,4]")
+        code, out, err = run(capsys, "eval", ratio, "--matrix", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -599,15 +616,19 @@ class TestLargestReports:
         assert (code, err) == (0, "")
         assert json.loads(out)["matrix"].endswith(f"magnitude={MAX_MAGNITUDE})")
 
-    def test_matrix_file_at_rank_budget(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["reverse", "shift"])
+    def test_matrix_file_at_rank_budget(self, capsys, tmp_path, command):
         n = MAX_RATIO_RANK
         entries = _entries(random_tp(n, 0))
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(entries))
-        ratio = str(RatioExpr.of(n, [IndexSet.of(n, range(1, n + 1))], []))  # the determinant
+        determinant = RatioExpr.of(n, [IndexSet.of(n, range(1, n + 1))], [])
+        ratio = moved(capsys, command, str(determinant))
+        assert ratio != str(determinant)
         code, out, err = run(capsys, "eval", ratio, "--matrix", str(path), "--json")
         assert (code, err) == (0, "")
-        assert json.loads(out)["matrix_entries"] == entries
+        report = json.loads(out)
+        assert (report["input"], report["matrix_entries"]) == (ratio, entries)
 
     def test_input_file_at_size_budget(self, capsys, tmp_path):
         path = tmp_path / "ratio.txt"
