@@ -13,6 +13,8 @@ Conventions used throughout the library:
   intervals over which the majorization condition quantifies; restricting to
   arcs of length at most ``n`` loses nothing because the condition transfers
   to complements (`check_condition_m`).
+* The ``4n`` rotations and mirrors of the ``2n``-gon act on ratios
+  (`orientations`); the screens, boundedness and the generator set are invariant.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput
 
 
+def _check_rank(rank) -> None:
+    if type(rank) is not int or rank < 1:  # exactly int: 2.0 and True would hash as 2 and 1
+        raise InvalidInput(f"rank must be a positive integer, got {rank!r}")
+
+
 @dataclass(frozen=True, order=True)
 class IndexSet:
     """A size-``rank`` subset of ``{1, ..., 2*rank}``, kept sorted."""
@@ -35,8 +42,7 @@ class IndexSet:
     def __post_init__(self):
         n = self.rank
         elems = self.elements
-        if type(n) is not int or n < 1:  # exactly int: 2.0 and True would hash as 2 and 1
-            raise InvalidInput(f"rank must be a positive integer, got {n!r}")
+        _check_rank(n)
         if type(elems) is not tuple:  # hashed and compared with other index sets
             raise InvalidInput(f"elements must be a tuple, got {elems!r}")
         if len(elems) != n:
@@ -124,11 +130,6 @@ def reversal(alpha: IndexSet) -> IndexSet:
     return IndexSet.of(alpha.rank, (n2 + 1 - e for e in alpha))
 
 
-def _check_rank(rank) -> None:
-    if type(rank) is not int or rank < 1:  # as for `IndexSet`: 2.0 would equal 2
-        raise InvalidInput(f"rank must be a positive integer, got {rank!r}")
-
-
 @dataclass(frozen=True)
 class RatioExpr:
     """A ratio of products of Plücker coordinates.
@@ -210,6 +211,20 @@ def reversal_ratio(ratio: RatioExpr) -> RatioExpr:
     )
 
 
+def orientations(ratio: RatioExpr):
+    """The ratio's ``4n`` images under the rotations and mirrors of the
+    2n-gon, lazily, as ``(rotation, mirrored, image)`` for every rotation,
+    unmirrored first: the ratio rotated ``rotation`` steps, then mirrored
+    if asked, with one shift per rotation and one mirror per image.  Its
+    value on ``M`` is the given ratio's on `reverse_matrix` (if mirrored)
+    then ``(2n - rotation) mod 2n`` times `shift_matrix` of ``M``: those
+    scale every bracket by one common factor, which cancels."""
+    for rotation in range(2 * ratio.rank):
+        yield rotation, False, ratio
+        yield rotation, True, reversal_ratio(ratio)
+        ratio = cyclic_shift_ratio(ratio)
+
+
 @dataclass(frozen=True)
 class ExponentVector:
     """Sparse integer vector over the rank-n index sets.
@@ -224,8 +239,7 @@ class ExponentVector:
 
     def __post_init__(self):
         entries = self.entries
-        if type(self.rank) is not int:  # as for `IndexSet`: 2.0 would equal 2
-            raise InvalidInput(f"rank must be an integer, got {self.rank!r}")
+        _check_rank(self.rank)
         if type(entries) is not tuple or any(type(e) is not tuple or len(e) != 2 for e in entries):
             raise InvalidInput("entries must be a tuple of (index set, exponent) pairs")
         keys = [k for k, _ in entries]

@@ -12,11 +12,11 @@ which turns the arc on which the screen fails into a numerator/denominator
 degree gap (`tpratio.combinatorics.degree_gap`, the same inequality the
 screen tests).  The falsifier locates such a gap, rotates the ratio so the
 gap arc leads, and evaluates it on the family along a ladder of ``t``
-values; at rank 4 it also tries every rotation and mirror image of the
-ratio on the known 4 x 4 counterexample family, reading all sixteen from
-one table of every bracket per ladder rung (`bracket_table` over
-`Fraction`).  Both families are planar networks, totally positive by
-construction.
+values; at rank 4 it also tries every image of the ratio that
+`tpratio.combinatorics.orientations` yields on the known 4 x 4
+counterexample family, reading all sixteen from one table of every
+bracket per ladder rung (`bracket_table` over `Fraction`).  Both
+families are planar networks, totally positive by construction.
 Only the degree-gap family depends on the ratio, so the counterexample
 rung tables (`_rung_table`) and the random-search matrices
 (`_random_trials`) are built once per process, on first use, and shared
@@ -41,7 +41,7 @@ from ..combinatorics import (
     cyclic_shift_ratio,
     degree_gap,
     m_vector,
-    reversal_ratio,
+    orientations,
 )
 from ..errors import InvalidInput
 from .grassmann import bracket_table, eval_ratio, ratio_value, shift_matrix
@@ -140,20 +140,6 @@ def witness_matrix(ratio: RatioExpr, arc, k: int, t: Fraction) -> TPMatrix:
     return m
 
 
-def _orientations(ratio: RatioExpr):
-    """``(rotation, mirrored, variant)`` for every rotation, unmirrored
-    first: the variant is the ratio rotated ``rotation`` steps, then
-    mirrored if asked, built with one shift per rotation and one mirror per
-    mirrored variant.  Its value on ``M`` is the given ratio's on
-    `reverse_matrix` (if mirrored) then ``(2n - rotation) mod 2n`` times
-    `shift_matrix` of ``M``: those scale every bracket by one common
-    factor, which cancels."""
-    for rotation in range(2 * ratio.rank):
-        yield rotation, False, ratio
-        yield rotation, True, reversal_ratio(ratio)
-        ratio = cyclic_shift_ratio(ratio)
-
-
 @cache
 def _rung_table(t: Fraction) -> Mapping[int, Fraction]:
     """Every bracket of `counterexample_matrix(t)` by `IndexSet.mask`,
@@ -224,11 +210,11 @@ def falsify(ratio: RatioExpr) -> Evidence | Inconclusive:
         attempts.append("majorization screen holds: no degree gap")
 
     if ratio.rank == 4:
-        for rotation, mirrored, variant in _orientations(ratio):
+        for rotation, mirrored, image in orientations(ratio):
             evidence = _climb_ladder(
                 "counterexample-family",
                 (("rotation", rotation), ("mirrored", int(mirrored))),
-                lambda t: _rung_value(variant, t),
+                lambda t: _rung_value(image, t),
             )
             if evidence is not None and evidence.increasing:
                 return evidence

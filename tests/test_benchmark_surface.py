@@ -1,6 +1,7 @@
 """The benchmark's hold on the library: every function its tracer wraps
-still exists, and the first queries of each workload run and pass the
-benchmark's own output checks.  A rename under ``src/`` that the benchmark
+still exists, the first queries of each workload run and pass the
+benchmark's own output checks, and the benchmark's copy of the unbounded
+orbit is the library's.  A rename under ``src/`` that the benchmark
 depends on fails here instead of only as a failed benchmark run.
 
 Only reads ``perfbench/tracer.py`` and ``perfbench/workloads.py``."""
@@ -9,7 +10,10 @@ import importlib
 import time
 from pathlib import Path
 
+from tpratio import cli
 from tpratio.tpcore import witnesses
+
+import util
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +43,11 @@ def test_tracer_targets_and_first_queries(monkeypatch):
     assert recorder.count("matrices.random_tp") > 0
     assert [getattr(home, attr) for _, home, attr in tracer.TARGETS] == originals
     assert time.monotonic() - started < 2
+
+
+def test_unbounded_orbit_is_the_library_orbit(monkeypatch):
+    # the benchmark builds its own copy of the orbit; it must not drift from
+    # the library's action
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert workloads.unbounded_orbit() == util.orbit(cli.parse_ratio(workloads.UNBOUNDED))

@@ -22,7 +22,6 @@ from tpratio.combinatorics import (
     RatioExpr,
     check_condition_m,
     check_st0,
-    cyclic_shift_ratio,
 )
 from tpratio.conelab import (
     InCone,
@@ -33,6 +32,8 @@ from tpratio.conelab import (
 )
 from tpratio.polycheck import is_subtraction_free, ratio_difference_poly
 from tpratio.tpcore import Evidence, falsify
+
+import util
 
 UNBOUNDED = RatioExpr.of(
     4,
@@ -56,11 +57,7 @@ def _random_3over3(rng: random.Random) -> RatioExpr | None:
 
 def test_sampled_survey_rank4():
     rng = random.Random(2024)
-    screened: list[RatioExpr] = []
-    orbit = UNBOUNDED
-    for _ in range(8):
-        screened.append(orbit)
-        orbit = cyclic_shift_ratio(orbit)
+    screened = util.orbit(UNBOUNDED)[:8]  # the rotations
     while len(screened) < 68:
         r = _random_3over3(rng)
         if r is None or not check_st0(r).holds:

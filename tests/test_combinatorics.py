@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,12 @@ from tpratio.combinatorics import (
     m_vector,
     minor_address,
     minor_to_plucker,
+    orientations,
     reversal,
     reversal_ratio,
 )
 from tpratio.errors import InvalidInput
+from tpratio.factorizer import basic_ratios_all
 from tpratio.polycheck import is_subtraction_free, ratio_difference_poly
 
 import util
@@ -152,6 +155,31 @@ class TestShiftAndReversal:
                 singles.append(cyclic_shift(singles[-1]))
             for k in range(-2 * n, 2 * n + 1):
                 assert cyclic_shift(a, k) == singles[k % (2 * n)], (a, k)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_orientations_rotate_then_mirror(self, rank):
+        rng = random.Random(rank)
+        for _ in range(5):
+            r = util.random_shared_split_ratio(rank, rng)
+            images = orientations(r)
+            assert isinstance(images, types.GeneratorType)  # `falsify` stops at the first climb
+            assert list(images) == [
+                (rotation, mirrored, reversal_ratio(rotated) if mirrored else rotated)
+                for rotation in range(2 * rank)
+                for rotated in [cyclic_shift_ratio(r, rotation)]
+                for mirrored in (False, True)
+            ]
+
+    @pytest.mark.parametrize("rank, count", [(2, 2), (3, 18), (4, 120), (5, 700)])
+    def test_orientations_map_the_generators_onto_themselves(self, rank, count):
+        # so each symmetry maps a cone certificate to a cone certificate
+        basics = basic_ratios_all(rank)
+        vectors = {b.vector() for b in basics}
+        assert len(basics) == len(vectors) == count
+        symmetries = list(zip(*(orientations(b.expr()) for b in basics)))
+        assert len(symmetries) == 4 * rank
+        for images in symmetries:
+            assert {ExponentVector.of_ratio(image) for _, _, image in images} == vectors
 
 
 class TestSt0:
@@ -281,8 +309,6 @@ class TestConditionM:
             assert (verdict.holds, verdict.witness) == (first is None, first), (num, den)
 
     def test_basic_ratios_pass(self):
-        from tpratio.factorizer import basic_ratios_all
-
         for b in basic_ratios_all(3):
             assert check_condition_m(b.expr()).holds
 
@@ -423,6 +449,8 @@ class TestRatioExpr:
         with pytest.raises(InvalidInput, match=message):
             ExponentVector(2, entries)
 
-    def test_exponent_vector_rank_must_be_exactly_int(self):
-        with pytest.raises(InvalidInput, match="rank must be an integer"):
-            ExponentVector(2.0, ())
+    @pytest.mark.parametrize("rank", [2.0, 0, -3], ids=["float", "zero", "negative"])
+    def test_exponent_vector_rank_must_be_a_positive_int(self, rank):
+        # 0 and -3 built, where `IndexSet` and `RatioExpr` raised
+        with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+            ExponentVector(rank, ())

@@ -18,8 +18,7 @@ from tpratio.combinatorics import (
     IndexSet,
     RatioExpr,
     all_index_sets,
-    cyclic_shift_ratio,
-    reversal_ratio,
+    orientations,
 )
 from tpratio.conelab import (
     InCone,
@@ -289,7 +288,7 @@ class TestCoherenceWithFactorizer:
         assert verify_certificate(vec, verdict, 4)
 
     def test_unbounded_orbit_is_outside(self):
-        orbit = _orbit()
+        orbit = util.orbit(UNBOUNDED)
         assert len(set(orbit)) == 16
         for r in orbit:
             vec = ratio_to_vector(r)
@@ -373,14 +372,6 @@ UNBOUNDED = ratio(
 )
 
 
-def _orbit() -> list[RatioExpr]:
-    """The 8 rotations of the counterexample and their 8 mirror images."""
-    rotations = [UNBOUNDED]
-    for _ in range(7):
-        rotations.append(cyclic_shift_ratio(rotations[-1]))
-    return [*rotations, *map(reversal_ratio, rotations)]
-
-
 def _random_3over3(rng: random.Random) -> RatioExpr:
     """A rank-4 three-over-three ST0 ratio: three random numerator sets and
     a random split of their labels into three denominator sets."""
@@ -394,23 +385,26 @@ def _random_3over3(rng: random.Random) -> RatioExpr:
             return ratio(4, nums, dens)
 
 
-def _queries(family):
+def _ratios(family):
     if family == "st0-rank3":
-        return [(ratio_to_vector(r), 3) for r in util.st0_ratios(3)]
+        return util.st0_ratios(3)
     if family == "orbit":
-        return [(ratio_to_vector(r), 4) for r in _orbit()]
+        return util.orbit(UNBOUNDED)
     if family == "rank4-pool":
-        return [(ratio_to_vector(cli.parse_ratio(text)), 4) for _, _, text in util.rank4_pool()]
+        return [cli.parse_ratio(text) for _, _, text in util.rank4_pool()]
     if family == "rank5":  # past the rank budget: lift MAX_RANK first
         drawn = (util.random_st0_ratio(5, random.Random(seed)) for seed in range(30))
-        return [(ratio_to_vector(r), 5) for r in drawn if r is not None]
+        return [r for r in drawn if r is not None]
+    if family == "unbounded-orbit":  # rotations 0 and 2, the two fastest of 16 for the oracle
+        return util.orbit(UNBOUNDED)[0:3:2]
+    rng = random.Random(10)
+    return [_random_3over3(rng) for _ in range(6)]
+
+
+def _queries(family):
     if family == "generators":
         return [(b.vector(), rank) for rank in (2, 3, 4) for b in basic_ratios_all(rank)]
-    if family == "unbounded-orbit":  # the two fastest of 16 for the oracle
-        members = [UNBOUNDED, cyclic_shift_ratio(cyclic_shift_ratio(UNBOUNDED))]
-        return [(ratio_to_vector(r), 4) for r in members]
-    rng = random.Random(10)
-    return [(ratio_to_vector(_random_3over3(rng)), 4) for _ in range(6)]
+    return [(ratio_to_vector(r), r.rank) for r in _ratios(family)]
 
 
 @functools.cache
@@ -483,6 +477,22 @@ def test_cone_certificates_are_pinned(family, monkeypatch):
     assert {kind: h.hexdigest() for kind, h in hashes.items()} == CONE_DIGESTS[family]
 
 
+def test_moved_certificates_verify(monkeypatch):
+    # every rotation and mirror maps the generator set onto itself, so it
+    # maps a certificate for a ratio to one for the ratio's image; verifying
+    # the moved certificate also proves the image's verdict kind
+    monkeypatch.setattr(conelab, "MAX_RANK", 5)  # reached by the rank-5 family only
+    checked = {InCone: 0, Outside: 0}
+    for r in _ratios("orbit") + _ratios("rank4-pool") + _ratios("rank5"):
+        verdict = cone_membership(ratio_to_vector(r), r.rank)
+        for rotation, mirrored, image in orientations(r):
+            moved = util.move_certificate(verdict, r.rank, rotation, mirrored)
+            image_vector = ratio_to_vector(image)
+            assert verify_certificate(image_vector, moved, r.rank), (r, rotation, mirrored)
+            checked[type(moved)] += 1
+    assert all(checked.values()) and sum(checked.values()) == 2392, checked  # 142 ratios
+
+
 # ---------------------------------------------------------------------------
 # the multiplier columns against the dense warm-start tableau
 
@@ -537,16 +547,10 @@ def dense_verdict(vec, rank):
 )
 def test_multiplier_columns_match_the_dense_tableau(family, monkeypatch):
     # the same pivots, so the same verdicts and certificates, byte for byte
-    if family == "orbit":
-        queries = [(ratio_to_vector(r), 4) for r in _orbit()]
-    elif family == "rank5":  # the rank budget lifted as in test_rank5_certificates_verify
+    if family == "rank5":  # the rank budget lifted as in test_rank5_certificates_verify
         monkeypatch.setattr(conelab, "MAX_RANK", 5)
-        drawn = (util.random_st0_ratio(5, random.Random(seed)) for seed in range(30))
-        queries = [(ratio_to_vector(r), 5) for r in drawn if r is not None]
-    else:
-        queries = _queries(family)
     kinds = set()
-    for vec, rank in queries:
+    for vec, rank in _queries(family):
         verdict = cone_membership(vec, rank)
         assert verdict == dense_verdict(vec, rank), vec
         kinds.add(type(verdict))
@@ -556,7 +560,8 @@ def test_multiplier_columns_match_the_dense_tableau(family, monkeypatch):
 
 def test_a_solve_leaves_the_generator_basis_as_built():
     built = copy.deepcopy(conelab._generator_basis(4))
-    queries = [ratio_to_vector(r) for r in _orbit()] + [b.vector() for b in basic_ratios_all(4)[:20]]
+    queries = [ratio_to_vector(r) for r in util.orbit(UNBOUNDED)]
+    queries += [b.vector() for b in basic_ratios_all(4)[:20]]
     verdicts = [cone_membership(vec, 4) for vec in queries]
     assert copy.deepcopy(conelab._generator_basis(4)) == built
     assert [type(v) for v in verdicts] == [Outside] * 16 + [InCone] * 20
@@ -590,7 +595,7 @@ def test_outside_functionals_vanish_on_the_left_over_coordinates(rank, monkeypat
     # its own coordinate there and no other
     monkeypatch.setattr(conelab, "MAX_RANK", 5)
     if rank == 4:
-        ratios = [*_orbit(), *(cli.parse_ratio(text) for _, _, text in util.rank4_pool())]
+        ratios = _ratios("orbit") + _ratios("rank4-pool")
     elif rank == 5:
         ratios = _rank5_ratios()
     else:
@@ -612,7 +617,7 @@ def test_outside_functionals_stay_sparse(monkeypatch):
     # fixed where the check costs most; coordinate order alone gave the 16
     # orbit functionals 476 terms and the rank-5 ones 4,474
     monkeypatch.setattr(conelab, "MAX_RANK", 5)
-    orbit = [cone_membership(ratio_to_vector(r), 4) for r in _orbit()]
+    orbit = [cone_membership(ratio_to_vector(r), 4) for r in util.orbit(UNBOUNDED)]
     rank5 = [cone_membership(ratio_to_vector(r), 5) for r in _rank5_ratios()]
     assert sum(len(v.certificate) for v in orbit) <= 340
     assert sum(len(v.certificate) for v in rank5 if isinstance(v, Outside)) <= 3555
@@ -625,7 +630,7 @@ def test_outside_functionals_stay_sparse(monkeypatch):
 def _checked_queries():
     """The orbit, every rank-4 pool ratio and every rank-3 ST0 two-over-two
     ratio, as (vector, rank) pairs."""
-    ratios = [*_orbit(), *(cli.parse_ratio(text) for _, _, text in util.rank4_pool())]
+    ratios = _ratios("orbit") + _ratios("rank4-pool")
     ratios += util.st0_ratios(3)
     return [(ratio_to_vector(r), r.rank) for r in ratios]
 
@@ -719,7 +724,7 @@ def test_repeated_calls_hold_no_memory():
     # lists keep each such tuple, up to 2,000 per size.  Building each
     # per-call tuple from a list holds both loops under 0.03 blocks a call;
     # building any one of them from a generator again gives 0.19 or more.
-    ratios = [*_orbit(), *(cli.parse_ratio(text) for _, _, text in util.rank4_pool())]
+    ratios = _ratios("orbit") + _ratios("rank4-pool")
     queries = [(r, ratio_to_vector(r)) for r in ratios]
 
     def cone_step(i):

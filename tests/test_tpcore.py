@@ -22,6 +22,7 @@ from tpratio.combinatorics import (
     check_st0,
     cyclic_shift_ratio,
     minor_to_plucker,
+    orientations,
     reversal_ratio,
 )
 from tpratio.errors import InvalidInput, NotTotallyPositive
@@ -695,14 +696,6 @@ FULL_LADDER = (
 )
 
 
-def _orbit(r):
-    """The 2n rotations of ``r``, then their 2n mirror images."""
-    rotations = [r]
-    for _ in range(2 * r.rank - 1):
-        rotations.append(cyclic_shift_ratio(rotations[-1]))
-    return rotations + [reversal_ratio(m) for m in rotations]
-
-
 def _matrix_side(m, rotation, mirrored):
     """The matrix-side orientation: `reverse_matrix` if mirrored, then
     ``(2n - rotation) mod 2n`` times `shift_matrix`."""
@@ -720,7 +713,7 @@ class TestFalsifyOrientation:
 
     def test_counterexample_orbit_matches_matrix_side(self):
         mirror_first_differs = 0
-        for member in _orbit(UNBOUNDED_3OVER3):
+        for member in util.orbit(UNBOUNDED_3OVER3):
             out = falsify(member)
             assert isinstance(out, Evidence)
             assert out.family == "counterexample-family"
@@ -764,21 +757,14 @@ class TestFalsifyOrientation:
             r = util.random_st0_ratio(4, rng)
             if r is not None and check_condition_m(r).holds:
                 screened.append(r)
-        ratios = _orbit(UNBOUNDED_3OVER3) + screened
+        ratios = util.orbit(UNBOUNDED_3OVER3) + screened
         members = {t: counterexample_matrix(t) for t in FULL_LADDER}
         tables = {t: bracket_table(m.entries, Fraction(0), Fraction(1)) for t, m in members.items()}
         for r in ratios:
-            oriented = list(witnesses._orientations(r))
-            rotated = [cyclic_shift_ratio(r, rotation) for rotation in range(8)]
-            assert oriented == [
-                (rotation, mirrored, reversal_ratio(variant) if mirrored else variant)
-                for rotation, variant in enumerate(rotated)
-                for mirrored in (False, True)
-            ]
-            for _, _, variant in oriented:
+            for _, _, image in orientations(r):
                 for t, table in tables.items():
-                    read = ratio_value(variant, lambda s: table[s.mask])
-                    assert read == eval_ratio(members[t], variant), (variant, t)
+                    read = ratio_value(image, lambda s: table[s.mask])
+                    assert read == eval_ratio(members[t], image), (image, t)
         outcomes = [falsify(r) for r in ratios]
         assert {type(out) for out in outcomes} == {Evidence, Inconclusive}
         single = lambda grid, zero, one: {
@@ -793,7 +779,7 @@ class TestFalsifyOrientation:
         inconclusive = ratio(
             4, [(1, 2, 3, 4), (1, 4, 6, 7)], [(1, 2, 4, 7), (1, 3, 4, 6)]
         )
-        member = _orbit(UNBOUNDED_3OVER3)[11]
+        member = util.orbit(UNBOUNDED_3OVER3)[11]
         expected = [falsify(r) for r in (member, inconclusive)]
         assert isinstance(expected[0], Evidence)
         assert isinstance(expected[1], Inconclusive)

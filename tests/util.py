@@ -9,7 +9,9 @@ by exponent tuples, majorization compares prefix sums, brackets and their symmet
 off the ``2n x n`` representative, brackets of a network matrix are summed
 over path families, cone certificates are re-checked against every
 coordinate of every generator, and two-over-two boundedness is decided by
-Temperley-Lieb matchings.
+Temperley-Lieb matchings.  Orbits and moved cone certificates are the
+exception: they read the library's rotations and mirrors (`orientations`,
+`cyclic_shift`, `reversal`), which `test_combinatorics.py` tests.
 """
 
 from __future__ import annotations
@@ -26,9 +28,12 @@ from tpratio.combinatorics import (
     IndexSet,
     RatioExpr,
     all_index_sets,
+    cyclic_shift,
     minor_address,
+    orientations,
+    reversal,
 )
-from tpratio.conelab import InCone
+from tpratio.conelab import InCone, Outside
 from tpratio.errors import InvalidInput
 from tpratio.factorizer import basic_ratios_all
 from tpratio.tpcore import NetworkParams, TPMatrix
@@ -364,6 +369,37 @@ def lgv_minors(params: NetworkParams, alpha: IndexSet) -> Fraction:
             extend(0, wires, (), weight)
         states = dict(nxt)
     return states.get(cols, Fraction(0))
+
+
+def orbit(ratio: RatioExpr) -> list[RatioExpr]:
+    """The ratio's `orientations` images: its ``2n`` rotations, then their
+    mirror images, the order the pinned orbit digests hash."""
+    return [image for _, _, image in sorted(orientations(ratio), key=lambda o: (o[1], o[0]))]
+
+
+@functools.cache
+def _generators_by_vector(rank: int):
+    return {b.vector(): b for b in basic_ratios_all(rank)}
+
+
+def move_certificate(verdict, rank: int, rotation: int, mirrored: bool):
+    """The cone certificate moved by the symmetry that `orientations` names
+    ``(rotation, mirrored)``: an `Outside` functional's keys move, and each
+    `InCone` basic ratio becomes the generator whose vector is its moved
+    vector.  Each symmetry maps the generator set onto itself, so the moved
+    certificate is one for the ratio's image."""
+
+    def move(key: IndexSet) -> IndexSet:
+        key = cyclic_shift(key, rotation)
+        return reversal(key) if mirrored else key
+
+    if isinstance(verdict, Outside):
+        return Outside(tuple((move(k), y) for k, y in verdict.certificate))
+    generators, moved = _generators_by_vector(rank), []
+    for b, c in verdict.coefficients:
+        vector = ExponentVector.from_counts(rank, {move(k): v for k, v in b.vector().entries})
+        moved.append((generators[vector], c))
+    return InCone(tuple(moved))
 
 
 def rank4_pool() -> list[tuple[str, str, str]]:
