@@ -15,6 +15,9 @@ Conventions used throughout the library:
   to complements (`check_condition_m`).
 * The ``4n`` rotations and mirrors of the ``2n``-gon act on ratios
   (`orientations`); the screens, boundedness and the generator set are invariant.
+  On an index set they act on `IndexSet.mask`: `cyclic_shift` rotates its
+  ``2n`` bits and `reversal` reverses them, and both return the one shared
+  index set of the moved mask, built once per process on first use.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput
 
 
-def _check_rank(rank) -> None:
+def check_rank(rank) -> None:
+    """Raise `InvalidInput` unless ``rank`` is a positive ``int``; the one
+    rank check of every type that carries a rank."""
     if type(rank) is not int or rank < 1:  # exactly int: 2.0 and True would hash as 2 and 1
         raise InvalidInput(f"rank must be a positive integer, got {rank!r}")
 
@@ -42,7 +47,7 @@ class IndexSet:
     def __post_init__(self):
         n = self.rank
         elems = self.elements
-        _check_rank(n)
+        check_rank(n)
         if type(elems) is not tuple:  # hashed and compared with other index sets
             raise InvalidInput(f"elements must be a tuple, got {elems!r}")
         if len(elems) != n:
@@ -117,17 +122,30 @@ def minor_address(alpha: IndexSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return rows, tuple(c for c in range(1, n + 1) if not mask >> (2 * n - c) & 1)
 
 
+@cache
+def _shared(rank: int, mask: int) -> IndexSet:
+    """The one index set of ``rank`` whose `IndexSet.mask` is ``mask``,
+    built and validated on first use; every later call returns it, so a
+    rank holds at most ``C(2n, n)`` of them."""
+    return IndexSet(rank, tuple([e + 1 for e in range(2 * rank) if mask >> e & 1]))
+
+
 def cyclic_shift(alpha: IndexSet, steps: int = 1) -> IndexSet:
     """Rotate every element ``steps`` steps around the 2n-gon (2n wraps to
-    1); a negative count rotates back."""
+    1); a negative count rotates back.  Rotates `IndexSet.mask` within its
+    2n bits and returns the shared set of the rotated mask."""
+    if type(steps) is not int:  # exactly int: 2.0 and True would rotate too
+        raise InvalidInput(f"steps must be an integer, got {steps!r}")
     n2 = 2 * alpha.rank
-    return IndexSet.of(alpha.rank, ((e - 1 + steps) % n2 + 1 for e in alpha))
+    k, mask = steps % n2, alpha.mask
+    return _shared(alpha.rank, (mask << k | mask >> (n2 - k)) & ((1 << n2) - 1))
 
 
 def reversal(alpha: IndexSet) -> IndexSet:
-    """Mirror every element: ``e`` becomes ``2n+1-e``.  An involution."""
-    n2 = 2 * alpha.rank
-    return IndexSet.of(alpha.rank, (n2 + 1 - e for e in alpha))
+    """Mirror every element: ``e`` becomes ``2n+1-e``.  An involution.
+    Reverses the 2n bits of `IndexSet.mask` and returns the shared set of
+    the mirrored mask."""
+    return _shared(alpha.rank, int(f"{alpha.mask:0{2 * alpha.rank}b}"[::-1], 2))
 
 
 @dataclass(frozen=True)
@@ -145,7 +163,7 @@ class RatioExpr:
 
     def __post_init__(self):
         n = self.rank
-        _check_rank(n)
+        check_rank(n)
         if type(self.numerator) is not tuple or type(self.denominator) is not tuple:
             raise InvalidInput("numerator and denominator must be tuples of index sets")
         for s in (*self.numerator, *self.denominator):
@@ -163,7 +181,7 @@ class RatioExpr:
         numerator: Iterable[IndexSet],
         denominator: Iterable[IndexSet],
     ) -> "RatioExpr":
-        _check_rank(rank)  # before `base_set` builds the pad
+        check_rank(rank)  # before `base_set` builds the pad
         num = list(numerator)
         den = list(denominator)
         pad = base_set(rank)
@@ -239,7 +257,7 @@ class ExponentVector:
 
     def __post_init__(self):
         entries = self.entries
-        _check_rank(self.rank)
+        check_rank(self.rank)
         if type(entries) is not tuple or any(type(e) is not tuple or len(e) != 2 for e in entries):
             raise InvalidInput("entries must be a tuple of (index set, exponent) pairs")
         keys = [k for k, _ in entries]
@@ -287,6 +305,11 @@ class Arc:
     length: int
 
     def __post_init__(self):
+        check_rank(self.rank)
+        if type(self.start) is not int or type(self.length) is not int:  # a float start gives float members
+            raise InvalidInput(
+                f"start and length must be integers, got {self.start!r} and {self.length!r}"
+            )
         n2 = 2 * self.rank
         if not 1 <= self.start <= n2:
             raise InvalidInput(f"start outside [1, {n2}]: {self.start}")

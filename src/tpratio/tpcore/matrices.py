@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..budgets import MAX_MAGNITUDE
+from ..combinatorics import check_rank
 from ..errors import BudgetExceeded, InvalidInput, NotTotallyPositive
 from .network import NetworkParams, chips, flat_weights, network_product
 
@@ -78,8 +79,7 @@ class TPMatrix:
     entries: Grid
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidInput(f"rank must be positive, got {self.rank}")
+        check_rank(self.rank)
         if len(self.entries) != self.rank or any(
             len(r) != self.rank for r in self.entries
         ):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ..combinatorics import check_rank
 from ..errors import InvalidInput
 
 
@@ -53,6 +54,7 @@ class NetworkParams:
 
     def __post_init__(self):
         n = self.rank
+        check_rank(n)
         k = n * (n - 1) // 2
         if len(self.lower) != k or len(self.upper) != k or len(self.diag) != n:
             raise InvalidInput(

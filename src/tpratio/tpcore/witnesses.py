@@ -22,7 +22,8 @@ rung tables (`_rung_table`) and the random-search matrices
 (`_random_trials`) are built once per process, on first use, and shared
 by every later call.
 Boundedness is invariant under these symmetries, so they act on the ratio,
-never on the matrices.
+never on the matrices: each index set moves by its mask, to a set shared
+by every image that holds it.
 Everything is labeled a numerical witness: growth past a threshold, never
 a proof.
 """
@@ -61,6 +62,8 @@ def witness_family(n: int, s: int, k: int, t: Fraction) -> TPMatrix:
 
     Requires ``1 <= k <= s <= n`` and ``t > 0``.
     """
+    if any(type(v) is not int for v in (n, s, k)):  # exactly int: each counts wires
+        raise InvalidInput(f"n, s and k must be integers, got {n!r}, {s!r} and {k!r}")
     if not 1 <= k <= s <= n:
         raise InvalidInput(f"need 1 <= k <= s <= n, got k={k}, s={s}, n={n}")
     t = Fraction(t)

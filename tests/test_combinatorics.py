@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import subprocess
+import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +159,27 @@ class TestShiftAndReversal:
             for k in range(-2 * n, 2 * n + 1):
                 assert cyclic_shift(a, k) == singles[k % (2 * n)], (a, k)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_masks_move_as_the_elements_do(self, n):
+        # every result is the one shared set of its value, so equal results
+        # are one object
+        shared = {}
+        for a in all_index_sets(n):
+            moved = [(reversal(a), util.mirror_elements(a))]
+            moved += [
+                (cyclic_shift(a, k), util.shift_elements(a, k))
+                for k in range(-2 * n - 1, 2 * n + 2)
+            ]
+            for got, expected in moved:
+                assert got == expected, (a, got, expected)
+                assert got.mask == expected.mask
+                assert shared.setdefault(got, got) is got
+
+    @pytest.mark.parametrize("steps", [2.0, True, False, Fraction(2), "2", None])
+    def test_steps_must_be_exactly_int(self, steps):
+        with pytest.raises(InvalidInput, match="steps must be an integer"):
+            cyclic_shift(iset(2, 1, 3), steps)
+
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_orientations_rotate_then_mirror(self, rank):
         rng = random.Random(rank)
@@ -261,6 +285,21 @@ class TestArcs:
     def test_range_checks(self, start, length, message):
         with pytest.raises(InvalidInput, match=message):
             Arc(2, start, length)
+
+    @pytest.mark.parametrize(
+        "rank, start, length, message",
+        [
+            (2.0, 1, 1, "rank must be a positive integer"),  # built, with members (1.0,)
+            (True, 1, 1, "rank must be a positive integer"),
+            (0, 1, 1, "rank must be a positive integer"),
+            (2, 1.0, 1, "start and length must be integers"),
+            (2, True, 1, "start and length must be integers"),
+            (2, 1, 1.0, "start and length must be integers"),
+        ],
+    )
+    def test_rank_start_and_length_must_be_exactly_int(self, rank, start, length, message):
+        with pytest.raises(InvalidInput, match=message):
+            Arc(rank, start, length)
 
     @pytest.mark.parametrize("n, count", [(2, 8), (3, 18), (4, 32)])
     def test_counts(self, n, count):
@@ -384,6 +423,18 @@ class TestConditionM:
             verdicts = [util.tl_bounded(r) for r in ratios]
             assert sum(verdicts) == bounded
             assert verdicts == [check_condition_m(r).holds for r in ratios]
+
+    def test_exhaustive_script_agrees_at_rank_3(self):
+        # `scripts/check_rank5_theorem.py` runs rank 5 outside the suite; here
+        # the same script at rank 3, where the counts are the ones above
+        script = Path(__file__).resolve().parents[1] / "scripts" / "check_rank5_theorem.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--rank", "3"], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        counts = "ratios: 480\nscreens pass: 285\ntl bounded: 285\nfactored: 285\ndisagreements: 0\n"
+        assert done.stdout.startswith(counts)
 
 
 class TestRatioExpr:

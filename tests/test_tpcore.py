@@ -177,6 +177,20 @@ class TestNetwork:
         with pytest.raises(InvalidInput, match="network weight 0 is not positive"):
             NetworkParams.of(2, [0], [1, 1], [1])
 
+    @pytest.mark.parametrize("rank", [2.0, True, 0])
+    def test_params_rank_must_be_a_positive_int(self, rank):
+        one = (Fraction(1),)
+        with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+            NetworkParams(rank, one, one * 2, one)
+
+    @pytest.mark.parametrize(
+        "rank, entries", [(2.0, ((1, 2), (3, 4))), (True, ((1,),)), (0, ()), (-1, ())]
+    )
+    def test_matrix_rank_must_be_a_positive_int(self, rank, entries):
+        grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+            TPMatrix(rank, grid)
+
 
 def _tp_by_definition(matrix):
     """Every non-empty minor is positive, each by the reference elimination."""
@@ -500,6 +514,12 @@ class TestWitnessFamily:
             witness_family(3, 4, 1, Fraction(2))
         with pytest.raises(InvalidInput, match="the scale parameter must be positive"):
             witness_family(3, 2, 1, Fraction(0))
+
+    @pytest.mark.parametrize("n, s, k", [(3.0, 2, 1), (3, 2.0, 1), (3, 2, 1.0), (3, True, True)])
+    def test_sizes_must_be_exactly_int(self, n, s, k):
+        # 3.0 reached the network layers and raised a bare TypeError there
+        with pytest.raises(InvalidInput, match="n, s and k must be integers"):
+            witness_family(n, s, k, Fraction(2))
 
     def test_members_are_tp(self):
         for s in (1, 2, 3):

@@ -6,12 +6,13 @@ the degree fitter uses divided differences, ratio enumeration works from
 raw index counting, exponent bookkeeping is redone with dictionaries,
 determinants use plain `Fraction` elimination, polynomials are dicts keyed
 by exponent tuples, majorization compares prefix sums, brackets and their symmetries are read
-off the ``2n x n`` representative, brackets of a network matrix are summed
-over path families, cone certificates are re-checked against every
-coordinate of every generator, and two-over-two boundedness is decided by
-Temperley-Lieb matchings.  Orbits and moved cone certificates are the
-exception: they read the library's rotations and mirrors (`orientations`,
-`cyclic_shift`, `reversal`), which `test_combinatorics.py` tests.
+off the ``2n x n`` representative, index sets are rotated and mirrored
+element by element, brackets of a network matrix are summed over path
+families, cone certificates are re-checked against every coordinate of
+every generator, and two-over-two boundedness is decided by Temperley-Lieb
+matchings.  Orbits and moved cone certificates are the exception: they
+read the library's rotations and mirrors (`orientations`, `cyclic_shift`,
+`reversal`), which `test_combinatorics.py` holds to the element-wise ones.
 """
 
 from __future__ import annotations
@@ -111,6 +112,18 @@ def random_shared_split_ratio(rank: int, rng: random.Random) -> RatioExpr:
     b1, b2 = (a1 & a2) | half, (a1 & a2) | (set(unshared) - half)
     sets = [IndexSet.of(rank, s) for s in (a1, a2, b1, b2)]
     return RatioExpr.of(rank, sets[:2], sets[2:])
+
+
+def shift_elements(alpha: IndexSet, steps: int) -> IndexSet:
+    """`cyclic_shift` element by element: each label moves ``steps`` places
+    around the 2n-gon, and the result is sorted and validated afresh."""
+    n2 = 2 * alpha.rank
+    return IndexSet.of(alpha.rank, ((e - 1 + steps) % n2 + 1 for e in alpha))
+
+
+def mirror_elements(alpha: IndexSet) -> IndexSet:
+    """`reversal` element by element: ``e`` becomes ``2n+1-e``."""
+    return IndexSet.of(alpha.rank, (2 * alpha.rank + 1 - e for e in alpha))
 
 
 def vector_sum(vectors) -> dict[IndexSet, int]:
