@@ -9,7 +9,8 @@ totally positive matrices, and backs each verdict with something checkable:
 * arbitrary ratios get polyhedral-cone membership certificates over the
   basic generators, with exact separating functionals on the outside;
 * screened-out ratios get one-parameter totally positive families on which
-  the exact value provably blows through a threshold.
+  the exact value climbs past a threshold: numerical evidence of
+  unboundedness, not a proof, and the search may end `Inconclusive`.
 
 All arithmetic is exact rational.  Floats appear only in displayed
 approximations (the CLI's ``value_float`` and ``(~...)`` renderings), never
@@ -63,21 +64,25 @@ from .polycheck import (
     ratio_difference_poly,
     symbolic_network_matrix,
 )
-from .tpcore import (
+from .tpcore.grassmann import eval_ratio, plucker_eval, reverse_matrix, shift_matrix
+from .tpcore.matrices import (
+    TPMatrix,
+    det,
+    network_matrix,
+    random_network,
+    random_tp,
+    verify_tp,
+)
+from .tpcore.network import NetworkParams, staircase_word, variable_names
+from .tpcore.witnesses import (
+    THRESHOLD,
+    T_LADDER,
     Evidence,
     Inconclusive,
-    NetworkParams,
-    TPMatrix,
     counterexample_matrix,
-    eval_ratio,
     falsify,
-    network_matrix,
-    plucker_eval,
-    random_tp,
-    reverse_matrix,
-    shift_matrix,
-    verify_tp,
     witness_family,
+    witness_matrix,
 )
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from . import combinatorics as comb
 from .budgets import MAX_INPUT_BYTES, MAX_NUMBER_DIGITS, MAX_RATIO_RANK
-from .combinatorics import IndexSet, RatioExpr
-from .conelab import InCone, cone_membership, ratio_to_vector, verify_certificate
+from .combinatorics import ExponentVector, IndexSet, RatioExpr
+from .conelab import InCone, cone_membership, verify_certificate
 from .errors import (
     BudgetExceeded,
     ConditionMViolation,
@@ -40,7 +40,9 @@ from .errors import (
 )
 from .factorizer import basic_ratio_count, basic_ratios_all, factor_to_basics
 from .polycheck import is_subtraction_free, ratio_difference_poly
-from .tpcore import Evidence, TPMatrix, eval_ratio, falsify, random_tp
+from .tpcore.grassmann import eval_ratio
+from .tpcore.matrices import TPMatrix, random_tp
+from .tpcore.witnesses import Evidence, falsify
 
 SCHEMA = "tpratio.report/2"
 
@@ -68,8 +70,6 @@ def parse_ratio(text: str, rank: int | None = None) -> RatioExpr:
     if rank is not None and inferred is not None and rank != inferred:
         raise InvalidInput(f"--n {rank} but bracket terms have size {inferred}")
     n = rank if rank is not None else inferred
-    if n is None:
-        raise InvalidInput("cannot infer the rank from the input")
     if n > MAX_RATIO_RANK:
         raise BudgetExceeded(f"rank {n}: ratios are budgeted to rank {MAX_RATIO_RANK}")
 
@@ -332,7 +332,7 @@ def _cmd_eval(args, ratio):
 
 
 def _cmd_cone(args, ratio):
-    vector = ratio_to_vector(ratio)
+    vector = ExponentVector.of_ratio(ratio)
     verdict = cone_membership(vector, ratio.rank)
     checked = verify_certificate(vector, verdict, ratio.rank)
     fields: dict = {"certificate_verified": checked}

@@ -1,9 +1,9 @@
 """Exponent-vector geometry over the cone of basic ratios.
 
 Ratios embed into the integer lattice over the ``C(2n, n)`` index sets
-(`ratio_to_vector`); products of ratios become sums.  A vector lies in the
-cone generated by the basic ratios exactly when the ratio is a product of
-nonnegative real powers of basics, hence bounded by 1.
+(`ExponentVector.of_ratio`); products of ratios become sums.  A vector lies
+in the cone generated by the basic ratios exactly when the ratio is a
+product of nonnegative real powers of basics, hence bounded by 1.
 
 Membership is decided by an exact homogeneous simplex with Bland's rule (so
 it terminates and is deterministic), warm-started from a basis of the
@@ -49,15 +49,15 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .combinatorics import ExponentVector, IndexSet, RatioExpr, all_index_sets
+from .combinatorics import ExponentVector, IndexSet, all_index_sets
 from .budgets import MAX_RANK
 from .errors import BudgetExceeded, InvalidInput, InvariantViolation
 from .factorizer import BasicRatio, basic_ratios_all
 
 
-def ratio_to_vector(ratio: RatioExpr) -> ExponentVector:
-    """+1 per numerator occurrence, -1 per denominator occurrence."""
-    return ExponentVector.of_ratio(ratio)
+# an alias kept only because the benchmark (perfbench/workloads.py and
+# perfbench/calibrate.py) calls it by this name
+ratio_to_vector = ExponentVector.of_ratio
 
 
 @dataclass(frozen=True)

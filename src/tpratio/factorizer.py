@@ -48,6 +48,7 @@ from .combinatorics import (
     RatioExpr,
     base_set,
     check_condition_m,
+    check_rank,
     check_st0,
 )
 from .errors import (
@@ -622,8 +623,7 @@ def basic_ratio_count(rank: int) -> int:
     """Number of basic ratios, ``n(2n-3) * C(2n-4, n-2)``: pairs of disjoint
     adjacent label pairs on the 2n-gon times the choices for the core.  The
     2-gon of rank 1 has no two disjoint adjacent pairs, so no basic ratio."""
-    if rank < 1:
-        raise InvalidInput("basic ratios need rank >= 1")
+    check_rank(rank)
     if rank > MAX_COUNTED_RANK:
         raise BudgetExceeded(f"counting basic ratios is budgeted to rank {MAX_COUNTED_RANK}")
     return rank * (2 * rank - 3) * comb(2 * rank - 4, rank - 2) if rank > 1 else 0

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .combinatorics import IndexSet, RatioExpr
+from .combinatorics import IndexSet, RatioExpr, check_rank
 from .budgets import MAX_DEGREE, MAX_RANK, TERM_LIMIT
 from .errors import BudgetExceeded, InvalidInput
 from .tpcore.grassmann import bracket_table
@@ -196,6 +196,7 @@ def _nvars(rank: int) -> int:
 def symbolic_network_matrix(rank: int) -> tuple[tuple[Polynomial, ...], ...]:
     """The network matrix with each weight replaced by its own variable, in
     the flat order of `variable_names`."""
+    check_rank(rank)
     if rank > MAX_RANK:
         raise BudgetExceeded(f"symbolic networks are budgeted to rank {MAX_RANK}")
     nv = _nvars(rank)

@@ -120,6 +120,9 @@ def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:
     """Deterministic dyadic weights: each is 2**e with e drawn uniformly
     from [-magnitude, magnitude] by `random.Random(seed)`, in the order
     lower (staircase order), diagonal, upper."""
+    check_rank(rank)
+    if type(magnitude) is not int:  # exactly int: True would draw with magnitude 1
+        raise InvalidInput(f"magnitude must be an integer, got {magnitude!r}")
     if magnitude < 1:
         raise InvalidInput("magnitude must be at least 1")
     if magnitude > MAX_MAGNITUDE:

@@ -31,7 +31,7 @@ from tpratio.conelab import InCone, cone_membership, ratio_to_vector, verify_cer
 from tpratio.errors import ConditionMViolation, St0Violation
 from tpratio.factorizer import BasicRatio, basic_ratios_all, factor_to_basics
 from tpratio.polycheck import is_subtraction_free, ratio_difference_poly
-from tpratio.tpcore import (
+from tpratio import (
     T_LADDER,
     Evidence,
     counterexample_matrix,

@@ -17,6 +17,7 @@ Run it alone with ``pytest tests/test_census.py -v -s`` to see the counts.
 
 import random
 
+from tpratio import Evidence, falsify
 from tpratio.combinatorics import (
     IndexSet,
     RatioExpr,
@@ -31,7 +32,6 @@ from tpratio.conelab import (
     verify_certificate,
 )
 from tpratio.polycheck import is_subtraction_free, ratio_difference_poly
-from tpratio.tpcore import Evidence, falsify
 
 import util
 

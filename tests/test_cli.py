@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpratio import random_tp
 from tpratio.budgets import MAX_DEGREE, MAX_INPUT_BYTES, MAX_MAGNITUDE, MAX_RATIO_RANK
 from tpratio.cli import _entries, main, parse_ratio
 from tpratio.combinatorics import IndexSet, RatioExpr
 from tpratio.errors import InvalidInput, RatioSyntaxError
-from tpratio.tpcore import random_tp
 
 
 def iset(n, *elems):

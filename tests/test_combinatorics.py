@@ -443,6 +443,9 @@ class TestRatioExpr:
         assert r.denominator == (base_set(2),)
         r2 = RatioExpr.of(2, [iset(2, 1, 2), iset(2, 1, 3)], [iset(2, 1, 4)])
         assert r2.denominator == (iset(2, 1, 4), base_set(2))
+        # the empty ratio is 1, written with one set a side
+        r3 = RatioExpr.of(3, [], [])
+        assert r3.numerator == r3.denominator == (base_set(3),)
 
     @pytest.mark.parametrize(
         "numerator, denominator, message",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tpratio import cli, conelab, polycheck
+from tpratio import cli, conelab, eval_ratio, polycheck, random_tp, witness_family
 from tpratio.combinatorics import (
     ExponentVector,
     IndexSet,
@@ -35,7 +35,6 @@ from tpratio.factorizer import (
     elementary_to_basics,
     factor_to_basics,
 )
-from tpratio.tpcore import eval_ratio, random_tp, witness_family
 
 import util
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tpratio import factorizer
+from tpratio import eval_ratio, factorizer, random_tp
 from tpratio.combinatorics import (
     ExponentVector,
     IndexSet,
@@ -17,6 +17,7 @@ from tpratio.errors import ConditionMViolation, InvalidInput, St0Violation
 from tpratio.factorizer import (
     BasicRatio,
     ElementaryRatio,
+    basic_ratio_count,
     basic_ratios_all,
     classify_elementary,
     decompose,
@@ -28,7 +29,6 @@ from tpratio.factorizer import (
     mu,
     split_once,
 )
-from tpratio.tpcore import eval_ratio, random_tp
 
 import util
 
@@ -109,6 +109,10 @@ class TestTrivial:
     def test_crossed_match(self):
         assert is_trivial(ratio(2, [(1, 2), (3, 4)], [(3, 4), (1, 2)]))
         assert not is_trivial(ratio(2, [(1, 4), (2, 3)], [(1, 3), (2, 4)]))
+
+    def test_arity(self):
+        with pytest.raises(InvalidInput, match="need exactly two sets per side, got 1"):
+            is_trivial(ratio(2, [(1, 2)], [(1, 2)]))
 
     def test_low_nu_st0_ratios_are_trivial(self):
         for r in util.st0_ratios(2):
@@ -313,6 +317,11 @@ class TestFactorToBasics:
             factor_to_basics(ratio(2, [(1, 3), (2, 4)], [(1, 4), (2, 3)]))
         assert set(err.value.arc.members) == {2, 3}
 
+    def test_three_sets_a_side_refused(self):
+        r = ratio(2, [(1, 2), (3, 4), (1, 3)], [(1, 2), (3, 4), (1, 3)])
+        with pytest.raises(InvalidInput, match="at most two sets per side, got 3"):
+            factor_to_basics(r)
+
     def test_one_over_one_is_padded(self):
         res = factor_to_basics(RatioExpr.of(2, [iset(2, 1, 3)], [iset(2, 1, 3)]))
         assert res.basics == ()
@@ -482,6 +491,13 @@ class TestBasicRatiosAll:
 
     def test_n2_generators(self):
         assert basic_ratios_all(2) == [BasicRatio.of(2, 1, 3, ()), BasicRatio.of(2, 2, 4, ())]
+
+    # 2.0 raised a bare TypeError from `math.comb`; True counted 0 generators
+    @pytest.mark.parametrize("rank", [2.0, True, 0], ids=["float", "bool", "zero"])
+    @pytest.mark.parametrize("build", [basic_ratio_count, basic_ratios_all])
+    def test_rank_must_be_a_positive_int(self, build, rank):
+        with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+            build(rank)
 
     def test_swap_canonicalization(self):
         assert BasicRatio.of(3, 5, 1, (3,)) == BasicRatio.of(3, 1, 5, (3,))

@@ -16,10 +16,13 @@ class, unless a package ``__init__`` re-exports it: one that only the tests
 call belongs in the tests.  Inside a function, likewise, every local name
 bound by an assignment, a loop, a ``with``, an ``except`` or a ``:=`` must
 be read, by the function or by a function nested in it; ``_`` is exempt.
-`tpratio.tpcore` lists in ``__all__`` exactly the names its ``__init__``
-imports, and a star import of either package succeeds.  Each screen's
-violation (`St0Violation`, `ConditionMViolation`) is constructed at one
-site under ``src/``, so a failing verdict's fields are copied into it once.
+Each public name of `tpratio.tpcore` has two import paths, its module and
+`tpratio`: the package imports nothing and lists nothing in ``__all__``,
+binds no public name but its four modules, and a star import of either
+package succeeds, binding the re-exported names from `tpratio` only.
+Each screen's violation
+(`St0Violation`, `ConditionMViolation`) is constructed at one site under
+``src/``, so a failing verdict's fields are copied into it once.
 The cone checker `verify_certificate`, and every module-level name it
 reaches, reaches none of the private names the solver `cone_membership`
 reaches, past the rank check both make: the checker shares no code with
@@ -27,6 +30,7 @@ the solver it re-checks.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -80,18 +84,58 @@ def test_no_assert(path):
     assert not lines, f"{path.name}: assert on lines {lines}"
 
 
+# the names `tpratio.tpcore` re-exported until it became a plain package,
+# by defining module
+TPCORE_NAMES = {
+    "grassmann": ["eval_ratio", "plucker_eval", "reverse_matrix", "shift_matrix"],
+    "matrices": [
+        "TPMatrix",
+        "det",
+        "network_matrix",
+        "random_network",
+        "random_tp",
+        "verify_tp",
+    ],
+    "network": ["NetworkParams", "staircase_word", "variable_names"],
+    "witnesses": [
+        "THRESHOLD",
+        "T_LADDER",
+        "Evidence",
+        "Inconclusive",
+        "counterexample_matrix",
+        "falsify",
+        "witness_family",
+        "witness_matrix",
+    ],
+}
+
+
+def test_tpcore_names_import_from_their_module_and_the_root():
+    import tpratio
+    import tpratio.tpcore
+
+    for module, names in TPCORE_NAMES.items():
+        home = importlib.import_module(f"tpratio.tpcore.{module}")
+        for name in names:
+            assert getattr(tpratio, name) is getattr(home, name), name
+    public = {name for name in vars(tpratio.tpcore) if not name.startswith("_")}
+    assert public == set(TPCORE_NAMES)
+
+
 def test_tpcore_exports_what_it_imports():
     import tpratio.tpcore
 
+    # a plain package: no import to re-export and no `__all__` to keep in step
     imported = set(_imported(ast.parse(TPCORE_INIT.read_text(encoding="utf-8"))))
-    assert set(tpratio.tpcore.__all__) == imported
+    assert set(getattr(tpratio.tpcore, "__all__", ())) == imported == set()
 
 
 @pytest.mark.parametrize("package", ["tpratio", "tpratio.tpcore"])
 def test_star_import(package):
     namespace = {}
     exec(f"from {package} import *", namespace)
-    assert "plucker_eval" in namespace
+    # the root re-exports the `tpcore` names; `tpratio.tpcore` binds none
+    assert ("plucker_eval" in namespace) == (package == "tpratio")
 
 
 def test_modules_found():

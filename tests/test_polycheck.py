@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tpratio import polycheck
+from tpratio import network_matrix, plucker_eval, polycheck, random_network
 from tpratio.budgets import MAX_DEGREE
 from tpratio.combinatorics import IndexSet, RatioExpr, all_index_sets
 from tpratio.errors import BudgetExceeded, InvalidInput
@@ -17,11 +17,6 @@ from tpratio.polycheck import (
     ratio_difference_poly,
     symbolic_bracket,
     symbolic_network_matrix,
-)
-from tpratio.tpcore import (
-    network_matrix,
-    plucker_eval,
-    random_network,
 )
 from tpratio.tpcore.network import flat_weights
 
@@ -85,6 +80,12 @@ class TestSymbolicMatrix:
         r = ratio(5, [(1, 2, 3, 4, 5)], [(1, 2, 3, 4, 6)])
         with pytest.raises(BudgetExceeded, match="symbolic networks are budgeted to rank 4"):
             ratio_difference_poly(r)
+
+    # 0 and -1 gave (), 2.0 raised a bare TypeError
+    @pytest.mark.parametrize("rank", [0, -1, 2.0])
+    def test_rank_must_be_a_positive_int(self, rank):
+        with pytest.raises(InvalidInput, match="rank must be a positive integer"):
+            symbolic_network_matrix(rank)
 
     def test_evaluate_needs_one_value_per_variable(self):
         with pytest.raises(InvalidInput, match="need 4 values, got 3"):
@@ -271,6 +272,22 @@ class TestPackedKernel:
             (MAX_DEGREE, 0, 0, 0): 1,
             (0, MAX_DEGREE, 0, 0): -1,
         }
+
+    def test_term_budget_refuses_before_the_product(self):
+        # 7,000 terms squared would make 49,000,000 products, over four
+        # times TERM_LIMIT
+        big = Polynomial(2, {(a, b): 1 for a in range(70) for b in range(100)})
+        assert len(big.terms) == 7000
+        with pytest.raises(BudgetExceeded, match="product exceeds the term budget"):
+            big * big
+
+    def test_term_budget_on_the_product(self, monkeypatch):
+        # (x + y)^2 has 3 terms from 4 products: under the pre-check's four
+        # times the limit, over the limit itself
+        monkeypatch.setattr(polycheck, "TERM_LIMIT", 2)
+        x_plus_y = var(2, 0) + var(2, 1)
+        with pytest.raises(BudgetExceeded, match="polynomial exceeds the term budget"):
+            x_plus_y * x_plus_y
 
     def test_malformed_exponents(self):
         for exps in [(1, 0, 0), (1, -1, 0, 0)]:

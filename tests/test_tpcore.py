@@ -26,7 +26,7 @@ from tpratio.combinatorics import (
     reversal_ratio,
 )
 from tpratio.errors import InvalidInput, NotTotallyPositive
-from tpratio.tpcore import (
+from tpratio import (
     T_LADDER,
     Evidence,
     Inconclusive,
@@ -177,6 +177,15 @@ class TestNetwork:
         with pytest.raises(InvalidInput, match="network weight 0 is not positive"):
             NetworkParams.of(2, [0], [1, 1], [1])
 
+    @pytest.mark.parametrize(
+        "lower, diag, upper",
+        [([1, 1], [1, 1], [1]), ([1], [1], [1]), ([1], [1, 1], [])],
+        ids=["lower", "diag", "upper"],
+    )
+    def test_weight_counts_must_match_the_rank(self, lower, diag, upper):
+        with pytest.raises(InvalidInput, match="need 1 lower, 2 diagonal, 1 upper weights"):
+            NetworkParams.of(2, lower, diag, upper)
+
     @pytest.mark.parametrize("rank", [2.0, True, 0])
     def test_params_rank_must_be_a_positive_int(self, rank):
         one = (Fraction(1),)
@@ -278,6 +287,23 @@ class TestRandomTp:
                     )
                     expected = NetworkParams(n, draw(k), draw(n), draw(k))
                     assert repr(random_network(n, seed, magnitude)) == repr(expected)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # a bare TypeError from `range`
+            ((2.0, 0), "rank must be a positive integer, got 2.0"),
+            # a DeprecationWarning, then a bare ValueError from `random.randrange`
+            ((3, 0, 2.5), "magnitude must be an integer, got 2.5"),
+            # drew with magnitude 1
+            ((3, 0, True), "magnitude must be an integer, got True"),
+        ],
+        ids=["float-rank", "float-magnitude", "bool-magnitude"],
+    )
+    def test_rank_and_magnitude_must_be_ints(self, args, message):
+        for build in (random_network, random_tp):
+            with pytest.raises(InvalidInput, match=message):
+                build(*args)
 
 
 class TestGrassmann:
@@ -590,6 +616,11 @@ class TestCounterexample:
     def test_tp_at_1_and_10(self):
         assert verify_tp(counterexample_matrix(Fraction(1)))
         assert verify_tp(counterexample_matrix(Fraction(10)))
+
+    @pytest.mark.parametrize("t", [0, Fraction(-1, 2)])
+    def test_scale_must_be_positive(self, t):
+        with pytest.raises(InvalidInput, match="the scale parameter must be positive"):
+            counterexample_matrix(t)
 
     def test_ratio_grows_without_bound(self):
         assert check_st0(UNBOUNDED_3OVER3).holds

@@ -24,6 +24,7 @@ from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
+from tpratio import NetworkParams, TPMatrix
 from tpratio.combinatorics import (
     ExponentVector,
     IndexSet,
@@ -37,7 +38,6 @@ from tpratio.combinatorics import (
 from tpratio.conelab import InCone, Outside
 from tpratio.errors import InvalidInput
 from tpratio.factorizer import basic_ratios_all
-from tpratio.tpcore import NetworkParams, TPMatrix
 from tpratio.tpcore.network import chips, flat_weights
 
 RANK4_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "rank4_pool.tsv"
