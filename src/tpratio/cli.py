@@ -59,6 +59,8 @@ def parse_ratio(text: str, rank: int | None = None) -> RatioExpr:
     between tokens but ends a label, so ``[1 0]`` is an error, not 10.
     Syntax errors carry the 0-based offset of the offending character.
     """
+    if rank is not None:
+        comb.check_rank(rank)
     num_terms, den_terms, minor_seen = _scan_terms(text)
     if minor_seen and rank is None:
         raise InvalidInput("minor notation needs an explicit rank (--n)")

@@ -100,6 +100,7 @@ def minor_to_plucker(rank: int, rows: Iterable[int], cols: Iterable[int]) -> Ind
     The rows survive unchanged; each column *not* selected contributes the
     mirrored label ``2n+1-c``.  The result always has exactly ``n`` elements.
     """
+    check_rank(rank)
     rows, cols = tuple(sorted(rows)), tuple(sorted(cols))
     if len(rows) != len(cols):
         raise InvalidInput(f"row set {rows!r} and column set {cols!r} differ in size")

@@ -17,11 +17,12 @@ equally many brackets.
 `ratio_value` multiplies a ratio out from any source of bracket values,
 reading each distinct bracket once by `IndexSet.mask`.  `eval_ratio` feeds
 it `plucker_eval`, the one reader of a single minor, which takes `det` of
-the sub-grid `minor_address` names; a caller that reads many ratios off
-one matrix feeds it `bracket_table`, the table of every bracket at once,
-keyed by `IndexSet.mask`: the one Laplace expansion of all minors, which
-`tpratio.tpcore.witnesses` takes over `Fraction` and
-`tpratio.polycheck.symbolic_bracket` over polynomials.
+the sub-grid `minor_address` names on the matrix's integer rows, cleared
+once per matrix (`TPMatrix.cleared`), not once per minor.  A caller that
+reads many ratios off one matrix feeds it `bracket_table`, the table of
+every bracket at once, keyed by `IndexSet.mask`: the one Laplace
+expansion of all minors, which `tpratio.tpcore.witnesses` takes over
+`Fraction` and `tpratio.polycheck.symbolic_bracket` over polynomials.
 """
 
 from __future__ import annotations
@@ -45,12 +46,15 @@ from .matrices import TPMatrix, det, require_tp
 
 def plucker_eval(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
     """Bracket of ``alpha``: `det` of the rows and kept columns
-    `minor_address` names, read straight off the entries."""
+    `minor_address` names, read off the matrix's integer rows
+    (`TPMatrix.cleared`, built once per matrix) with those rows' scales."""
     if alpha.rank != matrix.rank:
         raise InvalidInput(f"bracket rank {alpha.rank} vs matrix rank {matrix.rank}")
     rows, cols = minor_address(alpha)
-    entries = matrix.entries
-    return det([[entries[r - 1][c - 1] for c in cols] for r in rows])
+    cleared, scales = matrix.cleared
+    return det(
+        [[cleared[r - 1][c - 1] for c in cols] for r in rows], [scales[r - 1] for r in rows]
+    )
 
 
 def bracket_table(grid, zero, one) -> dict:

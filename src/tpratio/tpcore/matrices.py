@@ -1,13 +1,15 @@
 """Exact rational matrices, minors, and total-positivity checks.
 
 Everything in this module is exact and no floating point appears anywhere.
-Entries are `fractions.Fraction`; the one kernel inside, `det`, runs over
-Python ints.  `verify_tp` hands it the initial minors' blocks, and
-`grassmann.plucker_eval` the sub-grid an index set names, a determinant
-of at most ``n x n`` and often much smaller.  `det` clears one
-denominator per row and runs Bareiss's fraction-free elimination, so
-every division is exact and no gcd is paid until the one `Fraction` it
-returns.
+Entries are `fractions.Fraction`; the one kernel inside, `det`, runs
+Bareiss's fraction-free elimination over Python ints, so every division
+is exact and no gcd is paid until the one `Fraction` it returns.  A
+matrix clears its rows once, on first use: `TPMatrix.cleared` holds each
+row times the lcm of its denominators, and those lcms.  `verify_tp` hands
+`det` the initial minors' blocks of those integer rows, and
+`grassmann.plucker_eval` the integer sub-grid an index set names, each
+with its rows' lcms as the scales, so a matrix read for many minors
+clears its denominators once, not once per minor.
 `network_matrix` multiplies the planar network out with
 `tpratio.tpcore.network.network_product`, the one routine that multiplies
 layers, over `Fraction`.
@@ -19,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from ..budgets import MAX_MAGNITUDE
@@ -28,46 +31,55 @@ from .network import NetworkParams, chips, flat_weights, network_product
 
 Row = tuple[Fraction, ...]
 Grid = tuple[Row, ...]
+IntGrid = tuple[tuple[int, ...], ...]
 
 
 def as_grid(rows: Sequence[Sequence]) -> Grid:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by Bareiss elimination over ints, with row swaps.
-
-    Each row is cleared by the lcm of its denominators, and the product of
-    those lcms is the scale the integer determinant is divided by.  Step
-    ``k`` replaces every entry below and right of the pivot by the 2 x 2
-    minor with the pivot, divided exactly by the previous pivot, so the
-    last pivot is the determinant of the cleared rows."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    work, scale = [], 1
+def _clear(rows: Sequence[Sequence[Fraction]]) -> tuple[IntGrid, tuple[int, ...]]:
+    """Each row times the lcm of its denominators, as ints, and those lcms."""
+    cleared, lcms = [], []
     for row in rows:
         lcm = math.lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (lcm // x.denominator) for x in row])
-        scale *= lcm
+        cleared.append(tuple([x.numerator * (lcm // x.denominator) for x in row]))
+        lcms.append(lcm)
+    return tuple(cleared), tuple(lcms)
+
+
+def det(rows: Sequence[Sequence], scales: Sequence[int] | None = None) -> Fraction:
+    """Exact determinant by Bareiss elimination over ints, with row swaps.
+
+    ``rows`` are `Fraction` rows, which `det` clears itself, or, with
+    ``scales``, integer rows, row ``i`` a rational row times the positive
+    ``scales[i]`` (any common multiple of its denominators, such as the
+    full row's lcm in `TPMatrix.cleared` for a sub-row); the result is the
+    determinant of the rational rows, the integer one over the product of
+    the scales.  Step ``k`` replaces the rows below the pivot by their
+    2 x 2 minors with it, divided exactly by the previous pivot, so the
+    last pivot is the determinant of the integer rows.  ``rows`` are not
+    modified."""
+    if not rows:
+        return Fraction(1)
+    if scales is None:
+        rows, scales = _clear(rows)
+    work = list(rows)
     sign, previous = 1, 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
+    while len(work) > 1:
+        if work[0][0] == 0:
+            swap = next((r for r in range(1, len(work)) if work[r][0] != 0), None)
             if swap is None:
                 return Fraction(0)
-            work[k], work[swap] = work[swap], work[k]
+            work[0], work[swap] = work[swap], work[0]
             sign = -sign
-        pivot_row = work[k]
-        pivot = pivot_row[k]
-        for row in work[k + 1 :]:
-            lead = row[k]
-            row[k + 1 :] = [
-                (pivot * x - lead * y) // previous
-                for x, y in zip(row[k + 1 :], pivot_row[k + 1 :])
-            ]
+        pivot, *tail = work[0]
+        work = [
+            [(pivot * x - row[0] * y) // previous for x, y in zip(row[1:], tail)]
+            for row in work[1:]
+        ]
         previous = pivot
-    return Fraction(sign * work[-1][-1], scale)
+    return Fraction(sign * work[0][0], math.prod(scales))
 
 
 @dataclass(frozen=True)
@@ -90,20 +102,30 @@ class TPMatrix:
         grid = as_grid(rows)
         return cls(len(grid), grid)
 
+    @cached_property
+    def cleared(self) -> tuple[IntGrid, tuple[int, ...]]:
+        """The rows as ints, each times the lcm of its denominators, and
+        those lcms: the integer rows and scales `det` takes, built on first
+        use and shared by every minor read off this matrix."""
+        return _clear(self.entries)
+
 
 def verify_tp(matrix: TPMatrix) -> bool:
     """Total positivity via the n^2 initial minors.
 
     An initial minor has contiguous rows and columns, one of which starts
     at index 1; positivity of all of them is equivalent to positivity of
-    every minor (Gasca and Peña, 1992).  The tests hold this to the
-    definition, every minor positive, up to rank 4.
+    every minor (Gasca and Peña, 1992).  Each is `det` of a block of the
+    matrix's integer rows (`TPMatrix.cleared`).  The tests hold this to
+    the definition, every minor positive, up to rank 6.
     """
     n = matrix.rank
+    rows, scales = matrix.cleared
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             size = min(i, j)
-            if det([row[j - size : j] for row in matrix.entries[i - size : i]]) <= 0:
+            block = [row[j - size : j] for row in rows[i - size : i]]
+            if det(block, scales[i - size : i]) <= 0:
                 return False
     return True
 
@@ -119,8 +141,10 @@ def network_matrix(params: NetworkParams) -> TPMatrix:
 def random_network(rank: int, seed: int, magnitude: int = 3) -> NetworkParams:
     """Deterministic dyadic weights: each is 2**e with e drawn uniformly
     from [-magnitude, magnitude] by `random.Random(seed)`, in the order
-    lower (staircase order), diagonal, upper."""
+    lower (staircase order), diagonal, upper.  ``seed`` must be an `int`."""
     check_rank(rank)
+    if type(seed) is not int:  # exactly int: None draws from OS entropy, True and 1.0 as 1
+        raise InvalidInput(f"seed must be an integer, got {seed!r}")
     if type(magnitude) is not int:  # exactly int: True would draw with magnitude 1
         raise InvalidInput(f"magnitude must be an integer, got {magnitude!r}")
     if magnitude < 1:

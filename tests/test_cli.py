@@ -84,6 +84,24 @@ class TestParse:
         with pytest.raises(InvalidInput, match="element 5 exceeds 2n = 4"):
             parse_ratio("[1,5]/[1,5]")  # element above 2n
 
+    @pytest.mark.parametrize(
+        "text, rank",
+        [
+            ("(1|1)/(2|2)", 2.0),  # a bare TypeError from `range`
+            ("(1|1)/(2|2)", 0),  # "rows outside [1, 0]: (1,)", blaming the rows
+            ("[1,3]/[2,4]", 0),  # "--n 0 but bracket terms have size 2"
+        ],
+        ids=["float-minor", "zero-minor", "zero-bracket"],
+    )
+    def test_explicit_rank_is_checked_first(self, text, rank):
+        with pytest.raises(InvalidInput, match=f"rank must be a positive integer, got {rank!r}"):
+            parse_ratio(text, rank)
+
+    @pytest.mark.parametrize("ratio", ["(1|1)/(2|2)", "[1,3]/[2,4]"], ids=["minor", "bracket"])
+    def test_command_line_rank_zero(self, capsys, ratio):
+        code, out, err = run(capsys, "check", ratio, "--n", "0")
+        assert (code, out, err) == (1, "", "error: rank must be a positive integer, got 0\n")
+
     def test_padding_uneven_sides(self):
         r = parse_ratio("[1,2][3,4]/[1,3]")
         assert r.denominator == (iset(2, 1, 3), iset(2, 3, 4))

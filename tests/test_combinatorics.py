@@ -114,6 +114,18 @@ class TestMinorBridge:
         with pytest.raises(InvalidInput, match=message):
             minor_to_plucker(2, rows, cols)
 
+    @pytest.mark.parametrize(
+        "rank",
+        [
+            2.0,  # a bare TypeError from `range`
+            0,  # "rows outside [1, 0]: (1,)", blaming the rows
+        ],
+        ids=["float", "zero"],
+    )
+    def test_minor_to_plucker_checks_its_rank(self, rank):
+        with pytest.raises(InvalidInput, match=f"rank must be a positive integer, got {rank!r}"):
+            minor_to_plucker(rank, (1,), (1,))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_round_trip_exhaustive(self, n):
         labels = range(1, n + 1)

@@ -119,6 +119,43 @@ class TestDet:
                 assert det(combined) == 0
 
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cleared_rows_match_fraction_rows(self, n):
+        """`det` on a matrix's cleared integer rows with their scales equals
+        `det` on the `Fraction` rows, with a swap and on singular grids; any
+        common multiple of a row's denominators serves as its scale."""
+        rng = random.Random(100 + n)
+        for _ in range(20):
+            mixed = rational_rows(rng, n, (1, 2, 3, 5, 7, 12))
+            zero_lead = [list(r) for r in mixed]
+            zero_lead[0][0] = Fraction(0)
+            cases = [mixed, zero_lead, [r[:-1] + [Fraction(0)] for r in mixed]]
+            if n >= 2:
+                cases.append(mixed[:-1] + [list(mixed[0])])
+            for rows in cases:
+                ints, scales = TPMatrix.of(rows).cleared
+                value = det(rows)
+                assert det(ints, scales) == value == util.fraction_det(rows), rows
+                widened = [[3 * x for x in row] for row in ints]
+                assert det(widened, [3 * s for s in scales]) == value
+                assert widened == [[3 * x for x in row] for row in ints]  # not modified
+        # the second pivot vanishes only after the first step, and needs a swap
+        assert det(*TPMatrix.of([[1, 2, 3], [2, 4, 5], [3, 5, 6]]).cleared) == -1
+
+    def test_cleared_rows_are_built_once(self):
+        m = counterexample_matrix(Fraction(10))
+        first = m.cleared
+        assert m.cleared is first
+        assert verify_tp(m) and plucker_eval(m, base_set(4)) == 1 and m.cleared is first
+        rows, scales = first
+        assert all(type(x) is int for row in rows for x in row)
+        assert scales == tuple(math.lcm(*(x.denominator for x in r)) for r in m.entries)
+        assert tuple(tuple(Fraction(x, s) for x in row) for row, s in zip(rows, scales)) == m.entries
+        # the cache is not a field: equality and hashing read rank and entries alone
+        again = counterexample_matrix(Fraction(10))
+        assert m == again and hash(m) == hash(again) and repr(m) == repr(again)
+
+
 class TestNetwork:
     def test_staircase_word(self):
         assert staircase_word(2) == (1,)
@@ -210,6 +247,19 @@ def _tp_by_definition(matrix):
     )
 
 
+def _mixed_signs(n):
+    """A rank-``n`` matrix with negative entries, and for ``n >= 2`` a zero
+    entry and a first row with denominators 4 and 3: that row's lcm, 12,
+    exceeds the lcm of either of its one-entry sub-rows, so a minor read
+    off the cleared rows is scaled by more than its own rows need."""
+    rows = rational_rows(random.Random(n), n, (1, 2, 3, 4), numerators=(-3, -1, 0, 0, 1, 2))
+    rows[0][0] = Fraction(-1, 4)
+    if n >= 2:
+        rows[0][1] = Fraction(2, 3)
+        rows[-1][-1] = Fraction(0)
+    return TPMatrix.of(rows)
+
+
 def _nudged(matrix):
     """Copies of a totally positive ``matrix`` with one entry moved, each
     with whether it is still totally positive.  Every minor is affine in
@@ -267,6 +317,25 @@ class TestVerifyTp:
                 assert verify_tp(copy) == _tp_by_definition(copy) == tp
 
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cleared_rows_match_definition(self, n):
+        """`verify_tp` reads the cleared rows; it still agrees with every
+        minor positive on networks, on copies with a corner entry zeroed or
+        negated, and on matrices with mixed signs and denominators."""
+        rng = random.Random(n)
+        matrices = [_mixed_signs(n), TPMatrix.of(rational_rows(rng, n, (1, 2, 3), range(1, 9)))]
+        for seed, magnitude in ((0, 3), (1, 6)):
+            m = random_tp(n, seed, magnitude)
+            matrices.append(m)
+            for i, j, x in ((n - 1, 0, Fraction(0)), (0, 0, -m.entries[0][0])):
+                rows = [list(r) for r in m.entries]
+                rows[i][j] = x
+                matrices.append(TPMatrix.of(rows))
+        verdicts = [verify_tp(m) for m in matrices]
+        assert verdicts == [_tp_by_definition(m) for m in matrices]
+        assert True in verdicts and (n == 1 or False in verdicts)
+
+
 class TestRandomTp:
     def test_deterministic(self):
         assert random_tp(3, 7) == random_tp(3, 7)
@@ -304,6 +373,20 @@ class TestRandomTp:
         for build in (random_network, random_tp):
             with pytest.raises(InvalidInput, match=message):
                 build(*args)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            None,  # drew from OS entropy: random_tp(3, None) != random_tp(3, None)
+            True,  # drew as seed 1
+            1.0,  # drew as seed 1
+        ],
+        ids=["none", "bool", "float"],
+    )
+    def test_seed_must_be_an_int(self, seed):
+        for build in (random_network, random_tp):
+            with pytest.raises(InvalidInput, match=f"seed must be an integer, got {seed!r}"):
+                build(3, seed)
 
 
 class TestGrassmann:
@@ -360,6 +443,23 @@ class TestGrassmann:
         for m in matrices:
             for alpha in all_index_sets(n):
                 assert plucker_eval(m, alpha) == util.representative_bracket(m, alpha)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_brackets_read_off_cleared_rows(self, n):
+        """`plucker_eval` reads the cleared rows, each scaled by its full
+        row's lcm; every bracket equals `det` of the `Fraction` sub-grid."""
+        matrices = [random_tp(n, seed, magnitude) for seed in (0, 1) for magnitude in (3, 6)]
+        mixed = _mixed_signs(n)
+        matrices.append(mixed)
+        if n >= 2:
+            first = mixed.entries[0]
+            assert any(x < 0 for x in first) and any(x == 0 for row in mixed.entries for x in row)
+            assert math.lcm(first[0].denominator) < mixed.cleared[1][0]
+        if n == 4:
+            matrices += [counterexample_matrix(t) for t in (Fraction(1, 3), *T_LADDER)]
+        for m in matrices:
+            for alpha in all_index_sets(n):
+                assert plucker_eval(m, alpha) == det(util.sub_grid(m, alpha)), (m, alpha)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_brackets_positive(self, n):
