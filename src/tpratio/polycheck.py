@@ -20,15 +20,16 @@ The symbolic network matrix is
 `tpratio.tpcore.network.network_product` taken over polynomials, with
 variable ``i`` standing for weight ``i`` of the flat order (`flat_weights`,
 `variable_names`); `network_matrix` takes the same product over `Fraction`.
-Its brackets are `tpratio.tpcore.grassmann.bracket_table` taken over
-polynomials, the same expansion the falsifier's rung tables run over
-`Fraction`, built once per rank; so
+Its brackets come from `_symbolic_brackets`, the one Laplace expansion of
+all minors, built once per rank; numeric brackets never run it, they are
+`det` of integer rows (`tpratio.tpcore.grassmann.plucker_eval`).  So
 ``symbolic_bracket(n, alpha).evaluate(flat_weights(p))`` is the exact
-bracket of ``network_matrix(p)``.
+bracket of ``network_matrix(p)``, by another algorithm.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -36,7 +37,6 @@ from functools import cache
 from .combinatorics import IndexSet, RatioExpr, check_rank
 from .budgets import MAX_DEGREE, MAX_RANK, TERM_LIMIT
 from .errors import BudgetExceeded, InvalidInput
-from .tpcore.grassmann import bracket_table
 from .tpcore.network import chips, network_product, variable_names
 
 Exponents = tuple[int, ...]
@@ -208,11 +208,30 @@ def symbolic_network_matrix(rank: int) -> tuple[tuple[Polynomial, ...], ...]:
 
 @cache
 def _symbolic_brackets(rank: int) -> dict[int, Polynomial]:
-    """`bracket_table` of the symbolic network matrix, built once per rank."""
-    nv = _nvars(rank)
-    return bracket_table(
-        symbolic_network_matrix(rank), Polynomial.zero(nv), Polynomial.constant(nv, 1)
-    )
+    """Every bracket of the symbolic network matrix, keyed by `IndexSet.mask`
+    (rows are the low ``n`` bits, and a dropped column ``c`` is bit
+    ``2n - c``), built once per rank.
+
+    The minors are built in increasing size by Laplace expansion along
+    their first row, each from the minors one size smaller, which the table
+    already holds; the base set is the empty minor, 1."""
+    grid, n, nv = symbolic_network_matrix(rank), rank, _nvars(rank)
+    base = (1 << 2 * n) - (1 << n)  # every column dropped
+    bit = [1 << (2 * n - 1 - c) for c in range(n)]  # column c's dropped label
+    table = {base: Polynomial.constant(nv, 1)}
+    for k in range(1, n + 1):
+        col_sets = [(cols, base - sum(bit[c] for c in cols))
+                    for cols in itertools.combinations(range(n), k)]
+        for rows in itertools.combinations(range(n), k):
+            first = grid[rows[0]]
+            rest = sum(1 << r for r in rows[1:])
+            for cols, dropped in col_sets:
+                value = Polynomial.zero(nv)
+                for j, c in enumerate(cols):
+                    term = first[c] * table[rest | dropped | bit[c]]
+                    value = value - term if j & 1 else value + term
+                table[rest | 1 << rows[0] | dropped] = value
+    return table
 
 
 def symbolic_bracket(rank: int, alpha: IndexSet) -> Polynomial:

@@ -16,18 +16,16 @@ equally many brackets.
 
 `ratio_value` multiplies a ratio out from any source of bracket values,
 reading each distinct bracket once by `IndexSet.mask`.  `eval_ratio` feeds
-it `plucker_eval`, the one reader of a single minor, which takes `det` of
-the sub-grid `minor_address` names on the matrix's integer rows, cleared
-once per matrix (`TPMatrix.cleared`), not once per minor.  A caller that
-reads many ratios off one matrix feeds it `bracket_table`, the table of
-every bracket at once, keyed by `IndexSet.mask`: the one Laplace
-expansion of all minors, which `tpratio.tpcore.witnesses` takes over
-`Fraction` and `tpratio.polycheck.symbolic_bracket` over polynomials.
+it `plucker_eval`, the one reader of a numeric bracket, which takes `det`
+of the sub-grid `minor_address` names on the matrix's integer rows,
+cleared once per matrix (`TPMatrix.cleared`), not once per minor; a
+caller that reads many ratios off one matrix, such as the falsifier's rung
+tables, tabulates `plucker_eval` by `IndexSet.mask`.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -47,44 +45,13 @@ from .matrices import TPMatrix, det, require_tp
 def plucker_eval(matrix: TPMatrix, alpha: IndexSet) -> Fraction:
     """Bracket of ``alpha``: `det` of the rows and kept columns
     `minor_address` names, read off the matrix's integer rows
-    (`TPMatrix.cleared`, built once per matrix) with those rows' scales."""
+    (`TPMatrix.cleared`, built once per matrix), over those rows' lcms."""
     if alpha.rank != matrix.rank:
         raise InvalidInput(f"bracket rank {alpha.rank} vs matrix rank {matrix.rank}")
     rows, cols = minor_address(alpha)
-    cleared, scales = matrix.cleared
-    return det(
-        [[cleared[r - 1][c - 1] for c in cols] for r in rows], [scales[r - 1] for r in rows]
-    )
-
-
-def bracket_table(grid, zero, one) -> dict:
-    """Every bracket of the square ``grid`` over any ring whose elements
-    support ``+``, ``-`` and ``*``, keyed by `IndexSet.mask`: rows are the
-    low ``n`` bits, and a dropped column ``c`` is bit ``2n - c``.
-
-    The minors are built in increasing size by Laplace expansion along
-    their first row, each from the minors one size smaller, which the table
-    already holds; the base set is the empty minor, ``one``.  Over
-    `Fraction` it serves the falsifier's rung tables, over polynomials
-    `tpratio.polycheck.symbolic_bracket`; `plucker_eval` reads the same
-    values one at a time."""
-    n = len(grid)
-    base = (1 << 2 * n) - (1 << n)  # every column dropped
-    bit = [1 << (2 * n - 1 - c) for c in range(n)]  # column c's dropped label
-    table = {base: one}
-    for k in range(1, n + 1):
-        col_sets = [(cols, base - sum(bit[c] for c in cols))
-                    for cols in itertools.combinations(range(n), k)]
-        for rows in itertools.combinations(range(n), k):
-            first = grid[rows[0]]
-            rest = sum(1 << r for r in rows[1:])
-            for cols, dropped in col_sets:
-                value = zero
-                for j, c in enumerate(cols):
-                    term = first[c] * table[rest | dropped | bit[c]]
-                    value = value - term if j & 1 else value + term
-                table[rest | 1 << rows[0] | dropped] = value
-    return table
+    cleared, lcms = matrix.cleared
+    minor = det([[cleared[r - 1][c - 1] for c in cols] for r in rows])
+    return Fraction(minor, math.prod([lcms[r - 1] for r in rows]))
 
 
 def ratio_value(ratio: RatioExpr, bracket: Callable[[IndexSet], Fraction]) -> Fraction:

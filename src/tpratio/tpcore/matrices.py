@@ -1,15 +1,14 @@
 """Exact rational matrices, minors, and total-positivity checks.
 
 Everything in this module is exact and no floating point appears anywhere.
-Entries are `fractions.Fraction`; the one kernel inside, `det`, runs
-Bareiss's fraction-free elimination over Python ints, so every division
-is exact and no gcd is paid until the one `Fraction` it returns.  A
-matrix clears its rows once, on first use: `TPMatrix.cleared` holds each
-row times the lcm of its denominators, and those lcms.  `verify_tp` hands
-`det` the initial minors' blocks of those integer rows, and
-`grassmann.plucker_eval` the integer sub-grid an index set names, each
-with its rows' lcms as the scales, so a matrix read for many minors
-clears its denominators once, not once per minor.
+Entries are `int` or `fractions.Fraction` (`network.is_exact`).  A matrix
+clears its rows once, on first use: `TPMatrix.cleared` holds each row times
+the lcm of its denominators, and those lcms.  The one numeric minor kernel,
+`det`, takes such integer rows and runs Bareiss's fraction-free
+elimination over Python ints, so every division is exact and no gcd is
+paid.  `verify_tp` hands it the initial minors' blocks of a matrix's
+integer rows, and `grassmann.plucker_eval` the integer sub-grid an index
+set names, so a matrix read for many minors clears its denominators once.
 `network_matrix` multiplies the planar network out with
 `tpratio.tpcore.network.network_product`, the one routine that multiplies
 layers, over `Fraction`.
@@ -27,50 +26,31 @@ from typing import Sequence
 from ..budgets import MAX_MAGNITUDE
 from ..combinatorics import check_rank
 from ..errors import BudgetExceeded, InvalidInput, NotTotallyPositive
-from .network import NetworkParams, chips, flat_weights, network_product
+from .network import NetworkParams, chips, exact, flat_weights, is_exact, network_product
 
 Row = tuple[Fraction, ...]
 Grid = tuple[Row, ...]
 IntGrid = tuple[tuple[int, ...], ...]
 
 
-def as_grid(rows: Sequence[Sequence]) -> Grid:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of integer rows by Bareiss elimination, with row
+    swaps; an entry that is not exactly an `int` raises `InvalidInput`.
 
-
-def _clear(rows: Sequence[Sequence[Fraction]]) -> tuple[IntGrid, tuple[int, ...]]:
-    """Each row times the lcm of its denominators, as ints, and those lcms."""
-    cleared, lcms = [], []
-    for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        cleared.append(tuple([x.numerator * (lcm // x.denominator) for x in row]))
-        lcms.append(lcm)
-    return tuple(cleared), tuple(lcms)
-
-
-def det(rows: Sequence[Sequence], scales: Sequence[int] | None = None) -> Fraction:
-    """Exact determinant by Bareiss elimination over ints, with row swaps.
-
-    ``rows`` are `Fraction` rows, which `det` clears itself, or, with
-    ``scales``, integer rows, row ``i`` a rational row times the positive
-    ``scales[i]`` (any common multiple of its denominators, such as the
-    full row's lcm in `TPMatrix.cleared` for a sub-row); the result is the
-    determinant of the rational rows, the integer one over the product of
-    the scales.  Step ``k`` replaces the rows below the pivot by their
-    2 x 2 minors with it, divided exactly by the previous pivot, so the
-    last pivot is the determinant of the integer rows.  ``rows`` are not
-    modified."""
+    Step ``k`` replaces the rows below the pivot by their 2 x 2 minors
+    with it, divided exactly by the previous pivot, so the last pivot is
+    the determinant.  ``rows`` are not modified."""
+    if not {type(x) for row in rows for x in row} <= {int}:
+        raise InvalidInput("det takes integer rows; clear rational rows first (TPMatrix.cleared)")
     if not rows:
-        return Fraction(1)
-    if scales is None:
-        rows, scales = _clear(rows)
+        return 1
     work = list(rows)
     sign, previous = 1, 1
     while len(work) > 1:
         if work[0][0] == 0:
             swap = next((r for r in range(1, len(work)) if work[r][0] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             work[0], work[swap] = work[swap], work[0]
             sign = -sign
         pivot, *tail = work[0]
@@ -79,13 +59,14 @@ def det(rows: Sequence[Sequence], scales: Sequence[int] | None = None) -> Fracti
             for row in work[1:]
         ]
         previous = pivot
-    return Fraction(sign * work[0][0], math.prod(scales))
+    return sign * work[0][0]
 
 
 @dataclass(frozen=True)
 class TPMatrix:
-    """A square matrix of exact rationals.  Total positivity is a property
-    to verify (`verify_tp`), not an assumption baked into the type."""
+    """A square matrix of exact rationals, each an `int` or a `Fraction`.
+    Total positivity is a property to verify (`verify_tp`), not an
+    assumption baked into the type."""
 
     rank: int
     entries: Grid
@@ -96,18 +77,25 @@ class TPMatrix:
             len(r) != self.rank for r in self.entries
         ):
             raise InvalidInput(f"entries are not {self.rank} x {self.rank}")
+        if not all(is_exact(x) for row in self.entries for x in row):
+            raise InvalidInput("matrix entries must each be an int or a Fraction")
 
     @classmethod
     def of(cls, rows: Sequence[Sequence]) -> "TPMatrix":
-        grid = as_grid(rows)
+        grid = tuple(tuple(exact(x) for x in row) for row in rows)
         return cls(len(grid), grid)
 
     @cached_property
     def cleared(self) -> tuple[IntGrid, tuple[int, ...]]:
         """The rows as ints, each times the lcm of its denominators, and
-        those lcms: the integer rows and scales `det` takes, built on first
-        use and shared by every minor read off this matrix."""
-        return _clear(self.entries)
+        those lcms: the integer rows `det` takes, built on first use and
+        shared by every minor read off this matrix."""
+        rows, lcms = [], []
+        for row in self.entries:
+            lcm = math.lcm(*(x.denominator for x in row))
+            rows.append(tuple([x.numerator * (lcm // x.denominator) for x in row]))
+            lcms.append(lcm)
+        return tuple(rows), tuple(lcms)
 
 
 def verify_tp(matrix: TPMatrix) -> bool:
@@ -116,16 +104,16 @@ def verify_tp(matrix: TPMatrix) -> bool:
     An initial minor has contiguous rows and columns, one of which starts
     at index 1; positivity of all of them is equivalent to positivity of
     every minor (Gasca and Peña, 1992).  Each is `det` of a block of the
-    matrix's integer rows (`TPMatrix.cleared`).  The tests hold this to
-    the definition, every minor positive, up to rank 6.
+    matrix's integer rows (`TPMatrix.cleared`), whose row lcms are
+    positive, so its sign is the minor's.  The tests hold this to the
+    definition, every minor positive, up to rank 6.
     """
     n = matrix.rank
-    rows, scales = matrix.cleared
+    rows = matrix.cleared[0]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             size = min(i, j)
-            block = [row[j - size : j] for row in rows[i - size : i]]
-            if det(block, scales[i - size : i]) <= 0:
+            if det([row[j - size : j] for row in rows[i - size : i]]) <= 0:
                 return False
     return True
 

@@ -17,8 +17,12 @@ layers, runs over any ring, one column operation per layer:
 `tpratio.tpcore.matrices.network_matrix` and
 `tpratio.tpcore.witnesses.witness_family` (on a longer layer list) over
 `Fraction`, and `tpratio.polycheck.symbolic_network_matrix` over
-polynomials.  The product's brackets come from the other ring-generic
-kernel, `tpratio.tpcore.grassmann.bracket_table`, over the same two rings.
+polynomials.
+
+`is_exact` is the one test of an exact number at the numeric boundary,
+where `NetworkParams` and `tpratio.tpcore.matrices.TPMatrix` take their
+weights and entries: exactly an `int` or a `Fraction`, never a `bool`, a
+`float` or a string.  `exact` is the one conversion into that domain.
 """
 
 from __future__ import annotations
@@ -29,6 +33,22 @@ from typing import Sequence
 
 from ..combinatorics import check_rank
 from ..errors import InvalidInput
+
+
+def is_exact(value) -> bool:
+    """Is ``value`` exactly an `int` or a `Fraction`?  A `bool` is an `int`
+    subclass and a `float` has a `denominator` too; neither is exact here."""
+    return type(value) is int or type(value) is Fraction
+
+
+def exact(value) -> Fraction:
+    """``value`` as a `Fraction`; what `Fraction` cannot read (a string that
+    is not a number, an infinite or NaN float, ``None``) raises
+    `InvalidInput`."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InvalidInput(f"{value!r} is not an exact rational number") from None
 
 
 def staircase_word(rank: int) -> tuple[int, ...]:
@@ -44,7 +64,8 @@ class NetworkParams:
     """Strictly positive weights of one planar network.
 
     ``lower`` and ``upper`` each hold ``n(n-1)/2`` rationals, indexed by the
-    staircase word; ``diag`` holds the ``n`` diagonal weights.
+    staircase word; ``diag`` holds the ``n`` diagonal weights.  Each weight
+    is an `int` or a `Fraction` (`is_exact`); `of` converts.
     """
 
     rank: int
@@ -61,12 +82,14 @@ class NetworkParams:
                 f"need {k} lower, {n} diagonal, {k} upper weights for rank {n}"
             )
         for w in flat_weights(self):
+            if not is_exact(w):
+                raise InvalidInput(f"network weight {w!r} is not an int or a Fraction")
             if w <= 0:
                 raise InvalidInput(f"network weight {w} is not positive")
 
     @classmethod
     def of(cls, rank, lower, diag, upper) -> "NetworkParams":
-        as_fr = lambda seq: tuple(Fraction(w) for w in seq)
+        as_fr = lambda seq: tuple(exact(w) for w in seq)
         return cls(rank, as_fr(lower), as_fr(diag), as_fr(upper))
 
 

@@ -15,7 +15,7 @@ gap arc leads, and evaluates it on the family along a ladder of ``t``
 values; at rank 4 it also tries every image of the ratio that
 `tpratio.combinatorics.orientations` yields on the known 4 x 4
 counterexample family, reading all sixteen from one table of every
-bracket per ladder rung (`bracket_table` over `Fraction`).  Both
+bracket per ladder rung, `plucker_eval` at each index set.  Both
 families are planar networks, totally positive by construction.
 Only the degree-gap family depends on the ratio, so the counterexample
 rung tables (`_rung_table`) and the random-search matrices
@@ -38,6 +38,7 @@ from types import MappingProxyType
 
 from ..combinatorics import (
     RatioExpr,
+    all_index_sets,
     arcs_up_to_half,
     cyclic_shift_ratio,
     degree_gap,
@@ -45,9 +46,9 @@ from ..combinatorics import (
     orientations,
 )
 from ..errors import InvalidInput
-from .grassmann import bracket_table, eval_ratio, ratio_value, shift_matrix
+from .grassmann import eval_ratio, plucker_eval, ratio_value, shift_matrix
 from .matrices import TPMatrix, network_matrix, random_tp
-from .network import Chip, NetworkParams, chips, network_product
+from .network import Chip, NetworkParams, chips, exact, network_product
 
 T_LADDER: tuple[Fraction, ...] = tuple(Fraction(10) ** e for e in range(1, 5))
 THRESHOLD = Fraction(1000)
@@ -66,7 +67,7 @@ def witness_family(n: int, s: int, k: int, t: Fraction) -> TPMatrix:
         raise InvalidInput(f"n, s and k must be integers, got {n!r}, {s!r} and {k!r}")
     if not 1 <= k <= s <= n:
         raise InvalidInput(f"need 1 <= k <= s <= n, got k={k}, s={s}, n={n}")
-    t = Fraction(t)
+    t = exact(t)
     if t <= 0:
         raise InvalidInput("the scale parameter must be positive")
     g = h = chips(s, [Fraction(1)] * s * s)
@@ -86,7 +87,7 @@ def counterexample_matrix(t: Fraction) -> TPMatrix:
     ``t^7 (t^2+t+2) / ((3t^2+2t+3)(4t^2+3t+2)(t^4+t^3+9t^2+6t+3))`` here,
     which grows like ``t/12``: about 833 at ``t = 10^4``, past 1000 only
     from ``t ~ 12001.4``."""
-    t = Fraction(t)
+    t = exact(t)
     if t <= 0:
         raise InvalidInput("the scale parameter must be positive")
     u = 1 / t
@@ -149,9 +150,8 @@ def _rung_table(t: Fraction) -> Mapping[int, Fraction]:
     read-only since every later `falsify` call shares it.  `falsify` asks
     only for the rungs of its ladder, so at most ``len(T_LADDER) +
     LADDER_EXTENSIONS`` tables are ever held."""
-    return MappingProxyType(
-        bracket_table(counterexample_matrix(t).entries, Fraction(0), Fraction(1))
-    )
+    m = counterexample_matrix(t)
+    return MappingProxyType({s.mask: plucker_eval(m, s) for s in all_index_sets(4)})
 
 
 def _rung_value(ratio: RatioExpr, t: Fraction) -> Fraction:

@@ -23,6 +23,9 @@ package succeeds, binding the re-exported names from `tpratio` only.
 Each screen's violation
 (`St0Violation`, `ConditionMViolation`) is constructed at one site under
 ``src/``, so a failing verdict's fields are copied into it once.
+Numbers and polynomials keep one minor kernel each: no module under
+`tpratio.tpcore` imports `tpratio.polycheck`, and `tpratio.polycheck`
+imports from `tpratio.tpcore` only `network`, the ring-generic product.
 The cone checker `verify_certificate`, and every module-level name it
 reaches, reaches none of the private names the solver `cone_membership`
 reaches, past the rank check both make: the checker shares no code with
@@ -281,6 +284,34 @@ def test_screen_violation_built_at_one_site(error):
         and error in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert len(sites) == 1, f"{error} constructed at {sites}"
+
+
+def _import_targets(path: Path) -> set[str]:
+    """The dotted names of the modules ``path`` imports, relative imports
+    resolved; ``from package import module`` names the module."""
+    package = path.relative_to(SRC).parent.parts
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else ()
+            module = ".".join([*base, *([node.module] if node.module else [])])
+            for alias in node.names:
+                sub = f"{module}.{alias.name}"
+                found = (SRC / sub.replace(".", "/")).with_suffix(".py").exists()
+                targets.add(sub if found else module)
+    return targets
+
+
+def test_numbers_and_polynomials_keep_one_minor_kernel_each():
+    tpcore = sorted((SRC / "tpratio" / "tpcore").glob("*.py"))
+    assert {p.name for p in tpcore} >= {"grassmann.py", "matrices.py", "network.py", "witnesses.py"}
+    for path in tpcore:
+        assert "tpratio.polycheck" not in _import_targets(path), path.name
+    polycheck = _import_targets(SRC / "tpratio" / "polycheck.py")
+    assert "tpratio.combinatorics" in polycheck  # relative imports resolve
+    assert {t for t in polycheck if t.startswith("tpratio.tpcore")} == {"tpratio.tpcore.network"}
 
 
 CONELAB = SRC / "tpratio" / "conelab.py"

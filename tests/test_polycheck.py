@@ -93,10 +93,9 @@ class TestSymbolicMatrix:
 
 
 class TestMinorEvaluators:
-    """The symbolic brackets are `bracket_table` over polynomials, the
-    kernel the falsifier's rung tables run over `Fraction`, so they are
-    held to the two evaluators that share no code with it: the Bareiss
-    determinant behind `plucker_eval` and the path-family oracle
+    """The symbolic brackets are a Laplace expansion over polynomials, so
+    they are held to the two evaluators that share no code with it: the
+    Bareiss determinant behind `plucker_eval` and the path-family oracle
     `util.lgv_minors`."""
 
     def test_three_evaluators_agree(self):

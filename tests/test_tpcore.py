@@ -47,7 +47,7 @@ from tpratio import (
     witness_matrix,
 )
 from tpratio.tpcore import grassmann, witnesses
-from tpratio.tpcore.grassmann import bracket_table, ratio_value
+from tpratio.tpcore.grassmann import ratio_value
 from tpratio.tpcore.matrices import require_tp
 from tpratio.tpcore.network import (
     chips,
@@ -82,35 +82,47 @@ def rational_rows(rng, n, denominators, numerators=range(-9, 10)):
     ]
 
 
+def _fraction_table(m):
+    """Every bracket of ``m`` by `IndexSet.mask`, by `util.fraction_det`."""
+    return {
+        s.mask: util.fraction_det(util.sub_grid(m, s)) for s in all_index_sets(m.rank)
+    }
+
+
 class TestDet:
     """`det` eliminates over ints; `util.fraction_det` is the reference."""
 
     def test_examples(self):
-        assert det([]) == 1
-        assert det([[Fraction(-3, 4)]]) == Fraction(-3, 4)
-        assert det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+        assert det([]) == 1 and type(det([])) is int
+        assert det([[-3]]) == -3
+        assert det([[0, 1], [1, 0]]) == -1
         # the second pivot vanishes only after the first step, and needs a swap
-        assert det(TPMatrix.of([[1, 2, 3], [2, 4, 5], [3, 5, 6]]).entries) == -1
+        value = det([[1, 2, 3], [2, 4, 5], [3, 5, 6]])
+        assert value == -1 and type(value) is int
 
     @pytest.mark.parametrize("n", range(9))
     def test_matches_fraction_elimination(self, n):
         rng = random.Random(n)
+        integer_rows = lambda numerators: [
+            [rng.choice(numerators) for _ in range(n)] for _ in range(n)
+        ]
         for _ in range(40):
-            mixed = rational_rows(rng, n, (1, 2, 3, 5, 7, 12))
-            integer = rational_rows(rng, n, (1,))
-            sparse = rational_rows(rng, n, (1, 3), numerators=(-1, 0, 0, 0, 1))
-            cases = [mixed, integer, sparse]
+            dense = integer_rows(range(-99, 100))
+            small = integer_rows(range(-9, 10))
+            sparse = integer_rows((-1, 0, 0, 0, 1))
+            cases = [dense, small, sparse]
             if n:
-                zero_lead = [list(r) for r in mixed]
-                zero_lead[0][0] = Fraction(0)
-                zero_column = [r[:-1] + [Fraction(0)] for r in mixed]
-                repeated = mixed[:-1] + [list(mixed[0])]
+                zero_lead = [list(r) for r in dense]
+                zero_lead[0][0] = 0
+                zero_column = [r[:-1] + [0] for r in dense]
+                repeated = dense[:-1] + [list(dense[0])]
                 cases += [zero_lead, zero_column, repeated]
             if n >= 3:
-                combined = mixed[:-1] + [[a - 2 * b for a, b in zip(mixed[0], mixed[1])]]
+                combined = dense[:-1] + [[a - 2 * b for a, b in zip(dense[0], dense[1])]]
                 cases.append(combined)
             for rows in cases:
-                assert det(rows) == util.fraction_det(rows), rows
+                value = det(rows)
+                assert type(value) is int and value == util.fraction_det(rows), rows
             if n:
                 assert det(zero_column) == 0
             if n >= 2:
@@ -118,12 +130,11 @@ class TestDet:
             if n >= 3:
                 assert det(combined) == 0
 
-
     @pytest.mark.parametrize("n", range(1, 7))
     def test_cleared_rows_match_fraction_rows(self, n):
-        """`det` on a matrix's cleared integer rows with their scales equals
-        `det` on the `Fraction` rows, with a swap and on singular grids; any
-        common multiple of a row's denominators serves as its scale."""
+        """`det` of a matrix's cleared integer rows is the determinant of
+        its `Fraction` rows times the product of the row lcms, with a swap
+        and on singular grids; the rows are not modified."""
         rng = random.Random(100 + n)
         for _ in range(20):
             mixed = rational_rows(rng, n, (1, 2, 3, 5, 7, 12))
@@ -133,14 +144,22 @@ class TestDet:
             if n >= 2:
                 cases.append(mixed[:-1] + [list(mixed[0])])
             for rows in cases:
-                ints, scales = TPMatrix.of(rows).cleared
-                value = det(rows)
-                assert det(ints, scales) == value == util.fraction_det(rows), rows
-                widened = [[3 * x for x in row] for row in ints]
-                assert det(widened, [3 * s for s in scales]) == value
-                assert widened == [[3 * x for x in row] for row in ints]  # not modified
+                ints, lcms = TPMatrix.of(rows).cleared
+                copy = [list(row) for row in ints]
+                assert det(ints) == util.fraction_det(rows) * math.prod(lcms), rows
+                assert [list(row) for row in ints] == copy
         # the second pivot vanishes only after the first step, and needs a swap
-        assert det(*TPMatrix.of([[1, 2, 3], [2, 4, 5], [3, 5, 6]]).cleared) == -1
+        rows = [[1, Fraction(2, 3), 3], [2, Fraction(4, 3), 5], [3, 5, 6]]
+        ints, lcms = TPMatrix.of(rows).cleared
+        assert lcms == (3, 3, 1) and det(ints) == util.fraction_det(rows) * 9 == 27
+
+    @pytest.mark.parametrize("entry", [Fraction(2), Fraction(1, 2), 2.0, True])
+    def test_takes_integer_rows_only(self, entry):
+        """A `Fraction` (even an integral one), a `float` or a `bool` entry
+        raises rather than being floored by the exact integer division."""
+        for rows in ([[entry]], [[1, 2], [3, entry]], [[0, 1, 1], [1, 1, 1], [entry, 1, 2]]):
+            with pytest.raises(InvalidInput, match="integer rows"):
+                det(rows)
 
     def test_cleared_rows_are_built_once(self):
         m = counterexample_matrix(Fraction(10))
@@ -154,6 +173,50 @@ class TestDet:
         # the cache is not a field: equality and hashing read rank and entries alone
         again = counterexample_matrix(Fraction(10))
         assert m == again and hash(m) == hash(again) and repr(m) == repr(again)
+
+
+class TestExactEntries:
+    """`TPMatrix` entries and `NetworkParams` weights are exactly `int` or
+    `Fraction`; the `of` constructors and the families' ``t`` turn every
+    value `Fraction` cannot read into `InvalidInput`."""
+
+    @pytest.mark.parametrize("entry", [0.5, True, "1"])
+    def test_matrix_takes_int_or_fraction_entries(self, entry):
+        # a float entry once reached `verify_tp` as a bare AttributeError,
+        # and a bool one was read as 1
+        with pytest.raises(InvalidInput, match="an int or a Fraction"):
+            TPMatrix(2, ((1, 2), (entry, 4)))
+        with pytest.raises(InvalidInput, match="an int or a Fraction"):
+            TPMatrix(1, ((entry,),))
+
+    @pytest.mark.parametrize("weight", [0.5, True, "1"])
+    def test_params_take_int_or_fraction_weights(self, weight):
+        # a float weight once multiplied out into float entries
+        with pytest.raises(InvalidInput, match="an int or a Fraction"):
+            NetworkParams(2, (weight,), (1, 1), (1,))
+
+    def test_int_and_fraction_entries_are_exact(self):
+        m = TPMatrix(2, ((1, 2), (Fraction(1, 2), 4)))
+        assert verify_tp(m) and det(m.cleared[0]) == 6
+        p = NetworkParams(2, (Fraction(1, 2),), (1, 1), (1,))
+        assert network_matrix(p) == TPMatrix.of([[1, 1], [Fraction(1, 2), Fraction(3, 2)]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NetworkParams.of(2, ["x"], [1, 1], [1]),
+            lambda: TPMatrix.of([[1, "x"], [1, 2]]),
+            lambda: witness_family(2, 1, 1, "x"),
+            lambda: counterexample_matrix(float("inf")),
+            lambda: counterexample_matrix(float("nan")),
+            lambda: TPMatrix.of([[None]]),
+        ],
+        ids=["params-of-str", "matrix-of-str", "witness-t-str", "counterexample-t-inf",
+             "counterexample-t-nan", "matrix-of-none"],
+    )
+    def test_failed_conversions_are_invalid_input(self, build):
+        with pytest.raises(InvalidInput, match="not an exact rational"):
+            build()
 
 
 class TestNetwork:
@@ -447,7 +510,8 @@ class TestGrassmann:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_brackets_read_off_cleared_rows(self, n):
         """`plucker_eval` reads the cleared rows, each scaled by its full
-        row's lcm; every bracket equals `det` of the `Fraction` sub-grid."""
+        row's lcm; every bracket equals `util.fraction_det` of the
+        `Fraction` sub-grid."""
         matrices = [random_tp(n, seed, magnitude) for seed in (0, 1) for magnitude in (3, 6)]
         mixed = _mixed_signs(n)
         matrices.append(mixed)
@@ -459,7 +523,7 @@ class TestGrassmann:
             matrices += [counterexample_matrix(t) for t in (Fraction(1, 3), *T_LADDER)]
         for m in matrices:
             for alpha in all_index_sets(n):
-                assert plucker_eval(m, alpha) == det(util.sub_grid(m, alpha)), (m, alpha)
+                assert plucker_eval(m, alpha) == util.fraction_det(util.sub_grid(m, alpha)), (m, alpha)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_brackets_positive(self, n):
@@ -467,9 +531,12 @@ class TestGrassmann:
         assert all(plucker_eval(m, a) > 0 for a in all_index_sets(n))
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_bracket_table_matches_plucker_eval(self, n):
-        # the table must hold off TP too: mixed denominators, negative and
-        # zero entries, repeated and linearly dependent rows
+    def test_bracket_table_matches_plucker_eval(self, n, cold_families):
+        """The numeric bracket tables are `plucker_eval` at every index set:
+        the falsifier's rung tables, and the table of any matrix, which
+        must hold off TP too (mixed denominators, negative and zero
+        entries, repeated and linearly dependent rows).  Each is held to
+        `util.fraction_det` of the sub-grid."""
         rng = random.Random(n)
         matrices = [random_tp(n, seed, magnitude) for magnitude in (1, 6, 64) for seed in (0, 1)]
         for _ in range(3):
@@ -482,15 +549,14 @@ class TestGrassmann:
                 combined = [a - 2 * b for a, b in zip(mixed[0], mixed[1])]
                 matrices.append(TPMatrix.of(mixed[:-1] + [combined]))
         if n == 4:
-            for t in (Fraction(10) ** 8, Fraction(10) ** -8, Fraction(7, 3) ** 8, Fraction(3, 7) ** 8):
+            for t in (Fraction(10) ** -8, Fraction(7, 3) ** 8, Fraction(3, 7) ** 8):
                 matrices.append(counterexample_matrix(t))
-        sets = all_index_sets(n)
-        assert len(sets) == math.comb(2 * n, n)
-        for m in matrices:
-            table = bracket_table(m.entries, Fraction(0), Fraction(1))
-            assert len(table) == len(sets)
-            for s in sets:
-                assert table[s.mask] == plucker_eval(m, s), (m, s)
+        tables = [({s.mask: plucker_eval(m, s) for s in all_index_sets(n)}, m) for m in matrices]
+        if n == 4:  # every rung the ladder can reach, 10^1 to 10^8
+            tables += [(witnesses._rung_table(t), counterexample_matrix(t)) for t in FULL_LADDER]
+        assert len(tables[0][0]) == math.comb(2 * n, n)
+        for table, m in tables:
+            assert table == _fraction_table(m), m
 
     def test_minor_conventions(self):
         m = TPMatrix.of([[1, 1], [1, 2]])
@@ -791,22 +857,24 @@ class TestFalsify:
         assert out.increasing and out.peak > 1000
 
     def test_counterexample_member_built_once_per_rung(self, monkeypatch, cold_families):
-        rungs, tables = [], []
+        # a rung table is `plucker_eval` at all 70 index sets of one member
+        rungs, reads = [], []
         build = witnesses.counterexample_matrix
         counted = lambda t: rungs.append(t) or build(t)
         monkeypatch.setattr(witnesses, "counterexample_matrix", counted)
-        tabulate = witnesses.bracket_table
-        counted_tables = lambda *args: tables.append(args) or tabulate(*args)
-        monkeypatch.setattr(witnesses, "bracket_table", counted_tables)
+        read = witnesses.plucker_eval
+        counted_reads = lambda m, s: reads.append(s.mask) or read(m, s)
+        monkeypatch.setattr(witnesses, "plucker_eval", counted_reads)
         query = ratio(4, [(1, 2, 3, 4), (1, 4, 6, 7)], [(1, 2, 4, 7), (1, 3, 4, 6)])
         out = falsify(query)
         assert isinstance(out, Inconclusive)
         assert set(T_LADDER) <= set(rungs)
         assert len(rungs) == len(set(rungs))  # shared by all 16 orientations
-        assert len(tables) == len(set(rungs))
+        assert len(set(reads)) == 70 and len(reads) == 70 * len(rungs)  # one table each
+        assert witnesses._rung_table.cache_info().currsize == len(rungs)
         built = len(rungs)
         assert falsify(query) == out
-        assert len(rungs) == len(tables) == built  # and by every later call
+        assert len(rungs) == built and len(reads) == 70 * built  # and by every later call
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_gap_arc_is_the_screen_witness(self, n):
@@ -910,7 +978,9 @@ class TestFalsifyOrientation:
                 screened.append(r)
         ratios = util.orbit(UNBOUNDED_3OVER3) + screened
         members = {t: counterexample_matrix(t) for t in FULL_LADDER}
-        tables = {t: bracket_table(m.entries, Fraction(0), Fraction(1)) for t, m in members.items()}
+        reference = {t: _fraction_table(m) for t, m in members.items()}
+        tables = {t: witnesses._rung_table(t) for t in FULL_LADDER}
+        assert tables == reference  # all 70 brackets at every rung, 10^1 to 10^8
         for r in ratios:
             for _, _, image in orientations(r):
                 for t, table in tables.items():
@@ -918,13 +988,23 @@ class TestFalsifyOrientation:
                     assert read == eval_ratio(members[t], image), (image, t)
         outcomes = [falsify(r) for r in ratios]
         assert {type(out) for out in outcomes} == {Evidence, Inconclusive}
-        single = lambda grid, zero, one: {
-            s.mask: plucker_eval(TPMatrix(len(grid), grid), s) for s in all_index_sets(len(grid))
-        }
-        monkeypatch.setattr(witnesses, "bracket_table", single)
-        witnesses._rung_table.cache_clear()
-        assert [falsify(r) for r in ratios] == outcomes
-        assert witnesses._rung_table.cache_info().currsize >= len(T_LADDER)  # from `single`
+
+        # the sweep reads its brackets from the rung table and nowhere else:
+        # on the reference tables it reaches the same outcomes, and an
+        # inconclusive sweep reads every bracket of every orientation
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, mask):
+                read.add(mask)
+                return super().__getitem__(mask)
+
+        monkeypatch.setattr(witnesses, "_rung_table", lambda t: Recording(reference[t]))
+        for r, out in zip(ratios, outcomes):
+            read.clear()
+            assert falsify(r) == out
+            images = {s.mask for _, _, image in orientations(r) for s in (*image.numerator, *image.denominator)}
+            assert read == images if isinstance(out, Inconclusive) else read <= images, r
 
     def test_falsify_transforms_no_matrix(self, monkeypatch):
         inconclusive = ratio(
